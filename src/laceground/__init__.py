@@ -9,8 +9,6 @@ from .embedding import (
     deserialize,
     new_embedding,
     serialize,
-    valid_embedding,
-    valid_vertex,
 )
 from .canonical import (
     canonical_id,
@@ -28,6 +26,7 @@ from .validator import (
     PropertyReport,
     WindingVector,
     check_connected,
+    check_embedded,
     check_no_contractible_directed_cycles,
     check_rotationally_consecutive,
     check_thread_conservation,

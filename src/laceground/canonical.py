@@ -11,35 +11,48 @@ symmetry orbit; exactly one member of each orbit attains it.
 """
 
 import hashlib
-from typing import Iterable
 
-from .embedding import GroundEmbedding
-from .geometry import Arc, TorusDims, direction_slot, step_length, wrap
+from .embedding import GroundEmbedding, _state_of
+from .geometry import Arc, TorusDims, arc_ends, wrap
 
 TRANSFORMS = ("identity", "h_reflect", "v_reflect", "rot180")
 
 Label = tuple[int, int, int, int, int, int, int, int]
 EmbeddingId = tuple
 
+# Per-transform slot permutation and sign applied to a vertex label:
+# entry i of the transformed label reads from SOURCE_SLOT[t][i] of the
+# original, multiplied by LABEL_SIGN[t].
+_SOURCE_SLOT = {
+    "identity": tuple(range(8)),
+    "h_reflect": tuple((8 - i) % 8 for i in range(8)),
+    "v_reflect": tuple((4 - i) % 8 for i in range(8)),
+    "rot180": tuple((i + 4) % 8 for i in range(8)),
+}
+_LABEL_SIGN = {"identity": 1, "h_reflect": 1, "v_reflect": -1, "rot180": -1}
 
-def vertex_label(e: GroundEmbedding, v: tuple[int, int]) -> Label:
-    entries = [0] * 8
-    for a in e.arcs:
-        if (a.row, a.col) == v:
-            entries[direction_slot(a.step)] = -step_length(a.step)
-        if a.head(e.dims) == v:
-            entries[direction_slot(a.step, at_head=True)] = step_length(a.step)
-    return tuple(entries)
+# Per-transform sign applied to a vertex's (row, col), modulo the periods.
+_VERTEX_SIGN = {"identity": (1, 1), "h_reflect": (1, -1),
+                "v_reflect": (-1, 1), "rot180": (-1, -1)}
 
 
 def label_grid(e: GroundEmbedding) -> list[list[Label]]:
     rows, cols = e.dims
     grid = [[[0] * 8 for _ in range(cols)] for _ in range(rows)]
     for a in e.arcs:
-        grid[a.row][a.col][direction_slot(a.step)] = -step_length(a.step)
-        hr, hc = a.head(e.dims)
-        grid[hr][hc][direction_slot(a.step, at_head=True)] = step_length(a.step)
+        for (r, c), slot, value in arc_ends(a, e.dims):
+            grid[r][c][slot] = value
     return [[tuple(lab) for lab in row] for row in grid]
+
+
+def vertex_label(e: GroundEmbedding, v: tuple[int, int]) -> Label:
+    return label_grid(e)[v[0]][v[1]]
+
+
+def transformed_label(label: Label, name: str) -> Label:
+    src = _SOURCE_SLOT[name]
+    sign = _LABEL_SIGN[name]
+    return tuple(sign * label[src[i]] for i in range(8))
 
 
 def identifier(e: GroundEmbedding) -> EmbeddingId:
@@ -65,17 +78,10 @@ def _transform_arc(a: Arc, name: str, dims: TorusDims) -> Arc:
 
 
 def _transform_vertex(v: tuple[int, int], name: str, dims: TorusDims) -> tuple[int, int]:
-    r, c = v
-    rows, cols = dims
-    if name == "identity":
-        return (r, c)
-    if name == "h_reflect":
-        return (r, (-c) % cols)
-    if name == "v_reflect":
-        return ((-r) % rows, c)
-    if name == "rot180":
-        return ((-r) % rows, (-c) % cols)
-    raise ValueError(f"unknown transform {name!r}")
+    if name not in _VERTEX_SIGN:
+        raise ValueError(f"unknown transform {name!r}")
+    sr, sc = _VERTEX_SIGN[name]
+    return wrap(sr * v[0], sc * v[1], dims)
 
 
 def transform(e: GroundEmbedding, name: str) -> GroundEmbedding:
@@ -96,14 +102,23 @@ def translate(e: GroundEmbedding, dr: int, dc: int) -> GroundEmbedding:
 
 
 def _orbit_identifiers(e: GroundEmbedding):
-    """Yield (identifier, transform name, dr, dc) over the full orbit."""
+    """Yield (identifier, transform name, dr, dc) over the full orbit.
+
+    The labels are computed once; a transform moves the label of each vertex
+    to the vertex's image and rewrites it as ``transformed_label`` does.
+    """
     rows, cols = e.dims
+    grid = label_grid(e)
     for name in TRANSFORMS:
-        grid = label_grid(transform(e, name))
+        moved = [[None] * cols for _ in range(rows)]
+        for r in range(rows):
+            for c in range(cols):
+                tr, tc = _transform_vertex((r, c), name, e.dims)
+                moved[tr][tc] = transformed_label(grid[r][c], name)
         for r0 in range(rows):
             for c0 in range(cols):
                 eid = (rows, cols) + tuple(
-                    grid[(r0 + r) % rows][(c0 + c) % cols]
+                    moved[(r0 + r) % rows][(c0 + c) % cols]
                     for r in range(rows) for c in range(cols))
                 # moving source vertex (r0, c0) to the origin = translating
                 # by (-r0, -c0)
@@ -140,83 +155,53 @@ def solution_name(eid: EmbeddingId) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Search pruning support
+# Search pruning
 # ---------------------------------------------------------------------------
 
-# Per-transform slot permutation and sign applied to a vertex label:
-# entry i of the transformed label reads from SOURCE_SLOT[t][i] of the
-# original, multiplied by LABEL_SIGN[t].
-_SOURCE_SLOT = {
-    "identity": tuple(range(8)),
-    "h_reflect": tuple((8 - i) % 8 for i in range(8)),
-    "v_reflect": tuple((4 - i) % 8 for i in range(8)),
-    "rot180": tuple((i + 4) % 8 for i in range(8)),
-}
-_LABEL_SIGN = {"identity": 1, "h_reflect": 1, "v_reflect": -1, "rot180": -1}
+def _dominated(state, cols: int) -> bool:
+    """True when a column shift, possibly mirrored, provably beats the label
+    at the origin in every completion of the search state.
 
-
-def transformed_label(label: Label, name: str) -> Label:
-    src = _SOURCE_SLOT[name]
-    sign = _LABEL_SIGN[name]
-    return tuple(sign * label[src[i]] for i in range(8))
-
-
-def dominates(witness: Label, witness_decided, base: Label, base_decided) -> bool:
-    """True iff the witness label is provably less than the base label in
-    every completion of the current partial embedding.
-
-    ``*_decided[i]`` says whether entry i can still change (an empty slot of
-    an incomplete vertex may acquire any future arc; filled slots and the
-    empty slots of complete vertices are final). Comparison walks entries in
-    order and only returns True on a strict, fully decided win.
+    The witness is the row-0 vertex (0, c) under the identity (c != 0) or
+    under h_reflect. Those two symmetries map any lace-path decomposition to
+    another valid one, so the smaller-identifier member is itself reachable
+    and the branch is redundant; row-reversing symmetries are deliberately
+    not used as witnesses. Label entries are compared in order while both
+    are decided: a filled slot, or any slot of a vertex that is already
+    2-in/2-out, can no longer change.
     """
-    for i in range(8):
-        if not (witness_decided[i] and base_decided[i]):
-            return False
-        if witness[i] != base[i]:
-            return witness[i] < base[i]
-    return False
+    labels = state.labels
+    indeg, outdeg = state.indeg, state.outdeg
 
+    def decided(vid, slot):
+        return labels[vid * 8 + slot] != 0 or (indeg[vid] == 2 and outdeg[vid] == 2)
 
-PRUNE_TRANSFORMS = ("identity", "h_reflect")
-
-
-def prune_predicate(e: GroundEmbedding) -> bool:
-    """Sound branch-keeping test for partial embeddings.
-
-    Returns False only when no completion of ``e`` can contribute a new
-    canonical class: a column shift, possibly mirrored, already yields a
-    provably smaller leading label than the one at the origin. Only those two
-    symmetries are used as witnesses because they map any lace-path
-    decomposition to another valid one, so the smaller member is guaranteed
-    reachable by the search; undecidable comparisons keep the branch.
-    """
-    rows, cols = e.dims
-    grid = label_grid(e)
-    degs = {}
-    for a in e.arcs:
-        o = (a.row, a.col)
-        h = a.head(e.dims)
-        degs.setdefault(o, [0, 0])[1] += 1
-        degs.setdefault(h, [0, 0])[0] += 1
-
-    def decided_vector(v):
-        lab = grid[v[0]][v[1]]
-        d = degs.get(v)
-        complete = d is not None and d[0] == 2 and d[1] == 2
-        return tuple(lab[i] != 0 or complete for i in range(8))
-
-    base = grid[0][0]
-    base_dec = decided_vector((0, 0))
-    for name in PRUNE_TRANSFORMS:
+    for name in ("identity", "h_reflect"):
         src = _SOURCE_SLOT[name]
+        sign = _LABEL_SIGN[name]
         for c in range(cols):
             if name == "identity" and c == 0:
                 continue
-            v = (0, c)
-            wit = transformed_label(grid[v[0]][v[1]], name)
-            vdec = decided_vector(v)
-            wit_dec = tuple(vdec[src[i]] for i in range(8))
-            if dominates(wit, wit_dec, base, base_dec):
-                return False
-    return True
+            wvid = c  # row-0 vertex (0, c)
+            for i in range(8):
+                s = src[i]
+                if not (decided(wvid, s) and decided(0, i)):
+                    break
+                wv = sign * labels[wvid * 8 + s]
+                bv = labels[i]
+                if wv != bv:
+                    if wv < bv:
+                        return True
+                    break
+    return False
+
+
+def prune_predicate(e: GroundEmbedding) -> bool:
+    """Sound branch-keeping test for partial embeddings: the search's own
+    domination test on the state of ``e``.
+
+    Returns False only when no completion of ``e`` can contribute a new
+    canonical class (see ``_dominated``); undecidable comparisons keep the
+    branch.
+    """
+    return not _dominated(_state_of(e), e.dims.cols)

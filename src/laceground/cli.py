@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 property failure, 2 usage or parse error,
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,9 @@ def _positive(value: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="laceground",
         description="Enumerate and verify toroidal 2-in/2-out lace ground embeddings.")
@@ -51,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="directory for .gnd solution files")
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--loose", action="store_true", help=_LOOSE_HELP)
-    p.add_argument("--allow-single-arc-circuits", action="store_true",
-                   help="also emit patterns containing one-arc thread circuits")
     p.add_argument("--budget", type=_positive, default=None, help="node budget")
 
     p = sub.add_parser("verify", help="check the fundamental properties of a ground file")
@@ -125,8 +126,7 @@ def cmd_enumerate(args) -> int:
     config = SearchConfig(
         TorusDims(args.rows, args.cols), jobs=args.jobs,
         pruning=not args.no_prune, strict_connectivity=not args.loose,
-        allow_single_arc_circuits=args.allow_single_arc_circuits,
-        node_budget=args.budget, out_dir=str(out_dir) if out_dir else None)
+        node_budget=args.budget)
     result = enumerate_grounds(config)
     if out_dir is not None:
         for eid_text, emb in result.canonical_solutions:

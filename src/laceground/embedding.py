@@ -1,16 +1,21 @@
-"""The toroidal embedding under construction and its validity tests.
+"""The toroidal embedding, the mask engine the search runs on, and the file
+format.
 
 A ``GroundEmbedding`` is an immutable value: dims, a sorted tuple of arcs,
-and optional per-vertex action annotations. ``add_path`` returns a new
-embedding (or a rejection) and never mutates its argument, so branches of a
-search can share nothing and roll back for free.
+and optional per-vertex action annotations.
 
 All pairwise geometric conflicts for a given grid size are precomputed once
-into bitmask tables; adding an arc then costs a few integer ANDs. The same
-tables back both this module's incremental checks and the enumerator.
+into bitmask tables (``tables_for``). On them the search's engine works with
+two records: a ``_Candidate`` is a set of arcs added as one move, and a
+``_State`` is the partial embedding it is added to. ``_feasible`` tests a
+move with a few integer ANDs and ``_apply`` makes it; ``_first_fault`` finds
+the first arc of a sequence that conflicts with those before it. The value
+API is a thin layer over that engine: ``add_path`` builds the candidate for
+a path, tests it against the state of its input and returns a new embedding
+or a ``Rejection``, never mutating its argument.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -18,32 +23,36 @@ from .geometry import (
     Arc,
     LACE_STEPS,
     LACE_STEP_SET,
-    SLOT_NAMES,
     TorusDims,
+    arc_ends,
     arcs_cross,
-    direction_slot,
     wrap,
 )
 from .paths import LacePath
 
+# Largest period a ground file may declare along either side: verifying a
+# file builds the conflict tables of its dims, whose cost grows as the
+# square of the number of arcs (a few seconds at 8x8).
+MAX_PERIOD = 8
+
 
 class SlotRecord(NamedTuple):
-    """One arc's presence at a vertex: slot index, direction, intrinsic step."""
+    """One arc's presence at a vertex: slot index, direction, the arc."""
 
     slot: int
     incoming: bool
-    step: tuple[int, int]
+    arc: Arc
 
 
 class Rejection(NamedTuple):
-    """Why a path or arc could not be added."""
+    """Why an arc could not join the arcs before it."""
 
     kind: str              # "duplicate-arc" | "slot-conflict" | "degree" | "crossing" | "self-conflict"
     vertex: tuple[int, int]
     arc: Arc
 
     def __str__(self) -> str:
-        return f"{self.kind} at vertex {self.vertex} adding arc {tuple(self.arc)}"
+        return f"{self.kind} at vertex {self.vertex} on arc {tuple(self.arc)}"
 
 
 class MaskTables:
@@ -53,7 +62,7 @@ class MaskTables:
         dims.validate()
         self.dims = dims
         rows, cols = dims
-        self.step_index = {s: i for i, s in enumerate(LACE_STEPS)}
+        self.n_vertices = rows * cols
         self.arcs: list[Arc] = [
             Arc(r, c, dx, dy)
             for r in range(rows)
@@ -65,17 +74,18 @@ class MaskTables:
 
         self.origin_vid = []
         self.head_vid = []
+        # per arc: (vertex * 8 + slot, signed length) at its origin and head,
+        # the label entries it writes
+        self.ends = []
         self.slot_mask = []
         self.self_ok = []
         for a in self.arcs:
-            ov = a.row * cols + a.col
-            hr, hc = a.head(dims)
-            hv = hr * cols + hc
+            (o, o_slot, o_len), (h, h_slot, h_len) = arc_ends(a, dims)
+            ov, hv = o[0] * cols + o[1], h[0] * cols + h[1]
             self.origin_vid.append(ov)
             self.head_vid.append(hv)
-            so = direction_slot(a.step, at_head=False)
-            sh = direction_slot(a.step, at_head=True)
-            self.slot_mask.append((1 << (ov * 8 + so)) | (1 << (hv * 8 + sh)))
+            self.ends.append(((ov * 8 + o_slot, o_len), (hv * 8 + h_slot, h_len)))
+            self.slot_mask.append((1 << (ov * 8 + o_slot)) | (1 << (hv * 8 + h_slot)))
             self.self_ok.append(not arcs_cross(a, a, dims))
 
         self.conflict_mask = [0] * n_arcs
@@ -91,6 +101,144 @@ def tables_for(dims: TorusDims) -> MaskTables:
     return MaskTables(dims)
 
 
+def _first_fault(arc_ids, t: MaskTables, degree: bool = True) -> Optional[Rejection]:
+    """The first arc of the sequence that cannot join the arcs before it.
+
+    In order of test: it repeats one of them, it conflicts with its own
+    periodic copies, it takes a slot already taken, it crosses one of them,
+    or (with ``degree``) it would be a third arc out of or into a vertex.
+    """
+    arcs_mask = slots = crossed = 0
+    indeg = [0] * t.n_vertices
+    outdeg = [0] * t.n_vertices
+    for aid in arc_ids:
+        bit = 1 << aid
+        ov, hv = t.origin_vid[aid], t.head_vid[aid]
+        at_head = False
+        if arcs_mask & bit:
+            kind = "duplicate-arc"
+        elif not t.self_ok[aid]:
+            kind = "self-conflict"
+        elif slots & t.slot_mask[aid]:
+            kind = "slot-conflict"
+            at_head = not slots >> t.ends[aid][0][0] & 1
+        elif crossed & bit:
+            kind = "crossing"
+        elif degree and (outdeg[ov] == 2 or indeg[hv] == 2):
+            kind = "degree"
+            at_head = outdeg[ov] < 2
+        else:
+            arcs_mask |= bit
+            slots |= t.slot_mask[aid]
+            crossed |= t.conflict_mask[aid]
+            outdeg[ov] += 1
+            indeg[hv] += 1
+            continue
+        arc = t.arcs[aid]
+        return Rejection(kind, arc.head(t.dims) if at_head else (arc.row, arc.col), arc)
+    return None
+
+
+class _Candidate:
+    """A set of arcs added as one search move, with its combined masks."""
+
+    __slots__ = ("arcs_mask", "slots_mask", "blocked_mask", "deg",
+                 "in_any", "in_two", "out_any", "out_two", "label_updates")
+
+    def __init__(self, arc_ids, t: MaskTables):
+        arcs_mask = slots = conflict = 0
+        deg: dict[int, list[int]] = {}
+        for aid in arc_ids:
+            arcs_mask |= 1 << aid
+            slots |= t.slot_mask[aid]
+            conflict |= t.conflict_mask[aid]
+            deg.setdefault(t.origin_vid[aid], [0, 0])[1] += 1
+            deg.setdefault(t.head_vid[aid], [0, 0])[0] += 1
+        self.arcs_mask = arcs_mask
+        self.slots_mask = slots
+        # arcs that may not be present: the set itself plus everything it crosses
+        self.blocked_mask = arcs_mask | conflict
+        self.deg = tuple((vid, d_in, d_out) for vid, (d_in, d_out) in deg.items())
+        self.in_any = self.in_two = self.out_any = self.out_two = 0
+        for vid, d_in, d_out in self.deg:
+            bit = 1 << vid
+            if d_in:
+                self.in_any |= bit
+                if d_in == 2:
+                    self.in_two |= bit
+            if d_out:
+                self.out_any |= bit
+                if d_out == 2:
+                    self.out_two |= bit
+        self.label_updates = tuple(end for aid in arc_ids for end in t.ends[aid])
+
+
+class _State:
+    """A partial embedding as the search holds it: masks of its arcs and
+    slots, per-vertex degrees and degree bitsets, and the flat label grid
+    (entry vertex * 8 + slot)."""
+
+    __slots__ = ("arcs_mask", "slots_mask", "indeg", "outdeg", "labels",
+                 "in_ge1", "in_ge2", "out_ge1", "out_ge2")
+
+    def __init__(self, n_vertices):
+        self.arcs_mask = 0
+        self.slots_mask = 0
+        self.indeg = [0] * n_vertices
+        self.outdeg = [0] * n_vertices
+        self.labels = [0] * (n_vertices * 8)
+        self.in_ge1 = self.in_ge2 = self.out_ge1 = self.out_ge2 = 0
+
+    def clone(self) -> "_State":
+        s = _State.__new__(_State)
+        s.arcs_mask = self.arcs_mask
+        s.slots_mask = self.slots_mask
+        s.indeg = self.indeg[:]
+        s.outdeg = self.outdeg[:]
+        s.labels = self.labels[:]
+        s.in_ge1 = self.in_ge1
+        s.in_ge2 = self.in_ge2
+        s.out_ge1 = self.out_ge1
+        s.out_ge2 = self.out_ge2
+        return s
+
+
+def _feasible(state: _State, cand: _Candidate) -> bool:
+    # pure mask arithmetic: no shared arcs or crossings, free slots, and the
+    # degree caps hold (a vertex at 2 takes nothing, a vertex at 1 cannot
+    # take a double contribution)
+    return not (
+        state.arcs_mask & cand.blocked_mask
+        or state.slots_mask & cand.slots_mask
+        or state.in_ge2 & cand.in_any
+        or state.in_ge1 & cand.in_two
+        or state.out_ge2 & cand.out_any
+        or state.out_ge1 & cand.out_two
+    )
+
+
+def _apply(state: _State, cand: _Candidate) -> _State:
+    s = state.clone()
+    s.arcs_mask |= cand.arcs_mask
+    s.slots_mask |= cand.slots_mask
+    for vid, d_in, d_out in cand.deg:
+        bit = 1 << vid
+        if d_in:
+            ind = s.indeg[vid] = s.indeg[vid] + d_in
+            s.in_ge1 |= bit
+            if ind >= 2:
+                s.in_ge2 |= bit
+        if d_out:
+            outd = s.outdeg[vid] = s.outdeg[vid] + d_out
+            s.out_ge1 |= bit
+            if outd >= 2:
+                s.out_ge2 |= bit
+    labels = s.labels
+    for index, value in cand.label_updates:
+        labels[index] = value
+    return s
+
+
 @dataclass(frozen=True)
 class GroundEmbedding:
     dims: TorusDims
@@ -102,27 +250,14 @@ class GroundEmbedding:
         object.__setattr__(self, "zeta", tuple(sorted(self.zeta)))
 
     def slot_records(self) -> dict[tuple[int, int], list[SlotRecord]]:
-        """Per-vertex slot occupancy, derived from the arc set."""
+        """Per-vertex slot occupancy in slot order, derived from the arc set."""
         table: dict[tuple[int, int], list[SlotRecord]] = {}
         for a in self.arcs:
-            o = (a.row, a.col)
-            h = a.head(self.dims)
-            table.setdefault(o, []).append(
-                SlotRecord(direction_slot(a.step), False, a.step))
-            table.setdefault(h, []).append(
-                SlotRecord(direction_slot(a.step, at_head=True), True, a.step))
+            for incoming, (v, slot, _) in enumerate(arc_ends(a, self.dims)):
+                table.setdefault(v, []).append(SlotRecord(slot, bool(incoming), a))
         for recs in table.values():
-            recs.sort()
+            recs.sort(key=lambda rec: rec.slot)
         return table
-
-    def degree(self, v: tuple[int, int]) -> tuple[int, int]:
-        ins = outs = 0
-        for a in self.arcs:
-            if (a.row, a.col) == v:
-                outs += 1
-            if a.head(self.dims) == v:
-                ins += 1
-        return ins, outs
 
     def non_isolated(self) -> list[tuple[int, int]]:
         seen = set()
@@ -140,18 +275,10 @@ def new_embedding(dims: TorusDims) -> GroundEmbedding:
     return GroundEmbedding(dims)
 
 
-def _state_masks(e: GroundEmbedding, t: MaskTables):
-    arcs_mask = 0
-    slots_mask = 0
-    indeg = [0] * (e.dims.rows * e.dims.cols)
-    outdeg = [0] * (e.dims.rows * e.dims.cols)
-    for a in e.arcs:
-        aid = t.arc_id[a]
-        arcs_mask |= 1 << aid
-        slots_mask |= t.slot_mask[aid]
-        outdeg[t.origin_vid[aid]] += 1
-        indeg[t.head_vid[aid]] += 1
-    return arcs_mask, slots_mask, indeg, outdeg
+def _state_of(e: GroundEmbedding) -> _State:
+    """The search's state for an embedding: its arcs applied as one move."""
+    t = tables_for(e.dims)
+    return _apply(_State(t.n_vertices), _Candidate([t.arc_id[a] for a in e.arcs], t))
 
 
 def path_arcs(path: LacePath, start_col: int, dims: TorusDims) -> list[Arc]:
@@ -168,10 +295,11 @@ def path_arcs(path: LacePath, start_col: int, dims: TorusDims) -> list[Arc]:
 def add_path(
     e: GroundEmbedding, path: LacePath, start_col: int
 ) -> tuple[Optional[GroundEmbedding], Optional[Rejection]]:
-    """Add every arc of the path, validating incrementally at both endpoints.
+    """Add every arc of the path as one search move.
 
     Returns (new_embedding, None) on success or (None, rejection); the input
-    embedding is untouched either way.
+    embedding is untouched either way. The rejection names the first arc
+    that fails, taking the arcs of ``e`` first and then the path's in order.
     """
     dims = e.dims
     if not 0 <= start_col < dims.cols:
@@ -179,99 +307,11 @@ def add_path(
     if path.height != dims.rows:
         raise ValueError(f"path height {path.height} != rows {dims.rows}")
     t = tables_for(dims)
-    arcs_mask, slots_mask, indeg, outdeg = _state_masks(e, t)
-
-    for arc in path_arcs(path, start_col, dims):
-        aid = t.arc_id[arc]
-        bit = 1 << aid
-        vo = (arc.row, arc.col)
-        if arcs_mask & bit:
-            return None, Rejection("duplicate-arc", vo, arc)
-        if not t.self_ok[aid]:
-            return None, Rejection("self-conflict", vo, arc)
-        if slots_mask & t.slot_mask[aid]:
-            v = _slot_conflict_vertex(arc, slots_mask, t, dims)
-            return None, Rejection("slot-conflict", v, arc)
-        if t.conflict_mask[aid] & arcs_mask:
-            return None, Rejection("crossing", vo, arc)
-        hv = arc.head(dims)
-        if outdeg[t.origin_vid[aid]] + 1 > 2:
-            return None, Rejection("degree", vo, arc)
-        if indeg[t.head_vid[aid]] + 1 > 2:
-            return None, Rejection("degree", hv, arc)
-        arcs_mask |= bit
-        slots_mask |= t.slot_mask[aid]
-        outdeg[t.origin_vid[aid]] += 1
-        indeg[t.head_vid[aid]] += 1
-
-    new_arcs = tuple(sorted(set(e.arcs) | set(path_arcs(path, start_col, dims))))
-    return GroundEmbedding(dims, new_arcs, e.zeta), None
-
-
-def _slot_conflict_vertex(arc, slots_mask, t, dims) -> tuple[int, int]:
-    aid = t.arc_id[arc]
-    o_bit = 1 << (t.origin_vid[aid] * 8 + direction_slot(arc.step))
-    if slots_mask & o_bit:
-        return (arc.row, arc.col)
-    return arc.head(dims)
-
-
-def valid_vertex(e: GroundEmbedding, v: tuple[int, int]) -> tuple[bool, Optional[str]]:
-    """Intermediate solvability at one vertex: degree caps, slot exclusivity,
-    and no crossings involving the vertex's arcs."""
-    dims = e.dims
-    if not (0 <= v[0] < dims.rows and 0 <= v[1] < dims.cols):
-        raise ValueError(f"vertex {v} out of range for {dims}")
-    recs = e.slot_records().get(v, [])
-    ins = sum(1 for r in recs if r.incoming)
-    outs = len(recs) - ins
-    if ins > 2 or outs > 2:
-        return False, f"degree {ins}-in/{outs}-out exceeds 2-in/2-out at {v}"
-    slots = [r.slot for r in recs]
-    if len(set(slots)) != len(slots):
-        dup = next(s for s in slots if slots.count(s) > 1)
-        return False, f"slot conflict at {v}: {SLOT_NAMES[dup]} occupied twice"
-    mine = [a for a in e.arcs if (a.row, a.col) == v or a.head(dims) == v]
-    for a in mine:
-        for b in e.arcs:
-            if a != b and arcs_cross(a, b, dims):
-                return False, f"arc {tuple(a)} crosses {tuple(b)}"
-        if arcs_cross(a, a, dims):
-            return False, f"arc {tuple(a)} conflicts with its own periodic copies"
-    return True, None
-
-
-def valid_embedding(e: GroundEmbedding) -> tuple[bool, Optional[str]]:
-    """Completion test: at least one arc, every used vertex exactly 2-in/2-out,
-    and the undirected graph on used vertices connected."""
-    if not e.arcs:
-        return False, "no arcs"
-    dims = e.dims
-    degs: dict[tuple[int, int], list[int]] = {}
-    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for a in e.arcs:
-        o = (a.row, a.col)
-        h = a.head(dims)
-        degs.setdefault(o, [0, 0])[1] += 1
-        degs.setdefault(h, [0, 0])[0] += 1
-        adj.setdefault(o, set()).add(h)
-        adj.setdefault(h, set()).add(o)
-    for v, (ins, outs) in sorted(degs.items()):
-        if ins != 2 or outs != 2:
-            return False, f"vertex {v} is {ins}-in/{outs}-out, expected 2-in/2-out"
-    start = min(degs)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if len(seen) != len(degs):
-        missing = sorted(set(degs) - seen)[0]
-        return False, f"disconnected: vertex {missing} unreachable from {start}"
-    return True, None
+    arcs = path_arcs(path, start_col, dims)
+    ids = [t.arc_id[a] for a in arcs]
+    if _first_fault(ids, t) is None and _feasible(_state_of(e), _Candidate(ids, t)):
+        return GroundEmbedding(dims, e.arcs + tuple(arcs), e.zeta), None
+    return None, _first_fault([t.arc_id[a] for a in e.arcs] + ids, t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +342,8 @@ def deserialize(text: str) -> GroundEmbedding:
     """Parse a ground file.
 
     Structural faults (bad syntax, steps outside the step set, out-of-range
-    coordinates, duplicate arcs) raise GroundFileError with the offending
-    line. Property violations - wrong degrees, slot conflicts, crossings,
+    coordinates, duplicate arcs, a period above ``MAX_PERIOD``) raise
+    GroundFileError with the offending line. Property violations - wrong degrees, slot conflicts, crossings,
     disconnection - are representable and admitted so the verifier can report
     on them.
     """
@@ -332,6 +372,9 @@ def deserialize(text: str) -> GroundEmbedding:
                 raise GroundFileError(line_no, "dims values must be integers") from None
             if rows < 1 or cols < 1:
                 raise GroundFileError(line_no, f"dims must be >= 1x1, got {rows}x{cols}")
+            if rows > MAX_PERIOD or cols > MAX_PERIOD:
+                raise GroundFileError(
+                    line_no, f"dims must be <= {MAX_PERIOD}x{MAX_PERIOD}, got {rows}x{cols}")
             dims = TorusDims(rows, cols)
         elif fields[0] == "arc":
             if dims is None:

@@ -95,21 +95,37 @@ def direction_slot(step: tuple[int, int], at_head: bool = False) -> int:
     return SLOT_VECTORS.index((sx, sy))
 
 
+# Length of each step shape, keyed by (|dx|, dy): the floor of the
+# Euclidean distance between its endpoints.
+_LENGTHS = {(1, 0): 1, (2, 0): 2, (0, 1): 1, (1, 1): 1, (0, 2): 2}
+
+
 def step_length(step: tuple[int, int]) -> int:
     """Length of a step: floor of the Euclidean distance between endpoints."""
     dx, dy = step
     if (dx, dy) not in LACE_STEP_SET:
         raise ValueError(f"step {step} not in the lace step set")
-    return _isqrt_floor(dx * dx + dy * dy)
+    return _LENGTHS[abs(dx), dy]
 
 
-def _isqrt_floor(v: int) -> int:
-    r = int(v ** 0.5)
-    while r * r > v:
-        r -= 1
-    while (r + 1) * (r + 1) <= v:
-        r += 1
-    return r
+# (origin slot, head slot, length) of every lace step
+_STEP_ENDS = {
+    s: (direction_slot(s), direction_slot(s, at_head=True), step_length(s))
+    for s in LACE_STEPS
+}
+
+
+def arc_ends(arc: Arc, dims: TorusDims):
+    """Where an arc touches the lattice: (vertex, slot, signed length) at its
+    origin and then at its head.
+
+    The length is negative at the origin and positive at the head, as a
+    vertex label records outgoing and incoming arcs. Slot tables, vertex
+    labels and the search's masks are all read from these two records.
+    """
+    out_slot, in_slot, length = _STEP_ENDS[arc.dx, arc.dy]
+    return (((arc.row, arc.col), out_slot, -length),
+            (arc.head(dims), in_slot, length))
 
 
 def arc_interior_points(arc: Arc) -> list[tuple[int, int]]:

@@ -6,7 +6,7 @@ lattice position stays legible; validity always uses the straight segments,
 the bow is purely cosmetic.
 """
 
-from .canonical import vertex_label
+from .canonical import label_grid
 from .embedding import GroundEmbedding
 
 CELL = 48
@@ -65,17 +65,19 @@ def render_svg(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
                     'stroke-width="1.6" marker-end="url(#arrow)"/>')
 
     # lattice dots
+    used_vertices = set(e.non_isolated())
     for r in range(rows * rep_r):
         for c in range(cols * rep_c):
             x, y = px(r, c)
-            used = (r % rows, c % cols) in set(e.non_isolated())
+            used = (r % rows, c % cols) in used_vertices
             fill = "#222" if used else "#bbb"
             parts.append(f'<circle cx="{x}" cy="{y}" r="{DOT_R}" fill="{fill}"/>')
 
     if labels:
+        grid = label_grid(e)
         for v in e.non_isolated():
             x, y = px(v[0], v[1])
-            lab = ",".join(str(x) for x in vertex_label(e, v))
+            lab = ",".join(str(x) for x in grid[v[0]][v[1]])
             parts.append(
                 f'<text x="{x + 5}" y="{y - 5}" font-size="8" '
                 f'fill="#555" font-family="monospace">({lab})</text>')

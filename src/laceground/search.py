@@ -1,12 +1,12 @@
 """Backtracking enumeration of ground embeddings.
 
 Column by column, the search adds zero, one or two lace paths (each rooted at
-that column), validating every arc incrementally against precomputed conflict
-bitmasks. Completed embeddings must be exactly 2-in/2-out on their used
-vertices and connected (by default strictly: the lift to the plane is one
-piece); survivors are reduced to canonical form and collected into a
-dictionary keyed by canonical identifier, so duplicates met along different
-branches collapse and results are independent of scheduling.
+that column), testing every move against the mask engine of ``embedding``.
+Completed embeddings must be exactly 2-in/2-out on their used vertices and
+connected (by default strictly: the lift to the plane is one piece);
+survivors are reduced to canonical form and collected into a dictionary
+keyed by canonical identifier, so duplicates met along different branches
+collapse and results are independent of scheduling.
 
 The search tree is partitioned into independent work items by the position of
 the first path placed (all earlier columns empty). Items share nothing and
@@ -14,43 +14,44 @@ merge commutatively, which makes multi-process runs byte-identical to the
 single-process reference run.
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .canonical import (
-    _LABEL_SIGN,
-    _SOURCE_SLOT,
-    canonical_representative,
-    identifier_text,
+from .canonical import _dominated, canonical_representative, identifier_text
+from .embedding import (
+    GroundEmbedding,
+    _apply,
+    _Candidate,
+    _first_fault,
+    _State,
+    path_arcs,
+    tables_for,
 )
-from .embedding import GroundEmbedding, path_arcs, tables_for
-from .geometry import TorusDims, direction_slot, step_length
+from .geometry import TorusDims
 from .paths import generate_lace_paths
-from .validator import partition_circuits, windings_span_plane
+from .validator import check_connected, windings_span_plane
 
 _BIG = 1 << 62
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search options. Defaults give the reference semantics: pruning on,
+    """Search options. Defaults give the reference semantics: pruning on and
     strict connectivity (the cycle windings generate all of Z x Z, so the
-    ground tiled over the plane hangs together as one piece of fabric), and
-    solutions whose thread-pair circuits all contain at least two arcs (a
-    single-arc circuit is a pair that repeats one arc forever, bouncing off
-    itself at its only interaction). ``strict_connectivity=False`` selects
-    the loose model, which asks only for one component on the torus with a
-    cycle that wraps it; its lift may fall apart into separate strands."""
+    ground tiled over the plane hangs together as one piece of fabric).
+    ``strict_connectivity=False`` selects the loose model, which asks only
+    for one component on the torus with a cycle that wraps it; its lift may
+    fall apart into separate strands. ``jobs`` is an upper bound on worker
+    processes (see ``_pool_size``)."""
 
     dims: TorusDims
     jobs: int = 1
     pruning: bool = True
     strict_connectivity: bool = True
-    allow_single_arc_circuits: bool = False
     node_budget: Optional[int] = None
-    out_dir: Optional[str] = None
 
 
 @dataclass
@@ -62,39 +63,6 @@ class SearchResult:
     complete: bool
 
 
-class _Candidate:
-    """One deduplicated (path, column) arc set with its combined masks."""
-
-    __slots__ = ("arcs_mask", "slots_mask", "blocked_mask", "deg", "arc_ids",
-                 "in_any", "in_two", "out_any", "out_two", "label_updates")
-
-    def __init__(self, arcs_mask, slots_mask, conflict_mask, deg, arc_ids, tables):
-        self.arcs_mask = arcs_mask
-        self.slots_mask = slots_mask
-        # arcs that may not be present: the set itself plus everything it crosses
-        self.blocked_mask = arcs_mask | conflict_mask
-        self.deg = deg              # tuple of (vid, d_in, d_out)
-        self.arc_ids = arc_ids
-        self.in_any = self.in_two = self.out_any = self.out_two = 0
-        for vid, d_in, d_out in deg:
-            bit = 1 << vid
-            if d_in:
-                self.in_any |= bit
-                if d_in == 2:
-                    self.in_two |= bit
-            if d_out:
-                self.out_any |= bit
-                if d_out == 2:
-                    self.out_two |= bit
-        updates = []
-        for aid in arc_ids:
-            a = tables.arcs[aid]
-            length = step_length(a.step)
-            updates.append((tables.origin_vid[aid] * 8 + direction_slot(a.step), -length))
-            updates.append((tables.head_vid[aid] * 8 + direction_slot(a.step, at_head=True), length))
-        self.label_updates = tuple(updates)
-
-
 class _Engine:
     def __init__(self, dims: TorusDims):
         self.dims = dims
@@ -103,43 +71,18 @@ class _Engine:
         self.columns = [self._column_candidates(c) for c in range(dims.cols)]
 
     def _column_candidates(self, col: int) -> list[_Candidate]:
+        """One candidate per distinct arc set a path lays down at the column,
+        in path order, skipping sets that conflict with themselves."""
         t = self.t
         out = []
         seen: set[frozenset] = set()
         for path in generate_lace_paths(self.dims.rows):
-            arcs = path_arcs(path, col, self.dims)
-            ids = frozenset(t.arc_id[a] for a in arcs)
-            if len(ids) != len(arcs) or ids in seen:
+            ids = [t.arc_id[a] for a in path_arcs(path, col, self.dims)]
+            key = frozenset(ids)
+            if key in seen or _first_fault(ids, t) is not None:
                 continue
-            if any(not t.self_ok[aid] for aid in ids):
-                continue
-            slots = 0
-            conflict = 0
-            deg: dict[int, list[int]] = {}
-            ok = True
-            for aid in sorted(ids):
-                sm = t.slot_mask[aid]
-                if slots & sm:
-                    ok = False
-                    break
-                slots |= sm
-                conflict |= t.conflict_mask[aid]
-                deg.setdefault(t.origin_vid[aid], [0, 0])[1] += 1
-                deg.setdefault(t.head_vid[aid], [0, 0])[0] += 1
-            if not ok:
-                continue
-            if any(d[0] > 2 or d[1] > 2 for d in deg.values()):
-                continue
-            arcs_mask = 0
-            for aid in ids:
-                arcs_mask |= 1 << aid
-            if conflict & arcs_mask:
-                continue  # path crosses itself on this torus
-            seen.add(ids)
-            out.append(_Candidate(
-                arcs_mask, slots, conflict,
-                tuple((vid, d[0], d[1]) for vid, d in sorted(deg.items())),
-                tuple(sorted(ids)), t))
+            seen.add(key)
+            out.append(_Candidate(ids, t))
         return out
 
 
@@ -150,108 +93,6 @@ def _engine(dims: TorusDims) -> _Engine:
     if dims not in _ENGINES:
         _ENGINES[dims] = _Engine(dims)
     return _ENGINES[dims]
-
-
-class _State:
-    __slots__ = ("arcs_mask", "slots_mask", "indeg", "outdeg", "labels",
-                 "in_ge1", "in_ge2", "out_ge1", "out_ge2")
-
-    def __init__(self, n_vertices):
-        self.arcs_mask = 0
-        self.slots_mask = 0
-        self.indeg = [0] * n_vertices
-        self.outdeg = [0] * n_vertices
-        self.labels = [0] * (n_vertices * 8)
-        self.in_ge1 = self.in_ge2 = self.out_ge1 = self.out_ge2 = 0
-
-    def clone(self) -> "_State":
-        s = _State.__new__(_State)
-        s.arcs_mask = self.arcs_mask
-        s.slots_mask = self.slots_mask
-        s.indeg = self.indeg[:]
-        s.outdeg = self.outdeg[:]
-        s.labels = self.labels[:]
-        s.in_ge1 = self.in_ge1
-        s.in_ge2 = self.in_ge2
-        s.out_ge1 = self.out_ge1
-        s.out_ge2 = self.out_ge2
-        return s
-
-
-def _feasible(state: _State, cand: _Candidate) -> bool:
-    # pure mask arithmetic: no shared arcs or crossings, free slots, and the
-    # degree caps hold (a vertex at 2 takes nothing, a vertex at 1 cannot
-    # take a double contribution)
-    return not (
-        state.arcs_mask & cand.blocked_mask
-        or state.slots_mask & cand.slots_mask
-        or state.in_ge2 & cand.in_any
-        or state.in_ge1 & cand.in_two
-        or state.out_ge2 & cand.out_any
-        or state.out_ge1 & cand.out_two
-    )
-
-
-def _apply(state: _State, cand: _Candidate, eng: _Engine) -> _State:
-    s = state.clone()
-    s.arcs_mask |= cand.arcs_mask
-    s.slots_mask |= cand.slots_mask
-    for vid, d_in, d_out in cand.deg:
-        bit = 1 << vid
-        if d_in:
-            ind = s.indeg[vid] = s.indeg[vid] + d_in
-            s.in_ge1 |= bit
-            if ind >= 2:
-                s.in_ge2 |= bit
-        if d_out:
-            outd = s.outdeg[vid] = s.outdeg[vid] + d_out
-            s.out_ge1 |= bit
-            if outd >= 2:
-                s.out_ge2 |= bit
-    labels = s.labels
-    for index, value in cand.label_updates:
-        labels[index] = value
-    return s
-
-
-_PRUNE_TRANSFORMS = ("identity", "h_reflect")
-
-
-def _dominated(state: _State, eng: _Engine) -> bool:
-    """True when a column shift, possibly mirrored, provably beats the current
-    origin label in every completion. Those two symmetries map any lace-path
-    decomposition to another valid one, so the smaller-identifier member is
-    itself reachable and the branch is redundant; row-reversing symmetries
-    are deliberately not used as witnesses."""
-    labels = state.labels
-    indeg, outdeg = state.indeg, state.outdeg
-    cols = eng.dims.cols
-
-    def decided(vid, slot):
-        return labels[vid * 8 + slot] != 0 or (indeg[vid] == 2 and outdeg[vid] == 2)
-
-    for name in _PRUNE_TRANSFORMS:
-        src = _SOURCE_SLOT[name]
-        sign = _LABEL_SIGN[name]
-        for c in range(cols):
-            if name == "identity" and c == 0:
-                continue
-            wvid = c  # row-0 vertex (0, c)
-            verdict = 0
-            for i in range(8):
-                s = src[i]
-                if not (decided(wvid, s) and decided(0, i)):
-                    break
-                wv = sign * labels[wvid * 8 + s]
-                bv = labels[i]
-                if wv != bv:
-                    verdict = -1 if wv < bv else 1
-                    break
-            else:
-                verdict = 0
-            if verdict == -1:
-                return True
-    return False
 
 
 class _Budget(Exception):
@@ -268,104 +109,61 @@ class _ItemRunner:
         self.complete = True
 
     def run(self, start_col: int, first_index: int):
-        eng = self.eng
-        state = _State(eng.n_vertices)
-        cand = eng.columns[start_col][first_index]
-        if not _feasible(state, cand):
-            return
         try:
-            s1 = self._add(state, cand)
-            if s1 is not None:
-                self._explore_after_first(s1, start_col, first_index)
+            self._place(_State(self.eng.n_vertices), start_col, first_index, True)
         except _Budget:
             self.complete = False
 
-    def _add(self, state: _State, cand: _Candidate) -> Optional[_State]:
+    def _place(self, state: _State, col: int, index: int, first: bool):
+        """Add candidate ``index`` of column ``col``, then leave the column,
+        or, after the column's first path, add a second one later in the
+        column's order."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _Budget()
-        s = _apply(state, cand, self.eng)
-        if self.config.pruning and _dominated(s, self.eng):
-            return None
-        return s
-
-    def _explore_after_first(self, state: _State, col: int, first_index: int):
-        # one path at this column
-        self._descend(state, col + 1)
-        # a second path at the same column, later in the fixed path order
-        cands = self.eng.columns[col]
-        arcs, slots = state.arcs_mask, state.slots_mask
-        in1, in2 = state.in_ge1, state.in_ge2
-        out1, out2 = state.out_ge1, state.out_ge2
-        for j in range(first_index + 1, len(cands)):
-            c2 = cands[j]
-            if (arcs & c2.blocked_mask or slots & c2.slots_mask
-                    or in2 & c2.in_any or in1 & c2.in_two
-                    or out2 & c2.out_any or out1 & c2.out_two):
-                continue
-            s2 = self._add(state, c2)
-            if s2 is not None:
-                self._descend(s2, col + 1)
+        s = _apply(state, self.eng.columns[col][index])
+        if self.config.pruning and _dominated(s, self.eng.dims.cols):
+            return
+        self._descend(s, col + 1)
+        if first:
+            self._scan(s, col, index + 1, False)
 
     def _descend(self, state: _State, col: int):
         if col == self.eng.dims.cols:
             self._accept(state)
             return
         self._descend(state, col + 1)  # column unused
+        self._scan(state, col, 0, True)
+
+    def _scan(self, state: _State, col: int, start: int, first: bool):
+        # the hot loop: _feasible inlined, so a candidate costs no call
+        # unless it fits
         cands = self.eng.columns[col]
         arcs, slots = state.arcs_mask, state.slots_mask
         in1, in2 = state.in_ge1, state.in_ge2
         out1, out2 = state.out_ge1, state.out_ge2
-        for i, cand in enumerate(cands):
+        for i in range(start, len(cands)):
+            cand = cands[i]
             if (arcs & cand.blocked_mask or slots & cand.slots_mask
                     or in2 & cand.in_any or in1 & cand.in_two
                     or out2 & cand.out_any or out1 & cand.out_two):
                 continue
-            s1 = self._add(state, cand)
-            if s1 is not None:
-                self._explore_after_first(s1, col, i)
+            self._place(state, col, i, first)
 
     def _accept(self, state: _State):
-        eng = self.eng
-        if state.arcs_mask == 0:
-            return
-        used = [v for v in range(eng.n_vertices)
-                if state.indeg[v] or state.outdeg[v]]
-        for v in used:
-            if state.indeg[v] != 2 or state.outdeg[v] != 2:
-                return
-        if not self._connected(state, used):
+        # degrees never exceed 2, so the used vertices are 2-in/2-out
+        # exactly when every vertex with an arc has two of each
+        used = state.in_ge1 | state.out_ge1
+        if state.in_ge2 != used or state.out_ge2 != used:
             return
         e = self._to_embedding(state)
-        if self.config.strict_connectivity and not windings_span_plane(e):
-            return
-        if not self.config.allow_single_arc_circuits:
-            if any(len(c) == 1 for c in partition_circuits(e).circuits):
+        if self.config.strict_connectivity:
+            if not windings_span_plane(e):
                 return
+        elif not check_connected(e).ok:
+            return
         eid, rep = canonical_representative(e)
         self.found.setdefault(identifier_text(eid), rep)
-
-    def _connected(self, state: _State, used: list[int]) -> bool:
-        t = self.eng.t
-        adj: dict[int, set[int]] = {v: set() for v in used}
-        mask = state.arcs_mask
-        aid = 0
-        while mask:
-            if mask & 1:
-                o, h = t.origin_vid[aid], t.head_vid[aid]
-                adj[o].add(h)
-                adj[h].add(o)
-            mask >>= 1
-            aid += 1
-        seen = {used[0]}
-        frontier = [used[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(used)
 
     def _to_embedding(self, state: _State) -> GroundEmbedding:
         t = self.eng.t
@@ -377,7 +175,7 @@ class _ItemRunner:
                 arcs.append(t.arcs[aid])
             mask >>= 1
             aid += 1
-        return GroundEmbedding(self.eng.dims, tuple(sorted(arcs)))
+        return GroundEmbedding(self.eng.dims, tuple(arcs))
 
 
 def _work_items(eng: _Engine) -> list[tuple[int, int]]:
@@ -389,13 +187,16 @@ def _work_items(eng: _Engine) -> list[tuple[int, int]]:
 
 
 def _run_item(args) -> tuple[dict[str, GroundEmbedding], int, bool]:
-    (dims, pruning, strict, allow_1arc, budget, col, idx) = args
-    eng = _engine(dims)
-    config = SearchConfig(dims, pruning=pruning, strict_connectivity=strict,
-                          allow_single_arc_circuits=allow_1arc)
-    runner = _ItemRunner(eng, config, budget)
+    config, budget, col, idx = args
+    runner = _ItemRunner(_engine(config.dims), config, budget)
     runner.run(col, idx)
     return runner.found, runner.nodes, runner.complete
+
+
+def _pool_size(jobs: int, n_items: int) -> int:
+    """Worker processes for a run. The pool starts all its workers at once,
+    so more than the CPUs or the work items would only cost processes."""
+    return max(1, min(jobs, os.cpu_count() or 1, n_items))
 
 
 def enumerate_grounds(config: SearchConfig) -> SearchResult:
@@ -413,21 +214,18 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     merged: dict[str, GroundEmbedding] = {}
     nodes = 0
     complete = True
-    job_args = [
-        (config.dims, config.pruning, config.strict_connectivity,
-         config.allow_single_arc_circuits, budgets[k], col, idx)
-        for k, (col, idx) in enumerate(items)
-    ]
-    if config.jobs <= 1:
+    job_args = [(config, budgets[k], col, idx) for k, (col, idx) in enumerate(items)]
+    workers = _pool_size(config.jobs, len(items))
+    if workers == 1:
         results = map(_run_item, job_args)
         for found, n, comp in results:
             merged.update(found)
             nodes += n
             complete = complete and comp
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for found, n, comp in pool.map(_run_item, job_args,
-                                           chunksize=max(1, len(job_args) // (config.jobs * 8))):
+                                           chunksize=max(1, len(job_args) // (workers * 8))):
                 merged.update(found)
                 nodes += n
                 complete = complete and comp

@@ -1,6 +1,7 @@
 """Executable form of the five fundamental ground properties.
 
-A workable ground embedding must be 2-in/2-out regular, connected with at
+A workable ground embedding must be drawn on the torus without conflicts
+(no crossings, no slot used twice), 2-in/2-out regular, connected with at
 least one cycle that wraps the torus, free of contractible directed cycles,
 rotationally consecutive at every vertex, and thread conserving: its arcs
 partition into non-transverse directed circuits none of which drifts
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .embedding import GroundEmbedding
+from .embedding import GroundEmbedding, _first_fault, tables_for
 from .geometry import Arc, direction_slot
 
 PASS, FAIL, BLOCKED, INCONCLUSIVE = "pass", "fail", "blocked", "inconclusive"
@@ -44,6 +45,7 @@ class CircuitPartition:
 @dataclass
 class PropertyReport:
     two_regular: CheckResult
+    embedded: CheckResult
     connected: CheckResult
     strict_connected: CheckResult
     rotationally_consecutive: CheckResult
@@ -51,8 +53,12 @@ class PropertyReport:
     conserved: CheckResult
     partition: Optional[CircuitPartition] = None
 
-    GATING = ("two_regular", "connected", "rotationally_consecutive",
+    GATING = ("two_regular", "embedded", "connected", "rotationally_consecutive",
               "no_contractible_directed_cycle", "conserved")
+    # every check, in report order
+    CHECKS = ("two_regular", "embedded", "connected", "strict_connected",
+              "rotationally_consecutive", "no_contractible_directed_cycle",
+              "conserved")
 
     def all_pass(self, strict: bool = False) -> bool:
         names = self.GATING + (("strict_connected",) if strict else ())
@@ -72,36 +78,28 @@ def check_two_regular(e: GroundEmbedding) -> CheckResult:
     return CheckResult(PASS)
 
 
-def _undirected_components(e: GroundEmbedding) -> list[set[tuple[int, int]]]:
-    adj: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for a in e.arcs:
-        o, h = (a.row, a.col), a.head(e.dims)
-        adj.setdefault(o, set()).add(h)
-        adj.setdefault(h, set()).add(o)
-    comps = []
-    seen: set[tuple[int, int]] = set()
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
+def check_embedded(e: GroundEmbedding) -> CheckResult:
+    """The arcs are drawn on the torus without conflicts: none meets its own
+    periodic copies, no two share a slot at a vertex, and no two cross.
+    Read from the conflict masks the search uses."""
+    t = tables_for(e.dims)
+    fault = _first_fault([t.arc_id[a] for a in e.arcs], t, degree=False)
+    if fault is None:
+        return CheckResult(PASS)
+    return CheckResult(FAIL, fault.vertex, str(fault))
 
 
-def _fundamental_windings(e: GroundEmbedding) -> list[WindingVector]:
-    """Winding vectors of the fundamental cycles of a spanning tree.
+def _fundamental_windings(
+    e: GroundEmbedding,
+) -> tuple[list[tuple[int, int]], list[WindingVector]]:
+    """One walk over every undirected component: the root of each, and the
+    winding vectors of the fundamental cycles of a spanning forest.
 
-    Each vertex gets an integer potential (row, col displacement from the
-    root through tree arcs); every non-tree arc closes a cycle whose exact
-    displacement is a multiple of the periods.
+    Roots are taken in vertex order, so each is the smallest vertex of its
+    component and the roots both count and name the components. Each vertex
+    gets an integer potential (row, col displacement from its root through
+    tree arcs); every non-tree arc closes a cycle whose exact displacement
+    is a multiple of the periods.
     """
     rows, cols = e.dims
     pot: dict[tuple[int, int], tuple[int, int]] = {}
@@ -109,11 +107,13 @@ def _fundamental_windings(e: GroundEmbedding) -> list[WindingVector]:
     for a in e.arcs:
         by_vertex.setdefault((a.row, a.col), []).append((a, True))
         by_vertex.setdefault(a.head(e.dims), []).append((a, False))
+    roots = []
     windings = []
     tree: set[Arc] = set()
     for root in sorted(by_vertex):
         if root in pot:
             continue
+        roots.append(root)
         pot[root] = (0, 0)
         frontier = [root]
         while frontier:
@@ -131,7 +131,7 @@ def _fundamental_windings(e: GroundEmbedding) -> list[WindingVector]:
         dcol = pot[o][1] + a.dx - pot[h][1]
         assert drow % rows == 0 and dcol % cols == 0
         windings.append(WindingVector(dcol // cols, drow // rows))
-    return windings
+    return roots, windings
 
 
 def check_connected(e: GroundEmbedding, strict: bool = False) -> CheckResult:
@@ -140,11 +140,10 @@ def check_connected(e: GroundEmbedding, strict: bool = False) -> CheckResult:
     unrolled planar pattern hangs together as fabric."""
     if not e.arcs:
         return CheckResult(FAIL, None, "no arcs")
-    comps = _undirected_components(e)
-    if len(comps) > 1:
-        reps = [sorted(c)[0] for c in comps]
-        return CheckResult(FAIL, reps, f"{len(comps)} components, e.g. {reps[0]} and {reps[1]}")
-    windings = _fundamental_windings(e)
+    roots, windings = _fundamental_windings(e)
+    if len(roots) > 1:
+        return CheckResult(FAIL, roots,
+                           f"{len(roots)} components, e.g. {roots[0]} and {roots[1]}")
     if not any(w != (0, 0) for w in windings):
         return CheckResult(FAIL, None, "connected but no non-contractible cycle")
     if not strict:
@@ -157,9 +156,10 @@ def check_connected(e: GroundEmbedding, strict: bool = False) -> CheckResult:
 
 
 def windings_span_plane(e: GroundEmbedding) -> bool:
-    """The strict part of connectivity alone, for an embedding already known
-    to form one component: its cycle windings generate all of Z x Z."""
-    return _winding_lattice_full(_fundamental_windings(e))
+    """Strict connectivity in one walk, without witnesses: one component
+    whose cycle windings generate all of Z x Z."""
+    roots, windings = _fundamental_windings(e)
+    return len(roots) == 1 and _winding_lattice_full(windings)
 
 
 def _winding_lattice_full(windings: list[WindingVector]) -> bool:
@@ -176,25 +176,14 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
     return False
 
 
-def _slot_table(e: GroundEmbedding) -> dict[tuple[int, int], list[tuple[int, bool, Arc]]]:
-    table: dict[tuple[int, int], list[tuple[int, bool, Arc]]] = {}
-    for a in e.arcs:
-        o, h = (a.row, a.col), a.head(e.dims)
-        table.setdefault(o, []).append((direction_slot(a.step), False, a))
-        table.setdefault(h, []).append((direction_slot(a.step, at_head=True), True, a))
-    for recs in table.values():
-        recs.sort(key=lambda r: r[0])
-    return table
-
-
 def check_rotationally_consecutive(e: GroundEmbedding) -> CheckResult:
     """Every used vertex must read in,in,out,out around the compass (up to
     rotation); an alternating vertex is the witness. Requires 2-regularity."""
     pre = check_two_regular(e)
     if not pre.ok:
         return CheckResult(BLOCKED, pre.witness, "requires 2-regularity")
-    for v, recs in sorted(_slot_table(e).items()):
-        flags = [incoming for _, incoming, _ in recs]
+    for v, recs in sorted(e.slot_records().items()):
+        flags = [rec.incoming for rec in recs]
         changes = sum(flags[i] != flags[(i + 1) % len(flags)] for i in range(len(flags)))
         if changes != 2:
             return CheckResult(FAIL, v, f"vertex {v} has rotationally alternating arcs")
@@ -211,22 +200,22 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
     outgoing arc is unique; diagnostic callers may hand in sub-regular
     embeddings (single in/out pairs walk fine).
     """
-    table = _slot_table(e)
+    table = e.slot_records()
     for v, recs in sorted(table.items()):
-        ins = sum(1 for _, incoming, _ in recs if incoming)
+        ins = sum(1 for rec in recs if rec.incoming)
         outs = len(recs) - ins
         if ins != outs or ins > 2:
             raise ValueError(
                 f"cannot partition: vertex {v} has {ins} incoming, {outs} outgoing arcs")
         if ins == 2:
-            flags = [incoming for _, incoming, _ in recs]
+            flags = [rec.incoming for rec in recs]
             changes = sum(flags[i] != flags[(i + 1) % 4] for i in range(4))
             if changes != 2:
                 raise ValueError(f"cannot partition: vertex {v} is rotationally alternating")
 
     def paired_out(v: tuple[int, int], arrival_slot: int) -> Arc:
         recs = table[v]
-        slots = [s for s, _, _ in recs]
+        slots = [rec.slot for rec in recs]
         i = slots.index(arrival_slot)
         for j in (i + 1, i - 1):
             slot, incoming, arc = recs[j % len(recs)]
@@ -344,6 +333,7 @@ def circuit_cut_crossings(circuit: list[Arc], cut_col: int, cols: int) -> int:
 def full_report(e: GroundEmbedding, strict: bool = False,
                 max_cycles: int = 100_000) -> PropertyReport:
     two_regular = check_two_regular(e)
+    embedded = check_embedded(e)
     connected = check_connected(e, strict=False)
     strict_connected = check_connected(e, strict=True)
     rot = check_rotationally_consecutive(e)
@@ -355,7 +345,7 @@ def full_report(e: GroundEmbedding, strict: bool = False,
         partition = None
         conserved = CheckResult(BLOCKED, None,
                                 "requires 2-regularity and rotational consecutiveness")
-    return PropertyReport(two_regular, connected, strict_connected, rot,
+    return PropertyReport(two_regular, embedded, connected, strict_connected, rot,
                           nocontract, conserved, partition)
 
 
@@ -374,9 +364,7 @@ def _result_json(r: CheckResult) -> dict:
 
 def report_to_json(report: PropertyReport) -> dict:
     doc = {"version": 1}
-    for name in ("two_regular", "connected", "strict_connected",
-                 "rotationally_consecutive", "no_contractible_directed_cycle",
-                 "conserved"):
+    for name in report.CHECKS:
         doc[name] = _result_json(getattr(report, name))
     circuits = []
     if report.partition is not None:
@@ -389,9 +377,7 @@ def report_to_json(report: PropertyReport) -> dict:
 
 def report_to_text(report: PropertyReport) -> str:
     lines = []
-    for name in ("two_regular", "connected", "strict_connected",
-                 "rotationally_consecutive", "no_contractible_directed_cycle",
-                 "conserved"):
+    for name in report.CHECKS:
         r = getattr(report, name)
         line = f"{name}: {r.status}"
         if r.detail and r.status != PASS:

@@ -14,9 +14,9 @@ Filter levels:
 """
 
 from laceground.canonical import canonical_representative, identifier_text
-from laceground.embedding import GroundEmbedding, tables_for, valid_embedding
+from laceground.embedding import GroundEmbedding, tables_for
 from laceground.geometry import TorusDims
-from laceground.validator import full_report
+from laceground.validator import _fundamental_windings, check_two_regular, full_report
 
 
 def _out_options(t, vid):
@@ -61,7 +61,8 @@ def brute_force_solutions(dims: TorusDims, level: str = "reference",
             if not chosen:
                 return
             emb = GroundEmbedding(dims, tuple(t.arcs[aid] for aid in chosen))
-            if not valid_embedding(emb)[0]:
+            if not (check_two_regular(emb).ok
+                    and len(_fundamental_windings(emb)[0]) == 1):
                 return
             if level in ("properties", "reference") and \
                     not full_report(emb).all_pass(strict=level == "reference"):

@@ -63,7 +63,7 @@ def test_criterion_2_count_table():
         "Under the default strict connectivity every counted class must "
         "pass all fundamental properties and have a planar lift that is one "
         "piece; the loose model (strict_connectivity=False) gives "
-        "13/34/33/289 on the cells with both sides >= 2.")
+        "14/41/33/289 on the cells with both sides >= 2.")
 
 
 def test_criterion_3_oracle_equivalence():

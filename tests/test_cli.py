@@ -11,6 +11,8 @@ GOOD_1x1 = "ground v1\ndims 1 1\narc 0 0 -1 1\narc 0 0 1 0\n"
 DRIFT_1x1 = "ground v1\ndims 1 1\narc 0 0 1 1\narc 0 0 -1 0\nzeta 0 0 CTpCT\n"
 FLAT_CYCLE = "ground v1\ndims 1 2\narc 0 0 1 0\narc 0 1 -1 0\n"
 BAD_ARC = "ground v1\ndims 1 1\narc 0 0 3 0\n"
+CROSSED_1x1 = "ground v1\ndims 1 1\narc 0 0 -1 1\narc 0 0 1 1\n"
+SLOT_CLASH = "ground v1\ndims 1 3\narc 0 2 1 0\narc 0 0 -1 0\n"
 
 
 def run(capsys, *argv):
@@ -60,7 +62,7 @@ def test_enumerate_output_roundtrip_sweep(tmp_path, capsys):
                      "--loose", "--out", str(out_dir))
     assert code == 0
     files = sorted(out_dir.glob("*.gnd"))
-    assert len(files) == 13
+    assert len(files) == 14
     for f in files:
         assert run(capsys, "verify", str(f))[0] == 0
         code, out, _ = run(capsys, "canon", str(f))
@@ -80,15 +82,6 @@ def test_enumerate_jobs_byte_identical(tmp_path, capsys):
     assert names == sorted(p.name for p in b.glob("*.gnd"))
     match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
     assert mismatch == [] and errors == []
-
-
-def test_enumerate_allow_single_arc_circuits(capsys):
-    code, out, _ = run(capsys, "enumerate", "--rows", "1", "--cols", "2",
-                       "--loose")
-    assert out.startswith("solutions=2 ")
-    code, out, _ = run(capsys, "enumerate", "--rows", "1", "--cols", "2",
-                       "--loose", "--allow-single-arc-circuits")
-    assert out.startswith("solutions=3 ")
 
 
 def test_enumerate_budget_exit_code(capsys):
@@ -127,6 +120,41 @@ def test_verify_json_report(tmp_path, capsys):
     assert doc["version"] == 1
     assert doc["two_regular"]["status"] == "pass"
     assert doc["circuits"][0]["winding"] == [0, 1]
+
+
+def test_verify_rejects_crossing_arcs(tmp_path, capsys):
+    f = tmp_path / "crossed.gnd"
+    f.write_text(CROSSED_1x1)
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 1
+    assert "embedded: fail (crossing at vertex (0, 0) on arc (0, 0, 1, 1))" in out
+    code, out, _ = run(capsys, "verify", str(f), "--report", "json")
+    doc = json.loads(out)
+    assert doc["embedded"] == {"status": "fail", "witness": [0, 0],
+                               "detail": "crossing at vertex (0, 0) on arc (0, 0, 1, 1)"}
+    assert doc["two_regular"]["status"] == "pass"
+
+
+def test_verify_reports_slot_conflict(tmp_path, capsys):
+    f = tmp_path / "clash.gnd"
+    f.write_text(SLOT_CLASH)
+    code, out, _ = run(capsys, "verify", str(f), "--report", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["embedded"]["status"] == "fail"
+    assert "slot-conflict" in doc["embedded"]["detail"]
+
+
+def test_verify_rejects_oversized_dims_before_tables(tmp_path, capsys):
+    from laceground.embedding import tables_for
+
+    f = tmp_path / "huge.gnd"
+    f.write_text("ground v1\ndims 9 100000\narc 0 0 0 1\n")
+    built = tables_for.cache_info().currsize
+    code, _, err = run(capsys, "verify", str(f))
+    assert code == 2
+    assert "line 2" in err and "<= 8x8" in err
+    assert tables_for.cache_info().currsize == built
 
 
 def test_verify_braid_echo(tmp_path, capsys):
@@ -198,12 +226,12 @@ def test_counts_pretty_and_tsv(capsys):
     code, out, _ = run(capsys, "counts", "--max-rows", "2", "--max-cols", "2",
                        "--loose")
     assert code == 0
-    assert "13" in out
+    assert "14" in out
     code, out, _ = run(capsys, "counts", "--max-rows", "2", "--max-cols", "2",
                        "--loose", "--format", "tsv")
     rows = [line.split("\t") for line in out.strip().splitlines()]
-    assert rows[1][1:] == ["1", "2"]
-    assert rows[2][1:] == ["4", "13"]
+    assert rows[1][1:] == ["1", "3"]
+    assert rows[2][1:] == ["4", "14"]
 
 
 def test_strict_default_and_loose_flag(capsys):
@@ -211,7 +239,7 @@ def test_strict_default_and_loose_flag(capsys):
     assert code == 0
     assert out.startswith("solutions=12 ")
     code, out, _ = run(capsys, "enumerate", "--rows", "2", "--cols", "2", "--loose")
-    assert out.startswith("solutions=13 ")
+    assert out.startswith("solutions=14 ")
     code, out, _ = run(capsys, "counts", "--max-rows", "2", "--max-cols", "2",
                        "--format", "tsv")
     assert code == 0

@@ -7,11 +7,10 @@ from laceground.embedding import (
     deserialize,
     new_embedding,
     serialize,
-    valid_embedding,
-    valid_vertex,
 )
 from laceground.geometry import Arc, TorusDims
 from laceground.paths import LacePath
+from laceground.validator import check_connected, check_embedded, check_two_regular
 
 NE_W_PATH = LacePath(((-1, 1), (1, 0)), False)
 
@@ -19,7 +18,7 @@ NE_W_PATH = LacePath(((-1, 1), (1, 0)), False)
 def test_new_embedding():
     e = new_embedding(TorusDims(1, 1))
     assert e.arcs == ()
-    assert not valid_embedding(e)[0]
+    assert not check_two_regular(e).ok
     e2 = new_embedding(TorusDims(3, 4))
     assert e2.non_isolated() == []
 
@@ -33,7 +32,7 @@ def test_add_path_one_by_one():
     # two incoming (NE, W), two outgoing (SW, E)
     assert by_slot[1].incoming and by_slot[6].incoming
     assert not by_slot[5].incoming and not by_slot[2].incoming
-    assert valid_embedding(e2)[0]
+    assert check_two_regular(e2).ok and check_connected(e2).ok
     # the original is untouched
     assert e.arcs == ()
 
@@ -87,12 +86,12 @@ def test_arc_set_is_union_of_added_paths():
 
 def test_valid_vertex():
     e = new_embedding(TorusDims(2, 2))
-    assert valid_vertex(e, (1, 1))[0]      # isolated vertex is vacuously fine
+    assert check_embedded(e).ok      # isolated vertices are vacuously fine
     # incoming (1,0) and outgoing (-1,0) both claim the west slot
     bad = GroundEmbedding(TorusDims(1, 3), (Arc(0, 2, 1, 0), Arc(0, 0, -1, 0)))
-    ok, reason = valid_vertex(bad, (0, 0))
-    assert not ok
-    assert "slot" in reason
+    r = check_embedded(bad)
+    assert not r.ok
+    assert "slot" in r.detail
 
 
 def test_valid_embedding_disconnected():
@@ -100,8 +99,7 @@ def test_valid_embedding_disconnected():
     # two vertical 2-cycles in separate columns; each vertex is 2-in/2-out?
     # no: each is 1-in/1-out, so degree fails first
     e = GroundEmbedding(TorusDims(2, 2), arcs)
-    ok, reason = valid_embedding(e)
-    assert not ok
+    assert not check_two_regular(e).ok
 
 
 def test_serialize_roundtrip():
@@ -147,10 +145,10 @@ def test_deserialize_admits_property_violations():
     # a lone arc leaves a 1-in/1-out vertex; parse succeeds, checks flag it
     e = deserialize("ground v1\ndims 2 2\narc 0 0 0 1\n")
     assert len(e.arcs) == 1
-    assert not valid_embedding(e)[0]
+    assert not check_two_regular(e).ok
     # slot conflicts are representable too
     e2 = deserialize("ground v1\ndims 1 3\narc 0 2 1 0\narc 0 0 -1 0\n")
-    assert not valid_vertex(e2, (0, 0))[0]
+    assert not check_embedded(e2).ok
 
 
 def test_comments_and_blank_lines():

@@ -1,11 +1,20 @@
+import hashlib
+
 import pytest
 
+from laceground.canonical import identifier, solution_name
 from laceground.embedding import serialize
 from laceground.geometry import TorusDims
-from laceground.search import SearchConfig, count_table, enumerate_grounds
+from laceground.search import SearchConfig, _pool_size, count_table, enumerate_grounds
 from laceground.validator import full_report
 
-SMALL_COUNTS = {(1, 1): 1, (1, 2): 2, (1, 3): 2, (2, 1): 4, (3, 1): 6, (2, 2): 13}
+# the loose model (connected on the torus only)
+SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
+
+# sha256 over "name\nfile" of every default-model solution in order (first 16
+# hex digits), and the nodes visited
+GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 439), (2, 3): ("f5837c02a18e0854", 7710),
+          (3, 2): ("376e130448769230", 11753), (1, 5): ("96d48af6994e947f", 1930)}
 
 
 @pytest.mark.parametrize("dims,expected", sorted(SMALL_COUNTS.items()))
@@ -45,14 +54,6 @@ def test_budget_flags_incomplete():
            [k for k, _ in capped2.canonical_solutions]
 
 
-def test_allow_single_arc_circuits_flag():
-    base = enumerate_grounds(SearchConfig(TorusDims(1, 2), strict_connectivity=False))
-    wide = enumerate_grounds(SearchConfig(TorusDims(1, 2), strict_connectivity=False,
-                                          allow_single_arc_circuits=True))
-    assert base.count == 2
-    assert wide.count == 3
-
-
 def test_strict_connectivity_subset():
     base = enumerate_grounds(SearchConfig(TorusDims(2, 2), strict_connectivity=False))
     strict = enumerate_grounds(SearchConfig(TorusDims(2, 2), strict_connectivity=True))
@@ -70,7 +71,7 @@ def test_solutions_pass_all_checks():
 
 def test_count_table_layout():
     table = count_table(2, 2, strict=False)
-    assert [[cell.count for cell in row] for row in table] == [[1, 2], [4, 13]]
+    assert [[cell.count for cell in row] for row in table] == [[1, 3], [4, 14]]
     assert all(cell.complete for row in table for cell in row)
 
 
@@ -79,3 +80,23 @@ def test_reference_single_row_and_column_cells():
     published = {(1, 4): 4, (1, 5): 4, (4, 1): 27}
     for (rows, cols), expected in sorted(published.items()):
         assert enumerate_grounds(SearchConfig(TorusDims(rows, cols))).count == expected
+
+
+@pytest.mark.parametrize("dims", sorted(GOLDEN), ids=lambda d: f"{d[0]}x{d[1]}")
+def test_golden_solutions(dims):
+    """Names, files and node counts of the default model, byte for byte."""
+    result = enumerate_grounds(SearchConfig(TorusDims(*dims)))
+    digest = hashlib.sha256()
+    for _, emb in result.canonical_solutions:
+        digest.update((solution_name(identifier(emb)) + "\n" + serialize(emb)).encode())
+    assert (digest.hexdigest()[:16], result.nodes_visited) == GOLDEN[dims]
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_size(100_000, 1_494) == 4
+    assert _pool_size(2, 1_494) == 2
+    assert _pool_size(8, 3) == 3
+    assert _pool_size(1, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(8, 100) == 1
