@@ -11,6 +11,7 @@ symmetry orbit; exactly one member of each orbit attains it.
 """
 
 import hashlib
+from itertools import chain
 
 from .embedding import GroundEmbedding, _state_of
 from .geometry import Arc, TorusDims, arc_ends, wrap
@@ -51,8 +52,9 @@ def vertex_label(e: GroundEmbedding, v: tuple[int, int]) -> Label:
 
 def transformed_label(label: Label, name: str) -> Label:
     src = _SOURCE_SLOT[name]
-    sign = _LABEL_SIGN[name]
-    return tuple(sign * label[src[i]] for i in range(8))
+    if _LABEL_SIGN[name] > 0:
+        return tuple([label[s] for s in src])
+    return tuple([-label[s] for s in src])
 
 
 def identifier(e: GroundEmbedding) -> EmbeddingId:
@@ -115,13 +117,13 @@ def _orbit_identifiers(e: GroundEmbedding):
             for c in range(cols):
                 tr, tc = _transform_vertex((r, c), name, e.dims)
                 moved[tr][tc] = transformed_label(grid[r][c], name)
-        for r0 in range(rows):
-            for c0 in range(cols):
-                eid = (rows, cols) + tuple(
-                    moved[(r0 + r) % rows][(c0 + c) % cols]
-                    for r in range(rows) for c in range(cols))
+        for c0 in range(cols):
+            shifted = [row[c0:] + row[:c0] for row in moved]
+            for r0 in range(rows):
                 # moving source vertex (r0, c0) to the origin = translating
                 # by (-r0, -c0)
+                eid = (rows, cols) + tuple(
+                    chain.from_iterable(shifted[r0:] + shifted[:r0]))
                 yield eid, name, (-r0) % rows, (-c0) % cols
 
 
@@ -171,28 +173,21 @@ def _dominated(state, cols: int) -> bool:
     2-in/2-out, can no longer change.
     """
     labels = state.labels
-    indeg, outdeg = state.indeg, state.outdeg
-
-    def decided(vid, slot):
-        return labels[vid * 8 + slot] != 0 or (indeg[vid] == 2 and outdeg[vid] == 2)
-
-    for name in ("identity", "h_reflect"):
-        src = _SOURCE_SLOT[name]
-        sign = _LABEL_SIGN[name]
-        for c in range(cols):
-            if name == "identity" and c == 0:
-                continue
-            wvid = c  # row-0 vertex (0, c)
-            for i in range(8):
-                s = src[i]
-                if not (decided(wvid, s) and decided(0, i)):
-                    break
-                wv = sign * labels[wvid * 8 + s]
-                bv = labels[i]
-                if wv != bv:
-                    if wv < bv:
-                        return True
-                    break
+    done = state.in_ge2 & state.out_ge2  # vertices already 2-in/2-out
+    if not (labels[0] or done & 1):
+        return False  # no entry of the origin is decided
+    origin = labels[:8]
+    # entries of the origin decided before its first undecided one
+    k0 = 8 if done & 1 or 0 not in origin else origin.index(0)
+    for c in range(cols):
+        label = labels[c * 8:c * 8 + 8]
+        mirrored = label[:1] + label[:0:-1]  # h_reflect: entry i reads slot -i
+        witness_done = done >> c & 1
+        # both symmetries keep label signs
+        for w in ((label, mirrored) if c else (mirrored,)):
+            k = k0 if witness_done or 0 not in w[:k0] else w.index(0)
+            if w[:k] < origin[:k]:
+                return True
     return False
 
 

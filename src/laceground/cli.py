@@ -15,7 +15,7 @@ from .canonical import canonical_representative, identifier, identifier_text, so
 from .embedding import GroundFileError, deserialize, serialize
 from .geometry import TorusDims
 from .paths import count_lace_paths, format_path, generate_lace_paths
-from .render import render_svg
+from .render import MAX_REPEATS, render_svg
 from .search import SearchConfig, count_table, enumerate_grounds
 from .validator import full_report, report_to_json, report_to_text
 
@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render a ground file as a tiled SVG diagram")
     p.add_argument("file", type=Path)
-    p.add_argument("--repeats", default="1x1", help="tiling as ROWSxCOLS, e.g. 4x4")
+    p.add_argument("--repeats", default="1x1", help=f"tiling as ROWSxCOLS, e.g. 4x4, "
+                   f"at most {MAX_REPEATS}x{MAX_REPEATS}")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--labels", action="store_true")
 
@@ -169,10 +170,11 @@ def cmd_render(args) -> int:
         return EXIT_USAGE
     try:
         rep_r, rep_c = (int(part) for part in args.repeats.lower().split("x"))
-        if rep_r < 1 or rep_c < 1:
+        if not (1 <= rep_r <= MAX_REPEATS and 1 <= rep_c <= MAX_REPEATS):
             raise ValueError
     except ValueError:
-        print(f"error: bad --repeats {args.repeats!r}; expected e.g. 4x4", file=sys.stderr)
+        print(f"error: bad --repeats {args.repeats!r}; expected e.g. 4x4, "
+              f"at most {MAX_REPEATS}x{MAX_REPEATS}", file=sys.stderr)
         return EXIT_USAGE
     svg = render_svg(emb, (rep_r, rep_c), labels=args.labels)
     try:

@@ -7,12 +7,18 @@ and optional per-vertex action annotations.
 All pairwise geometric conflicts for a given grid size are precomputed once
 into bitmask tables (``tables_for``). On them the search's engine works with
 two records: a ``_Candidate`` is a set of arcs added as one move, and a
-``_State`` is the partial embedding it is added to. ``_feasible`` tests a
-move with a few integer ANDs and ``_apply`` makes it; ``_first_fault`` finds
-the first arc of a sequence that conflicts with those before it. The value
-API is a thin layer over that engine: ``add_path`` builds the candidate for
-a path, tests it against the state of its input and returns a new embedding
-or a ``Rejection``, never mutating its argument.
+``_State`` is the partial embedding it is added to. Both hold bitsets only:
+arcs, slots, and the vertices with at least one and with two arcs in and
+out (no degree passes 2), plus the row-0 label entries that the domination
+test reads. ``_feasible`` tests a move with a few integer ANDs and
+``_apply`` makes it; ``_first_fault`` finds the first arc of a sequence that
+conflicts with those before it. The search does not call ``_feasible`` per
+candidate: it keeps, per column, an alive bitset of the candidates that
+pass it and narrows the bitset as moves are made (see ``search``).
+
+The value API is a thin layer over that engine: ``add_path`` builds the
+candidate for a path, tests it against the state of its input and returns a
+new embedding or a ``Rejection``, never mutating its argument.
 """
 
 from dataclasses import dataclass
@@ -140,67 +146,54 @@ def _first_fault(arc_ids, t: MaskTables, degree: bool = True) -> Optional[Reject
 
 
 class _Candidate:
-    """A set of arcs added as one search move, with its combined masks."""
+    """A set of arcs added as one search move, with its combined masks.
 
-    __slots__ = ("arcs_mask", "slots_mask", "blocked_mask", "deg",
+    Its degrees are four vertex bitsets: the vertices it adds at least one,
+    or two, arcs into, or out of. Of its label entries only row 0's are
+    kept, since the domination test reads no others.
+    """
+
+    __slots__ = ("arc_ids", "arcs_mask", "slots_mask", "blocked_mask",
                  "in_any", "in_two", "out_any", "out_two", "label_updates")
 
     def __init__(self, arc_ids, t: MaskTables):
         arcs_mask = slots = conflict = 0
-        deg: dict[int, list[int]] = {}
+        in_any = in_two = out_any = out_two = 0
         for aid in arc_ids:
             arcs_mask |= 1 << aid
             slots |= t.slot_mask[aid]
             conflict |= t.conflict_mask[aid]
-            deg.setdefault(t.origin_vid[aid], [0, 0])[1] += 1
-            deg.setdefault(t.head_vid[aid], [0, 0])[0] += 1
+            o, h = 1 << t.origin_vid[aid], 1 << t.head_vid[aid]
+            out_two |= out_any & o
+            out_any |= o
+            in_two |= in_any & h
+            in_any |= h
+        self.arc_ids = tuple(arc_ids)
         self.arcs_mask = arcs_mask
         self.slots_mask = slots
         # arcs that may not be present: the set itself plus everything it crosses
         self.blocked_mask = arcs_mask | conflict
-        self.deg = tuple((vid, d_in, d_out) for vid, (d_in, d_out) in deg.items())
-        self.in_any = self.in_two = self.out_any = self.out_two = 0
-        for vid, d_in, d_out in self.deg:
-            bit = 1 << vid
-            if d_in:
-                self.in_any |= bit
-                if d_in == 2:
-                    self.in_two |= bit
-            if d_out:
-                self.out_any |= bit
-                if d_out == 2:
-                    self.out_two |= bit
-        self.label_updates = tuple(end for aid in arc_ids for end in t.ends[aid])
+        self.in_any, self.in_two = in_any, in_two
+        self.out_any, self.out_two = out_any, out_two
+        row0 = t.dims.cols * 8
+        self.label_updates = tuple(end for aid in arc_ids for end in t.ends[aid]
+                                   if end[0] < row0)
 
 
 class _State:
     """A partial embedding as the search holds it: masks of its arcs and
-    slots, per-vertex degrees and degree bitsets, and the flat label grid
-    (entry vertex * 8 + slot)."""
+    slots, the degree bitsets (vertices with at least one and with two arcs
+    in and out; the search never lets a degree pass 2) and the flat label
+    grid of row 0 (entry col * 8 + slot)."""
 
-    __slots__ = ("arcs_mask", "slots_mask", "indeg", "outdeg", "labels",
+    __slots__ = ("arcs_mask", "slots_mask", "labels",
                  "in_ge1", "in_ge2", "out_ge1", "out_ge2")
 
-    def __init__(self, n_vertices):
+    def __init__(self, cols: int):
         self.arcs_mask = 0
         self.slots_mask = 0
-        self.indeg = [0] * n_vertices
-        self.outdeg = [0] * n_vertices
-        self.labels = [0] * (n_vertices * 8)
+        self.labels = [0] * (cols * 8)
         self.in_ge1 = self.in_ge2 = self.out_ge1 = self.out_ge2 = 0
-
-    def clone(self) -> "_State":
-        s = _State.__new__(_State)
-        s.arcs_mask = self.arcs_mask
-        s.slots_mask = self.slots_mask
-        s.indeg = self.indeg[:]
-        s.outdeg = self.outdeg[:]
-        s.labels = self.labels[:]
-        s.in_ge1 = self.in_ge1
-        s.in_ge2 = self.in_ge2
-        s.out_ge1 = self.out_ge1
-        s.out_ge2 = self.out_ge2
-        return s
 
 
 def _feasible(state: _State, cand: _Candidate) -> bool:
@@ -218,24 +211,22 @@ def _feasible(state: _State, cand: _Candidate) -> bool:
 
 
 def _apply(state: _State, cand: _Candidate) -> _State:
-    s = state.clone()
-    s.arcs_mask |= cand.arcs_mask
-    s.slots_mask |= cand.slots_mask
-    for vid, d_in, d_out in cand.deg:
-        bit = 1 << vid
-        if d_in:
-            ind = s.indeg[vid] = s.indeg[vid] + d_in
-            s.in_ge1 |= bit
-            if ind >= 2:
-                s.in_ge2 |= bit
-        if d_out:
-            outd = s.outdeg[vid] = s.outdeg[vid] + d_out
-            s.out_ge1 |= bit
-            if outd >= 2:
-                s.out_ge2 |= bit
-    labels = s.labels
-    for index, value in cand.label_updates:
-        labels[index] = value
+    """The state after the move; ``state`` is left as it was. The degree
+    bitsets saturate at 2, which is exact for feasible moves."""
+    s = _State.__new__(_State)
+    s.arcs_mask = state.arcs_mask | cand.arcs_mask
+    s.slots_mask = state.slots_mask | cand.slots_mask
+    in1, out1 = state.in_ge1, state.out_ge1
+    s.in_ge1 = in1 | cand.in_any
+    s.in_ge2 = state.in_ge2 | (in1 & cand.in_any) | cand.in_two
+    s.out_ge1 = out1 | cand.out_any
+    s.out_ge2 = state.out_ge2 | (out1 & cand.out_any) | cand.out_two
+    if cand.label_updates:
+        labels = s.labels = state.labels[:]
+        for index, value in cand.label_updates:
+            labels[index] = value
+    else:
+        s.labels = state.labels  # never written after its state is made
     return s
 
 
@@ -278,7 +269,7 @@ def new_embedding(dims: TorusDims) -> GroundEmbedding:
 def _state_of(e: GroundEmbedding) -> _State:
     """The search's state for an embedding: its arcs applied as one move."""
     t = tables_for(e.dims)
-    return _apply(_State(t.n_vertices), _Candidate([t.arc_id[a] for a in e.arcs], t))
+    return _apply(_State(e.dims.cols), _Candidate([t.arc_id[a] for a in e.arcs], t))
 
 
 def path_arcs(path: LacePath, start_col: int, dims: TorusDims) -> list[Arc]:

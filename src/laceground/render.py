@@ -12,14 +12,19 @@ from .embedding import GroundEmbedding
 CELL = 48
 MARGIN = 36
 DOT_R = 3.0
+# Most periods a drawing repeats along either side: the drawing grows as the
+# product of both, so an unbounded request could take any time and memory.
+MAX_REPEATS = 32
 
 
 def render_svg(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
                labels: bool = False) -> str:
-    """Render the embedding tiled ``repeats`` = (down, across) times."""
+    """Render the embedding tiled ``repeats`` = (down, across) times, each
+    between 1 and ``MAX_REPEATS``."""
     rep_r, rep_c = repeats
-    if rep_r < 1 or rep_c < 1:
-        raise ValueError("repeats must be >= 1x1")
+    if not (1 <= rep_r <= MAX_REPEATS and 1 <= rep_c <= MAX_REPEATS):
+        raise ValueError(
+            f"repeats must be between 1x1 and {MAX_REPEATS}x{MAX_REPEATS}")
     rows, cols = e.dims
     width = MARGIN * 2 + cols * rep_c * CELL
     height = MARGIN * 2 + rows * rep_r * CELL

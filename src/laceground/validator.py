@@ -138,9 +138,14 @@ def check_connected(e: GroundEmbedding, strict: bool = False) -> CheckResult:
     """Non-strict: one component and at least one cycle wrapping the torus.
     Strict: additionally the cycle windings generate all of Z x Z, so the
     unrolled planar pattern hangs together as fabric."""
-    if not e.arcs:
+    return _connected(*_fundamental_windings(e), strict)
+
+
+def _connected(roots: list[tuple[int, int]], windings: list[WindingVector],
+               strict: bool) -> CheckResult:
+    """``check_connected`` on the result of ``_fundamental_windings``."""
+    if not roots:
         return CheckResult(FAIL, None, "no arcs")
-    roots, windings = _fundamental_windings(e)
     if len(roots) > 1:
         return CheckResult(FAIL, roots,
                            f"{len(roots)} components, e.g. {roots[0]} and {roots[1]}")
@@ -179,9 +184,13 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
 def check_rotationally_consecutive(e: GroundEmbedding) -> CheckResult:
     """Every used vertex must read in,in,out,out around the compass (up to
     rotation); an alternating vertex is the witness. Requires 2-regularity."""
-    pre = check_two_regular(e)
-    if not pre.ok:
-        return CheckResult(BLOCKED, pre.witness, "requires 2-regularity")
+    return _rotationally_consecutive(e, check_two_regular(e))
+
+
+def _rotationally_consecutive(e: GroundEmbedding,
+                              two_regular: CheckResult) -> CheckResult:
+    if not two_regular.ok:
+        return CheckResult(BLOCKED, two_regular.witness, "requires 2-regularity")
     for v, recs in sorted(e.slot_records().items()):
         flags = [rec.incoming for rec in recs]
         changes = sum(flags[i] != flags[(i + 1) % len(flags)] for i in range(len(flags)))
@@ -195,13 +204,18 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
 
     From each unused arc, repeatedly leave by the outgoing arc rotationally
     adjacent to the arrival slot, closing when the walk returns to the start
-    arc. Every vertex needs as many incoming as outgoing arcs, and vertices
-    with two of each must be rotationally consecutive so the adjacent
-    outgoing arc is unique; diagnostic callers may hand in sub-regular
-    embeddings (single in/out pairs walk fine).
+    arc. Every vertex needs as many incoming as outgoing arcs, each in a
+    slot of its own, and vertices with two of each must be rotationally
+    consecutive so the adjacent outgoing arc is unique; diagnostic callers
+    may hand in sub-regular embeddings (single in/out pairs walk fine).
     """
     table = e.slot_records()
     for v, recs in sorted(table.items()):
+        slots = [rec.slot for rec in recs]
+        if len(set(slots)) < len(slots):
+            # two arcs in one slot would pair two arrivals with one exit,
+            # and the walk would never close
+            raise ValueError(f"cannot partition: vertex {v} has two arcs in one slot")
         ins = sum(1 for rec in recs if rec.incoming)
         outs = len(recs) - ins
         if ins != outs or ins > 2:
@@ -301,7 +315,10 @@ def check_no_contractible_directed_cycles(
 def check_thread_conservation(e: GroundEmbedding) -> CheckResult:
     """Every non-transverse circuit must have longitudinal winding zero: the
     same number of arcs cross any meridional cut in each direction."""
-    partition = partition_circuits(e)
+    return _conserved(partition_circuits(e))
+
+
+def _conserved(partition: CircuitPartition) -> CheckResult:
     bad = [(i, w) for i, w in enumerate(partition.windings) if w.longitudinal != 0]
     if bad:
         i, w = bad[0]
@@ -332,19 +349,25 @@ def circuit_cut_crossings(circuit: list[Arc], cut_col: int, cols: int) -> int:
 
 def full_report(e: GroundEmbedding, strict: bool = False,
                 max_cycles: int = 100_000) -> PropertyReport:
+    """Every check, each piece of shared work (the 2-regularity test, the
+    winding walk, the circuit partition) done once. The circuits are traced
+    only on a conflict-free, 2-regular, rotationally consecutive ground."""
     two_regular = check_two_regular(e)
     embedded = check_embedded(e)
-    connected = check_connected(e, strict=False)
-    strict_connected = check_connected(e, strict=True)
-    rot = check_rotationally_consecutive(e)
+    walk = _fundamental_windings(e)
+    connected = _connected(*walk, strict=False)
+    strict_connected = _connected(*walk, strict=True)
+    rot = _rotationally_consecutive(e, two_regular)
     nocontract = check_no_contractible_directed_cycles(e, max_cycles=max_cycles)
-    if two_regular.ok and rot.ok:
-        partition = partition_circuits(e)
-        conserved = check_thread_conservation(e)
-    else:
-        partition = None
+    partition = None
+    if not (two_regular.ok and rot.ok):
         conserved = CheckResult(BLOCKED, None,
                                 "requires 2-regularity and rotational consecutiveness")
+    elif not embedded.ok:
+        conserved = CheckResult(BLOCKED, None, "requires an embedding without conflicts")
+    else:
+        partition = partition_circuits(e)
+        conserved = _conserved(partition)
     return PropertyReport(two_regular, embedded, connected, strict_connected, rot,
                           nocontract, conserved, partition)
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from laceground.cli import main
+from laceground.embedding import deserialize
+from laceground.render import render_svg
 
 GOOD_1x1 = "ground v1\ndims 1 1\narc 0 0 -1 1\narc 0 0 1 0\n"
 DRIFT_1x1 = "ground v1\ndims 1 1\narc 0 0 1 1\narc 0 0 -1 0\nzeta 0 0 CTpCT\n"
@@ -13,6 +15,9 @@ FLAT_CYCLE = "ground v1\ndims 1 2\narc 0 0 1 0\narc 0 1 -1 0\n"
 BAD_ARC = "ground v1\ndims 1 1\narc 0 0 3 0\n"
 CROSSED_1x1 = "ground v1\ndims 1 1\narc 0 0 -1 1\narc 0 0 1 1\n"
 SLOT_CLASH = "ground v1\ndims 1 3\narc 0 2 1 0\narc 0 0 -1 0\n"
+# two loops through the same south and north slots: 2-in/2-out and
+# rotationally consecutive, but the arrivals share one slot
+SHARED_SLOTS = "ground v1\ndims 1 1\narc 0 0 0 1\narc 0 0 0 2\n"
 
 
 def run(capsys, *argv):
@@ -145,6 +150,20 @@ def test_verify_reports_slot_conflict(tmp_path, capsys):
     assert "slot-conflict" in doc["embedded"]["detail"]
 
 
+def test_verify_shared_slots_answers_without_circuits(tmp_path, capsys):
+    f = tmp_path / "shared.gnd"
+    f.write_text(SHARED_SLOTS)
+    code, out, _ = run(capsys, "verify", str(f), "--report", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["embedded"]["status"] == "fail"
+    assert doc["two_regular"]["status"] == "pass"
+    assert doc["rotationally_consecutive"]["status"] == "pass"
+    assert doc["conserved"] == {"status": "blocked", "witness": None,
+                                "detail": "requires an embedding without conflicts"}
+    assert doc["circuits"] == []
+
+
 def test_verify_rejects_oversized_dims_before_tables(tmp_path, capsys):
     from laceground.embedding import tables_for
 
@@ -220,6 +239,25 @@ def test_render_bad_repeats(tmp_path, capsys):
     code, _, err = run(capsys, "render", str(src), "--repeats", "0x4",
                        "--out", str(tmp_path / "x.svg"))
     assert code == 2
+
+
+def test_render_repeats_capped(tmp_path, capsys):
+    src = tmp_path / "g.gnd"
+    src.write_text(GOOD_1x1)
+    out = tmp_path / "x.svg"
+    for repeats in ("33x1", "1x33", "1000000x1000000"):
+        code, _, err = run(capsys, "render", str(src), "--repeats", repeats,
+                           "--out", str(out))
+        assert code == 2
+        assert "at most 32x32" in err
+        assert not out.exists()
+    with pytest.raises(ValueError):
+        render_svg(deserialize(GOOD_1x1), (33, 1))
+    code, _, _ = run(capsys, "render", str(src), "--repeats", "32x32",
+                     "--out", str(out))
+    assert code == 0
+    arcs = [el for el in ET.parse(out).getroot().iter() if el.get("class") == "arc"]
+    assert len(arcs) == 2 * 32 * 32
 
 
 def test_counts_pretty_and_tsv(capsys):

@@ -82,10 +82,17 @@ def test_reference_single_row_and_column_cells():
         assert enumerate_grounds(SearchConfig(TorusDims(rows, cols))).count == expected
 
 
-@pytest.mark.parametrize("dims", sorted(GOLDEN), ids=lambda d: f"{d[0]}x{d[1]}")
-def test_golden_solutions(dims):
+# every golden grid on one process, and one of them on a pool of two
+GOLDEN_RUNS = [(dims, 1) for dims in sorted(GOLDEN)] + [((2, 3), 2)]
+
+
+@pytest.mark.parametrize(
+    "dims,jobs", GOLDEN_RUNS,
+    ids=[f"{r}x{c}" + ("" if jobs == 1 else f"-jobs{jobs}")
+         for (r, c), jobs in GOLDEN_RUNS])
+def test_golden_solutions(dims, jobs):
     """Names, files and node counts of the default model, byte for byte."""
-    result = enumerate_grounds(SearchConfig(TorusDims(*dims)))
+    result = enumerate_grounds(SearchConfig(TorusDims(*dims), jobs=jobs))
     digest = hashlib.sha256()
     for _, emb in result.canonical_solutions:
         digest.update((solution_name(identifier(emb)) + "\n" + serialize(emb)).encode())

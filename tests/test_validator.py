@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from laceground.embedding import GroundEmbedding, deserialize
 from laceground.geometry import Arc, TorusDims
 from laceground.search import SearchConfig, enumerate_grounds
@@ -65,6 +67,14 @@ def test_partition_covers_all_arcs():
         assert len(covered) == len(set(covered))
         # all circuits wrap identically: no sideways drift, one descent
         assert all(w == (0, 1) for w in part.windings)
+
+
+def test_partition_rejects_shared_slots():
+    # both loops leave by the south slot and arrive by the north one, so the
+    # walk could pair both arrivals with one exit and never close
+    shared = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 0, 1), Arc(0, 0, 0, 2)))
+    with pytest.raises(ValueError, match="one slot"):
+        partition_circuits(shared)
 
 
 def test_no_contractible_examples():
