@@ -12,9 +12,9 @@ from pathlib import Path
 
 from .braid import to_braid_word
 from .canonical import canonical_representative, identifier, identifier_text, solution_name
-from .embedding import GroundFileError, deserialize, serialize
+from .embedding import MAX_PERIOD, GroundFileError, deserialize, serialize
 from .geometry import TorusDims
-from .paths import count_lace_paths, format_path, generate_lace_paths
+from .paths import MAX_PATH_HEIGHT, format_path, generate_lace_paths
 from .render import MAX_REPEATS, render_svg
 from .search import SearchConfig, count_table, enumerate_grounds
 from .validator import full_report, report_to_json, report_to_text
@@ -35,6 +35,17 @@ def _positive(value: str) -> int:
     return n
 
 
+def _at_most(limit: int):
+    """A positive size of at most ``limit``, checked while parsing, so an
+    oversized grid is refused before any path list or table is built."""
+    def parse(value: str) -> int:
+        n = _positive(value)
+        if n > limit:
+            raise argparse.ArgumentTypeError(f"must be <= {limit}, got {n}")
+        return n
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process."""
@@ -44,12 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paths", help="count or list lace paths of a given height")
-    p.add_argument("--height", type=_positive, required=True)
+    p.add_argument("--height", type=_at_most(MAX_PATH_HEIGHT), required=True)
     p.add_argument("--list", action="store_true", dest="list_paths")
 
     p = sub.add_parser("enumerate", help="enumerate ground embeddings for one grid")
-    p.add_argument("--rows", type=_positive, required=True)
-    p.add_argument("--cols", type=_positive, required=True)
+    p.add_argument("--rows", type=_at_most(MAX_PATH_HEIGHT), required=True)
+    p.add_argument("--cols", type=_at_most(MAX_PERIOD), required=True)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out", type=Path, default=None, help="directory for .gnd solution files")
     p.add_argument("--no-prune", action="store_true")
@@ -74,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action="store_true")
 
     p = sub.add_parser("counts", help="table of solution counts up to a grid bound")
-    p.add_argument("--max-rows", type=_positive, required=True)
-    p.add_argument("--max-cols", type=_positive, required=True)
+    p.add_argument("--max-rows", type=_at_most(MAX_PATH_HEIGHT), required=True)
+    p.add_argument("--max-cols", type=_at_most(MAX_PERIOD), required=True)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--loose", action="store_true", help=_LOOSE_HELP)
@@ -87,15 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        return deserialize(path.read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    try:
-        return deserialize(text)
-    except GroundFileError as exc:
+    except (UnicodeDecodeError, GroundFileError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
+    return None
 
 
 def _budget_required(rows: int, cols: int, budget) -> bool:

@@ -257,9 +257,6 @@ class GroundEmbedding:
             seen.add(a.head(self.dims))
         return sorted(seen)
 
-    def zeta_map(self) -> dict[tuple[int, int], str]:
-        return dict(self.zeta)
-
 
 def new_embedding(dims: TorusDims) -> GroundEmbedding:
     dims.validate()

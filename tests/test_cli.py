@@ -45,6 +45,46 @@ def test_paths_bad_height(capsys):
     assert code == 2
 
 
+OVERSIZED = [
+    ("paths", "--height", "7"),
+    ("enumerate", "--rows", "7", "--cols", "1"),
+    ("enumerate", "--rows", "1", "--cols", "9"),
+    ("enumerate", "--rows", "1", "--cols", "1000"),
+    ("counts", "--max-rows", "7", "--max-cols", "1"),
+    ("counts", "--max-rows", "1", "--max-cols", "9"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a) for a in OVERSIZED])
+def test_oversized_grids_rejected_before_any_build(argv, capsys, monkeypatch):
+    from laceground import cli, search
+    from laceground.embedding import tables_for
+
+    def refuse(n):
+        raise AssertionError(f"built the paths of height {n}")
+
+    monkeypatch.setattr(cli, "generate_lace_paths", refuse)
+    monkeypatch.setattr(search, "generate_lace_paths", refuse)
+    built = tables_for.cache_info().currsize
+    engines = dict(search._ENGINES)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "must be <=" in err
+    assert tables_for.cache_info().currsize == built
+    assert search._ENGINES == engines
+
+
+def test_largest_grids_still_parse():
+    from laceground.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["paths", "--height", "6"]).height == 6
+    args = parser.parse_args(["enumerate", "--rows", "6", "--cols", "8"])
+    assert (args.rows, args.cols) == (6, 8)
+    args = parser.parse_args(["counts", "--max-rows", "6", "--max-cols", "8"])
+    assert (args.max_rows, args.max_cols) == (6, 8)
+
+
 def test_enumerate_writes_solutions(tmp_path, capsys):
     out_dir = tmp_path / "sols"
     code, out, _ = run(capsys, "enumerate", "--rows", "1", "--cols", "1",
@@ -189,6 +229,18 @@ def test_verify_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(f))
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "canon", "render"])
+def test_non_utf8_file_is_a_parse_error(command, tmp_path, capsys):
+    f = tmp_path / "bad.gnd"
+    f.write_bytes(b"ground v1\ndims 1 1\n\xff\xfe\n")
+    extra = ["--out", str(tmp_path / "out.svg")] if command == "render" else []
+    code, out, err = run(capsys, command, str(f), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {f}: ")
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file(capsys):

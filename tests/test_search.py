@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from laceground import search
 from laceground.canonical import identifier, solution_name
 from laceground.embedding import serialize
 from laceground.geometry import TorusDims
@@ -107,3 +108,25 @@ def test_pool_size_is_bounded(monkeypatch):
     assert _pool_size(1, 0) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _pool_size(8, 100) == 1
+
+
+def test_each_regular_arc_set_judged_once_in_the_caller(monkeypatch):
+    """Work items return arc sets and the run judges each distinct one once,
+    in the calling process, the same sets whatever the number of jobs."""
+    judged = []
+    original = search.windings_span_plane
+
+    def record(e):
+        judged.append(e.arcs)
+        return original(e)
+
+    monkeypatch.setattr(search, "windings_span_plane", record)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool at jobs 2
+    runs = []
+    for jobs in (1, 2):
+        judged.clear()
+        enumerate_grounds(SearchConfig(TorusDims(2, 3), jobs=jobs))
+        assert judged
+        assert len(set(judged)) == len(judged)
+        runs.append(set(judged))
+    assert runs[0] == runs[1]
