@@ -14,7 +14,7 @@ from .braid import to_braid_word
 from .canonical import canonical_representative, identifier, identifier_text, solution_name
 from .embedding import MAX_PERIOD, GroundFileError, deserialize, serialize
 from .geometry import TorusDims
-from .paths import MAX_PATH_HEIGHT, format_path, generate_lace_paths
+from .paths import MAX_PATH_HEIGHT, count_lace_paths, format_path, generate_lace_paths
 from .render import MAX_REPEATS, render_svg
 from .search import SearchConfig, count_table, enumerate_grounds
 from .validator import full_report, report_to_json, report_to_text
@@ -111,11 +111,13 @@ def _budget_required(rows: int, cols: int, budget) -> bool:
 
 
 def cmd_paths(args) -> int:
+    if not args.list_paths:
+        print(count_lace_paths(args.height))
+        return EXIT_OK
     paths = generate_lace_paths(args.height)
     print(len(paths))
-    if args.list_paths:
-        for path in paths:
-            print(format_path(path))
+    for path in paths:
+        print(format_path(path))
     return EXIT_OK
 
 

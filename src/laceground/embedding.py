@@ -11,10 +11,18 @@ two records: a ``_Candidate`` is a set of arcs added as one move, and a
 arcs, slots, and the vertices with at least one and with two arcs in and
 out (no degree passes 2), plus the row-0 label entries that the domination
 test reads. ``_feasible`` tests a move with a few integer ANDs and
-``_apply`` makes it; ``_first_fault`` finds the first arc of a sequence that
-conflicts with those before it. The search does not call ``_feasible`` per
-candidate: it keeps, per column, an alive bitset of the candidates that
-pass it and narrows the bitset as moves are made (see ``search``).
+``_apply`` makes it. The search does not call ``_feasible`` per candidate:
+it keeps, per column, an alive bitset of the candidates that pass it and
+narrows the bitset as moves are made (see ``search``).
+
+The rules by which an arc cannot join a sequence of arcs (a repeat, a
+conflict with its own periodic copies, a taken slot, a crossing, a third
+arc at a vertex) live in one place, ``_join``, which adds arcs one by one
+to the masks of the sequence so far (``_Arcs``). ``_first_fault`` runs it
+over a whole sequence to name the first arc that fails, for ``verify`` and
+``add_path``; the search runs it one arc at a time while it walks the paths
+of a column, so it builds the candidates from the fault-free paths only
+and from the masks the walk already holds.
 
 The value API is a thin layer over that engine: ``add_path`` builds the
 candidate for a path, tests it against the state of its input and returns a
@@ -22,7 +30,7 @@ new embedding or a ``Rejection``, never mutating its argument.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -76,6 +84,10 @@ class MaskTables:
             for (dx, dy) in LACE_STEPS
         ]
         self.arc_id = {a: i for i, a in enumerate(self.arcs)}
+        # per vertex: the id of the arc that leaves it by each step
+        self.out_arc = [{} for _ in range(self.n_vertices)]
+        for i, a in enumerate(self.arcs):
+            self.out_arc[a.row * cols + a.col][a.step] = i
         n_arcs = len(self.arcs)
 
         self.origin_vid = []
@@ -107,42 +119,78 @@ def tables_for(dims: TorusDims) -> MaskTables:
     return MaskTables(dims)
 
 
-def _first_fault(arc_ids, t: MaskTables, degree: bool = True) -> Optional[Rejection]:
-    """The first arc of the sequence that cannot join the arcs before it.
+class _Arcs(NamedTuple):
+    """The masks of a sequence of arcs: the arcs, their slots, the arcs they
+    cross, and the vertices they have at least one, or two, arcs out of and
+    into (bitsets that saturate at two)."""
+
+    arcs: int = 0
+    slots: int = 0
+    crossed: int = 0
+    out_any: int = 0
+    out_two: int = 0
+    in_any: int = 0
+    in_two: int = 0
+
+
+_NO_ARCS = _Arcs()
+# makes an _Arcs from a tuple without the Python-level constructor a
+# NamedTuple adds: the column walk makes one for every arc it joins
+_as_arcs = partial(tuple.__new__, _Arcs)
+
+
+def _join(p: _Arcs, arc_ids, t: MaskTables, degree: bool = True):
+    """Join arcs one by one to a sequence of arcs that passed these tests
+    and has masks ``p``. Returns the masks of the arcs joined and, at the
+    first arc that cannot join, ``(arc id, kind of fault)``, else None.
 
     In order of test: it repeats one of them, it conflicts with its own
     periodic copies, it takes a slot already taken, it crosses one of them,
     or (with ``degree``) it would be a third arc out of or into a vertex.
     """
-    arcs_mask = slots = crossed = 0
-    indeg = [0] * t.n_vertices
-    outdeg = [0] * t.n_vertices
+    arcs, slots, crossed, out_any, out_two, in_any, in_two = p
+    fault = None
     for aid in arc_ids:
         bit = 1 << aid
-        ov, hv = t.origin_vid[aid], t.head_vid[aid]
-        at_head = False
-        if arcs_mask & bit:
-            kind = "duplicate-arc"
+        o, h = 1 << t.origin_vid[aid], 1 << t.head_vid[aid]
+        if arcs & bit:
+            fault = aid, "duplicate-arc"
         elif not t.self_ok[aid]:
-            kind = "self-conflict"
+            fault = aid, "self-conflict"
         elif slots & t.slot_mask[aid]:
-            kind = "slot-conflict"
-            at_head = not slots >> t.ends[aid][0][0] & 1
+            fault = aid, "slot-conflict"
         elif crossed & bit:
-            kind = "crossing"
-        elif degree and (outdeg[ov] == 2 or indeg[hv] == 2):
-            kind = "degree"
-            at_head = outdeg[ov] < 2
+            fault = aid, "crossing"
+        elif degree and (out_two & o or in_two & h):
+            fault = aid, "degree"
         else:
-            arcs_mask |= bit
+            arcs |= bit
             slots |= t.slot_mask[aid]
             crossed |= t.conflict_mask[aid]
-            outdeg[ov] += 1
-            indeg[hv] += 1
+            out_two |= out_any & o
+            out_any |= o
+            in_two |= in_any & h
+            in_any |= h
             continue
-        arc = t.arcs[aid]
-        return Rejection(kind, arc.head(t.dims) if at_head else (arc.row, arc.col), arc)
-    return None
+        break
+    return _as_arcs((arcs, slots, crossed, out_any, out_two, in_any, in_two)), fault
+
+
+def _first_fault(arc_ids, t: MaskTables, degree: bool = True) -> Optional[Rejection]:
+    """The first arc of the sequence that cannot join the arcs before it
+    (see ``_join``), at the vertex where it fails."""
+    p, fault = _join(_NO_ARCS, arc_ids, t, degree)
+    if fault is None:
+        return None
+    aid, kind = fault
+    if kind == "slot-conflict":
+        at_head = not p.slots >> t.ends[aid][0][0] & 1
+    elif kind == "degree":
+        at_head = not p.out_two >> t.origin_vid[aid] & 1
+    else:
+        at_head = False
+    arc = t.arcs[aid]
+    return Rejection(kind, arc.head(t.dims) if at_head else (arc.row, arc.col), arc)
 
 
 class _Candidate:
@@ -150,31 +198,34 @@ class _Candidate:
 
     Its degrees are four vertex bitsets: the vertices it adds at least one,
     or two, arcs into, or out of. Of its label entries only row 0's are
-    kept, since the domination test reads no others.
+    kept, since the domination test reads no others. ``masks``, when given,
+    are the arcs' masks as ``_join`` joined them.
     """
 
     __slots__ = ("arc_ids", "arcs_mask", "slots_mask", "blocked_mask",
                  "in_any", "in_two", "out_any", "out_two", "label_updates")
 
-    def __init__(self, arc_ids, t: MaskTables):
-        arcs_mask = slots = conflict = 0
-        in_any = in_two = out_any = out_two = 0
-        for aid in arc_ids:
-            arcs_mask |= 1 << aid
-            slots |= t.slot_mask[aid]
-            conflict |= t.conflict_mask[aid]
-            o, h = 1 << t.origin_vid[aid], 1 << t.head_vid[aid]
-            out_two |= out_any & o
-            out_any |= o
-            in_two |= in_any & h
-            in_any |= h
+    def __init__(self, arc_ids, t: MaskTables, masks: Optional[_Arcs] = None):
+        if masks is None:
+            arcs_mask = slots = conflict = 0
+            in_any = in_two = out_any = out_two = 0
+            for aid in arc_ids:
+                arcs_mask |= 1 << aid
+                slots |= t.slot_mask[aid]
+                conflict |= t.conflict_mask[aid]
+                o, h = 1 << t.origin_vid[aid], 1 << t.head_vid[aid]
+                out_two |= out_any & o
+                out_any |= o
+                in_two |= in_any & h
+                in_any |= h
+            masks = _Arcs(arcs_mask, slots, conflict, out_any, out_two, in_any, in_two)
         self.arc_ids = tuple(arc_ids)
-        self.arcs_mask = arcs_mask
-        self.slots_mask = slots
+        self.arcs_mask = masks.arcs
+        self.slots_mask = masks.slots
         # arcs that may not be present: the set itself plus everything it crosses
-        self.blocked_mask = arcs_mask | conflict
-        self.in_any, self.in_two = in_any, in_two
-        self.out_any, self.out_two = out_any, out_two
+        self.blocked_mask = masks.arcs | masks.crossed
+        self.in_any, self.in_two = masks.in_any, masks.in_two
+        self.out_any, self.out_two = masks.out_any, masks.out_two
         row0 = t.dims.cols * 8
         self.label_updates = tuple(end for aid in arc_ids for end in t.ends[aid]
                                    if end[0] < row0)

@@ -17,15 +17,20 @@ attachment form; all other sequences appear only rooted. Heights 1..5 yield
 3, 39, 498, 6667 and 91833 paths under this convention.
 """
 
+import heapq
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .geometry import LACE_STEPS, LACE_STEP_SET
 
 Step = tuple[int, int]
 
-# Largest height the command line builds paths for: the count grows about
+# The double step a skipping path begins with, taken from row n-1.
+SKIP_STEP = (0, 2)
+
+# Largest height the command line walks paths for: the count grows about
 # 14-fold per row (1,289,040 paths at height 6), and enumerating the 6x1
-# grid already took 37.6 s and 357 MB on one process (Python 3.11).
+# grid takes 8.4 s and 78 MB on one process (Python 3.11, 2-CPU machine).
 MAX_PATH_HEIGHT = 6
 
 
@@ -67,28 +72,35 @@ def is_valid_lace_path(steps, n: int, skipping: bool = False) -> bool:
     if not _no_adjacent_horizontals(steps):
         return False
     if skipping:
-        return n >= 2 and steps[0] == (0, 2)
+        return n >= 2 and steps[0] == SKIP_STEP
     return steps[0][1] >= 1
 
 
-def _sequences(n: int, first_free: bool) -> Iterator[tuple[Step, ...]]:
+def _sequences(n: int, first_free: bool, extend=None,
+               state=None) -> Iterator[tuple[tuple[Step, ...], object]]:
     """DFS over step sequences with net displacement (0, n), in lex order.
 
     ``first_free`` lifts the non-horizontal constraint on the first step
     (used for the tail of skipping paths, where the double step precedes).
     Emission points are terminal: once dy == n and dx == 0 no continuation
     can return to a valid endpoint, so each sequence is yielded exactly once.
+
+    Each sequence comes with a state grown along its steps: ``extend(state,
+    step)``, called for every step the rules admit, returns the state of the
+    longer prefix, or None to cut the branch there. Without ``extend`` the
+    state stays as given.
     """
     if n == 0:
-        yield ()
+        yield (), state
         return
 
     stack: list[Step] = []
-
-    def rec(sdx: int, sdy: int) -> Iterator[tuple[Step, ...]]:
-        if sdy == n and sdx == 0 and stack:
-            yield tuple(stack)
-        for step in LACE_STEPS:
+    # one frame per depth: the prefix's net (dx, dy), its state and the
+    # steps not yet tried after it
+    frames = [(0, 0, state, iter(LACE_STEPS))]
+    while frames:
+        sdx, sdy, state, untried = frames[-1]
+        for step in untried:
             dx, dy = step
             ndy = sdy + dy
             if ndy > n:
@@ -104,30 +116,63 @@ def _sequences(n: int, first_free: bool) -> Iterator[tuple[Step, ...]]:
             # horizontal may follow the last descent.
             if abs(ndx) > 3 * (n - ndy) + 2:
                 continue
+            next_state = state
+            if extend is not None:
+                next_state = extend(state, step)
+                if next_state is None:
+                    continue
             stack.append(step)
-            yield from rec(ndx, ndy)
-            stack.pop()
+            if ndy == n and ndx == 0:
+                yield tuple(stack), next_state
+                stack.pop()
+                continue
+            frames.append((ndx, ndy, next_state, iter(LACE_STEPS)))
+            break
+        else:
+            frames.pop()
+            if stack:
+                stack.pop()
 
-    yield from rec(0, 0)
+
+def _forms(n: int, extend=None, start=None) -> list[Iterator[tuple[LacePath, object]]]:
+    """The lace paths of height n as one walk per attachment form, rooted
+    then skipping, each in lexicographic order of steps, yielding (path,
+    state) pairs.
+
+    With ``extend`` (see ``_sequences``), ``start(row)`` gives the state at
+    the row a path is anchored at, and the skipping form's double step is
+    extended like any other step.
+    """
+    if n < 1:
+        raise ValueError(f"height must be >= 1, got {n}")
+    rooted = _sequences(n, False, extend, start and start(0))
+    forms = [((LacePath(steps, False), state) for steps, state in rooted)]
+    if n >= 2:
+        entry = start and start(n - 1)
+        if extend is not None:
+            entry = extend(entry, SKIP_STEP)
+        if extend is None or entry is not None:
+            tails = _sequences(n - 2, True, extend, entry)
+            forms.append((LacePath((SKIP_STEP,) + tail, True), state)
+                         for tail, state in tails)
+    return forms
+
+
+def _lace_paths(n: int, extend=None, start=None) -> Iterator[tuple[LacePath, object]]:
+    """Every lace path of height n with its state (see ``_forms``), in the
+    order of ``generate_lace_paths``."""
+    return heapq.merge(*_forms(n, extend, start), key=itemgetter(0))
 
 
 def generate_lace_paths(n: int) -> list[LacePath]:
     """Every lace path of height n, lexicographic by steps, rooted first."""
-    if n < 1:
-        raise ValueError(f"height must be >= 1, got {n}")
-    out = [LacePath(seq, False) for seq in _sequences(n, first_free=False)]
-    if n >= 2:
-        out.extend(
-            LacePath(((0, 2),) + tail, True)
-            for tail in _sequences(n - 2, first_free=True)
-        )
-    out.sort(key=lambda p: (p.steps, p.skipping))
-    return out
+    return [path for path, _ in _lace_paths(n)]
 
 
 def count_lace_paths(n: int) -> int:
-    """Number of lace paths of height n (both attachment forms)."""
-    return len(generate_lace_paths(n))
+    """Number of lace paths of height n (both attachment forms), counted as
+    they are walked, without building the list."""
+    return sum(1 for walk in _forms(n) for _ in walk)
 
 
 def format_path(path: LacePath) -> str:

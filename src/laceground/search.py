@@ -9,6 +9,13 @@ precomputed masks, one per arc the move adds and one per vertex it fills
 instead of testing every candidate of the column at every node. This is
 the bitset form of the option lists of Knuth's Dancing Links.
 
+A column's candidates are the distinct arc sets its lace paths lay down,
+built by one depth-first walk over arc ids from the column's row-0 vertex
+(rooted paths) and from its row n-1 vertex by the double step (skipping
+paths). The walk takes the lace-step rules from ``paths`` and cuts a branch
+at the first arc that ``embedding._join`` rejects, so no path list is built
+and no path with a fault is completed (``_Engine._column_candidates``).
+
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
 The run takes the union of those sets, so an arc set met along several
@@ -32,16 +39,16 @@ from typing import Optional
 
 from .canonical import _dominated, canonical_representative, identifier_text
 from .embedding import (
+    _NO_ARCS,
     GroundEmbedding,
     _apply,
     _Candidate,
-    _first_fault,
     _State,
-    path_arcs,
+    _join,
     tables_for,
 )
 from .geometry import TorusDims
-from .paths import generate_lace_paths
+from .paths import _lace_paths
 from .validator import check_connected, windings_span_plane
 
 _BIG = 1 << 62
@@ -109,18 +116,35 @@ class _Engine:
         self.arc_keep, self.full_keep = self._keep_masks(total)
 
     def _column_candidates(self, col: int) -> list[_Candidate]:
-        """One candidate per distinct arc set a path lays down at the column,
-        in path order, skipping sets that conflict with themselves."""
+        """One candidate per distinct arc set a lace path lays down at the
+        column, in path order, skipping sets that conflict with themselves.
+
+        The paths are walked arc by arc (``paths._lace_paths``), and a
+        branch is cut at the first arc that cannot join those before it
+        (``_join``): every fault is decided by a prefix of the path, so no
+        path with a fault is ever completed.
+        """
         t = self.t
+        cols = self.dims.cols
+
+        # a walk's state: the vertex it stands at, its arc ids and their masks
+        def start(row):
+            return row * cols + col, (), _NO_ARCS
+
+        def extend(state, step):
+            vid, ids, masks = state
+            aid = t.out_arc[vid][step]
+            masks, fault = _join(masks, (aid,), t)
+            if fault is not None:
+                return None
+            return t.head_vid[aid], ids + (aid,), masks
+
         out = []
-        seen: set[frozenset] = set()
-        for path in generate_lace_paths(self.dims.rows):
-            ids = [t.arc_id[a] for a in path_arcs(path, col, self.dims)]
-            key = frozenset(ids)
-            if key in seen or _first_fault(ids, t) is not None:
-                continue
-            seen.add(key)
-            out.append(_Candidate(ids, t))
+        seen: set[int] = set()
+        for _, (_, ids, masks) in _lace_paths(self.dims.rows, extend, start):
+            if masks.arcs not in seen:
+                seen.add(masks.arcs)
+                out.append(_Candidate(ids, t, masks))
         return out
 
     def _keep_masks(self, total: int) -> tuple[list[int], list[int]]:

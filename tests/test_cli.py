@@ -57,14 +57,14 @@ OVERSIZED = [
 
 @pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a) for a in OVERSIZED])
 def test_oversized_grids_rejected_before_any_build(argv, capsys, monkeypatch):
-    from laceground import cli, search
+    from laceground import paths, search
     from laceground.embedding import tables_for
 
-    def refuse(n):
-        raise AssertionError(f"built the paths of height {n}")
+    # every path walk, the command line's and the engine's, runs _sequences
+    def refuse(n, *args):
+        raise AssertionError(f"walked the paths of height {n}")
 
-    monkeypatch.setattr(cli, "generate_lace_paths", refuse)
-    monkeypatch.setattr(search, "generate_lace_paths", refuse)
+    monkeypatch.setattr(paths, "_sequences", refuse)
     built = tables_for.cache_info().currsize
     engines = dict(search._ENGINES)
     code, _, err = run(capsys, *argv)

@@ -19,6 +19,21 @@ def test_published_counts(n, expected):
     assert count_lace_paths(n) == expected
 
 
+def test_counting_builds_no_path_list(monkeypatch, capsys):
+    """Counting walks the paths without listing them, in the library and
+    in ``paths`` without ``--list``."""
+    from laceground import cli, paths
+
+    def refuse(n):
+        raise AssertionError(f"listed the paths of height {n}")
+
+    monkeypatch.setattr(paths, "generate_lace_paths", refuse)
+    monkeypatch.setattr(cli, "generate_lace_paths", refuse)
+    assert {n: count_lace_paths(n) for n in PUBLISHED_COUNTS} == PUBLISHED_COUNTS
+    assert cli.main(["paths", "--height", "4"]) == 0
+    assert capsys.readouterr().out == "6667\n"
+
+
 def test_height_one_contents():
     paths = generate_lace_paths(1)
     assert LacePath(((0, 1),), False) in paths

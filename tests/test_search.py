@@ -4,9 +4,10 @@ import pytest
 
 from laceground import search
 from laceground.canonical import identifier, solution_name
-from laceground.embedding import serialize
+from laceground.embedding import _first_fault, path_arcs, serialize, tables_for
 from laceground.geometry import TorusDims
-from laceground.search import SearchConfig, _pool_size, count_table, enumerate_grounds
+from laceground.paths import generate_lace_paths
+from laceground.search import SearchConfig, _engine, _pool_size, count_table, enumerate_grounds
 from laceground.validator import full_report
 
 # the loose model (connected on the torus only)
@@ -130,3 +131,34 @@ def test_each_regular_arc_set_judged_once_in_the_caller(monkeypatch):
         assert len(set(judged)) == len(judged)
         runs.append(set(judged))
     assert runs[0] == runs[1]
+
+
+def _columns_from_paths(dims):
+    """The column candidates as arc id tuples, built the direct way: every
+    lace path mapped to arcs at each column, the faulty ones dropped and the
+    rest deduplicated by arc set, first kept."""
+    t = tables_for(dims)
+    paths = generate_lace_paths(dims.rows)
+    columns = []
+    for col in range(dims.cols):
+        out, seen = [], set()
+        for path in paths:
+            ids = tuple(t.arc_id[a] for a in path_arcs(path, col, dims))
+            key = frozenset(ids)
+            if key in seen or _first_fault(ids, t) is not None:
+                continue
+            seen.add(key)
+            out.append(ids)
+        columns.append(out)
+    return columns
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 4),
+                                  (4, 1), (4, 2), (1, 8)], ids="{0[0]}x{0[1]}".format)
+def test_column_walk_matches_path_builder(dims):
+    """The fault-pruned walk gives the same candidates, in the same order, as
+    materialising every path; the order decides which second paths a
+    dominated node skips, so the node counts depend on it."""
+    dims = TorusDims(*dims)
+    got = [[c.arc_ids for c in column] for column in _engine(dims).columns]
+    assert got == _columns_from_paths(dims)
