@@ -11,9 +11,10 @@ symmetry orbit; exactly one member of each orbit attains it.
 """
 
 import hashlib
+from functools import lru_cache
 from itertools import chain
 
-from .embedding import GroundEmbedding, _state_of
+from .embedding import GroundEmbedding, _state_of, tables_for
 from .geometry import Arc, TorusDims, arc_ends, wrap
 
 TRANSFORMS = ("identity", "h_reflect", "v_reflect", "rot180")
@@ -95,12 +96,31 @@ def transform(e: GroundEmbedding, name: str) -> GroundEmbedding:
     return GroundEmbedding(e.dims, arcs, zeta)
 
 
+def _translate_arc(a: Arc, dr: int, dc: int, dims: TorusDims) -> Arc:
+    return Arc(*wrap(a.row + dr, a.col + dc, dims), a.dx, a.dy)
+
+
 def translate(e: GroundEmbedding, dr: int, dc: int) -> GroundEmbedding:
-    arcs = tuple(sorted(
-        Arc(*wrap(a.row + dr, a.col + dc, e.dims), a.dx, a.dy) for a in e.arcs))
+    arcs = tuple(sorted(_translate_arc(a, dr, dc, e.dims) for a in e.arcs))
     zeta = tuple(sorted(
         (wrap(v[0] + dr, v[1] + dc, e.dims), actions) for v, actions in e.zeta))
     return GroundEmbedding(e.dims, arcs, zeta)
+
+
+@lru_cache(maxsize=None)
+def arc_permutations(dims: TorusDims) -> dict[tuple[str, int, int], tuple[int, ...]]:
+    """Every symmetry of the grid as a permutation of arc ids (the ids of
+    ``tables_for(dims)``), keyed by (transform name, dr, dc): entry ``i`` is
+    the id of arc ``i`` under ``translate(transform(e, name), dr, dc)``."""
+    t = tables_for(dims)
+    return {
+        (name, dr, dc): tuple(
+            t.arc_id[_translate_arc(_transform_arc(a, name, dims), dr, dc, dims)]
+            for a in t.arcs)
+        for name in TRANSFORMS
+        for dr in range(dims.rows)
+        for dc in range(dims.cols)
+    }
 
 
 def _orbit_identifiers(e: GroundEmbedding):

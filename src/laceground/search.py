@@ -9,6 +9,13 @@ precomputed masks, one per arc the move adds and one per vertex it fills
 instead of testing every candidate of the column at every node. This is
 the bitset form of the option lists of Knuth's Dancing Links.
 
+Children take candidates in bit order: everything below a node lies above
+its own bit. So a vertex with exactly one arc in needs an alive candidate
+above that bit adding an arc into it, or no leaf below is 2-in/2-out; the
+degree lookahead (``_Engine.child_limit``) cuts such a node before the
+domination test, and stops a node's children at the last bit that can
+still give each such vertex its second arc.
+
 A column's candidates are the distinct arc sets its lace paths lay down,
 built by one depth-first walk over arc ids from the column's row-0 vertex
 (rooted paths) and from its row n-1 vertex by the double step (skipping
@@ -18,12 +25,15 @@ and no path with a fault is completed (``_Engine._column_candidates``).
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
-The run takes the union of those sets, so an arc set met along several
-branches or items is judged once, in the calling process (``_judge``): it
-must be connected (by default strictly: the lift to the plane is one
-piece), and survivors are reduced to canonical form and keyed by canonical
-identifier, so duplicate classes collapse and results are independent of
-scheduling.
+The run takes the union of those sets and judges it in the calling process
+(``_judge``), one arc set per symmetry orbit: the other members, found
+through the arc-id permutations of ``canonical.arc_permutations``, are
+skipped, since connectivity and the canonical form are the same on the
+whole orbit (after McKay's orderly generation: reject each orbit once).
+The set judged must be connected (by default strictly: the lift to the
+plane is one piece), and survivors are reduced to canonical form and keyed
+by canonical identifier, so duplicate classes collapse and results are
+independent of scheduling.
 
 The search tree is partitioned into independent work items by the position of
 the first path placed (all earlier columns empty). Items share nothing and
@@ -37,7 +47,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .canonical import _dominated, canonical_representative, identifier_text
+from .canonical import (
+    _dominated,
+    arc_permutations,
+    canonical_representative,
+    identifier_text,
+)
 from .embedding import (
     _NO_ARCS,
     GroundEmbedding,
@@ -105,15 +120,18 @@ class _Engine:
         self.dims = dims
         self.t = tables_for(dims)
         self.columns = [self._column_candidates(c) for c in range(dims.cols)]
-        self.offsets = []
+        self.offsets = []  # one per column, then the number of candidates
         self.column_masks = []  # a column's part of a bitset, bit i for cand i
         total = 0
         for cands in self.columns:
             self.offsets.append(total)
             self.column_masks.append((1 << len(cands)) - 1)
             total += len(cands)
+        self.offsets.append(total)
         self.all_alive = (1 << total) - 1
         self.arc_keep, self.full_keep = self._keep_masks(total)
+        # per vertex: the candidates that add an arc into it
+        self.into = [self.all_alive ^ keep for keep in self.full_keep]
 
     def _column_candidates(self, col: int) -> list[_Candidate]:
         """One candidate per distinct arc set a lace path lays down at the
@@ -191,6 +209,24 @@ class _Engine:
             full ^= low
         return alive
 
+    def child_limit(self, alive: int, waiting: int, left: int) -> int:
+        """One past the highest bit a child of a node may take, for a node
+        whose ``waiting`` vertices have exactly one arc in and whose
+        children take bits from ``left`` on: the last alive candidate that
+        adds the second arc into each of them must still be reachable. A
+        value of at most ``left`` means that one of them never gets it."""
+        into = self.into
+        limit = self.offsets[-1]
+        while waiting:
+            low = waiting & -waiting
+            top = (alive & into[low.bit_length() - 1]).bit_length()
+            if top < limit:
+                if top <= left:
+                    return top
+                limit = top
+            waiting ^= low
+        return limit
+
     def alive_in(self, alive: int, col: int) -> int:
         """Column ``col``'s part of an alive bitset: bit i is candidate i."""
         return (alive >> self.offsets[col]) & self.column_masks[col]
@@ -244,28 +280,43 @@ class _ItemRunner:
         eng = self.eng
         cand = eng.columns[col][index]
         s = _apply(state, cand)
+        alive = eng.narrow(alive, state, s, cand)
+        # every child, and everything below it, takes candidates from the
+        # bits above this node's: later in the column after a first path,
+        # in later columns only after a second
+        limit = eng.offsets[-1]
+        waiting = s.in_ge1 ^ s.in_ge2
+        if waiting:
+            left = eng.offsets[col] + index + 1 if first else eng.offsets[col + 1]
+            limit = eng.child_limit(alive, waiting, left)
+            if limit <= left:
+                return  # a vertex with one arc in can never get its second
         if self.pruning and _dominated(s, eng.dims.cols):
             return
-        alive = eng.narrow(alive, state, s, cand)
-        self._descend(s, alive, col + 1)
+        self._descend(s, alive, col + 1, limit)
         if first:
-            self._scan(s, alive, col, index + 1, False)
+            self._scan(s, alive, col, index + 1, False, limit)
 
-    def _descend(self, state: _State, alive: int, col: int):
+    def _descend(self, state: _State, alive: int, col: int, limit: int):
         """Complete the state over the columns from ``col`` on: all of them
         unused, then a first path in the last column, and so on back to
-        ``col``."""
+        ``col``. Only candidates below bit ``limit`` are tried."""
         # degrees never exceed 2 and out-degrees equal in-degrees (see
         # _Engine), so the used vertices are 2-in/2-out exactly when every
         # vertex with an arc in has two
         if state.in_ge2 == state.in_ge1:
             self.leaves.add(state.arcs_mask)
         for c in range(self.eng.dims.cols - 1, col - 1, -1):
-            self._scan(state, alive, c, 0, True)
+            self._scan(state, alive, c, 0, True, limit)
 
-    def _scan(self, state: _State, alive: int, col: int, start: int, first: bool):
+    def _scan(self, state: _State, alive: int, col: int, start: int, first: bool,
+              limit: int):
         # every set bit is a candidate that fits: nothing is left to test
-        m = self.eng.alive_in(alive, col) >> start
+        eng = self.eng
+        below = limit - eng.offsets[col] - start  # candidates under the limit
+        if below <= 0:
+            return
+        m = (eng.alive_in(alive, col) >> start) & ((1 << below) - 1)
         while m:
             low = m & -m
             self._place(state, alive, col, start + low.bit_length() - 1, first)
@@ -273,11 +324,20 @@ class _ItemRunner:
 
 
 def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbedding]:
-    """The connected classes among regular arc sets, each set judged once:
-    canonical representatives keyed by identifier text."""
+    """The connected classes among regular arc sets, one set judged per
+    symmetry orbit: canonical representatives keyed by identifier text.
+    Connectivity and the canonical form are the same on every member of an
+    orbit, so the other members met among the leaves are skipped."""
+    perms = tuple(arc_permutations(eng.dims).values())
+    seen: set[int] = set()
     found: dict[str, GroundEmbedding] = {}
-    for mask in leaves:
-        e = GroundEmbedding(eng.dims, tuple(eng.t.arcs[aid] for aid in _bits(mask)))
+    for mask in sorted(leaves):
+        if mask in seen:
+            continue
+        ids = list(_bits(mask))
+        for perm in perms:
+            seen.add(sum(1 << perm[aid] for aid in ids))
+        e = GroundEmbedding(eng.dims, tuple(eng.t.arcs[aid] for aid in ids))
         if not (windings_span_plane(e) if strict else check_connected(e).ok):
             continue
         eid, rep = canonical_representative(e)

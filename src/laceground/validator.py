@@ -183,7 +183,8 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
 
 def check_rotationally_consecutive(e: GroundEmbedding) -> CheckResult:
     """Every used vertex must read in,in,out,out around the compass (up to
-    rotation); an alternating vertex is the witness. Requires 2-regularity."""
+    rotation); an alternating vertex is the witness. Requires 2-regularity
+    and at most one arc per slot."""
     return _rotationally_consecutive(e, check_two_regular(e))
 
 
@@ -191,7 +192,13 @@ def _rotationally_consecutive(e: GroundEmbedding,
                               two_regular: CheckResult) -> CheckResult:
     if not two_regular.ok:
         return CheckResult(BLOCKED, two_regular.witness, "requires 2-regularity")
-    for v, recs in sorted(e.slot_records().items()):
+    table = e.slot_records()
+    # two arcs in one slot have no order around the vertex: their records
+    # would be read in arc order, which a translation changes
+    for v, recs in sorted(table.items()):
+        if len({rec.slot for rec in recs}) < len(recs):
+            return CheckResult(BLOCKED, v, "requires an embedding without slot conflicts")
+    for v, recs in sorted(table.items()):
         flags = [rec.incoming for rec in recs]
         changes = sum(flags[i] != flags[(i + 1) % len(flags)] for i in range(len(flags)))
         if changes != 2:

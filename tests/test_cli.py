@@ -198,9 +198,13 @@ def test_verify_shared_slots_answers_without_circuits(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["embedded"]["status"] == "fail"
     assert doc["two_regular"]["status"] == "pass"
-    assert doc["rotationally_consecutive"]["status"] == "pass"
-    assert doc["conserved"] == {"status": "blocked", "witness": None,
-                                "detail": "requires an embedding without conflicts"}
+    # two arcs in one slot have no order around the vertex
+    assert doc["rotationally_consecutive"] == {
+        "status": "blocked", "witness": [0, 0],
+        "detail": "requires an embedding without slot conflicts"}
+    assert doc["conserved"] == {
+        "status": "blocked", "witness": None,
+        "detail": "requires 2-regularity and rotational consecutiveness"}
     assert doc["circuits"] == []
 
 

@@ -3,20 +3,45 @@ import hashlib
 import pytest
 
 from laceground import search
-from laceground.canonical import identifier, solution_name
-from laceground.embedding import _first_fault, path_arcs, serialize, tables_for
+from laceground.canonical import (
+    _dominated,
+    canonical_id,
+    canonical_representative,
+    identifier,
+    identifier_text,
+    solution_name,
+)
+from laceground.embedding import (
+    GroundEmbedding,
+    _apply,
+    _first_fault,
+    _State,
+    path_arcs,
+    serialize,
+    tables_for,
+)
 from laceground.geometry import TorusDims
 from laceground.paths import generate_lace_paths
-from laceground.search import SearchConfig, _engine, _pool_size, count_table, enumerate_grounds
-from laceground.validator import full_report
+from laceground.search import (
+    SearchConfig,
+    _bits,
+    _engine,
+    _judge,
+    _pool_size,
+    _run_item,
+    _work_items,
+    count_table,
+    enumerate_grounds,
+)
+from laceground.validator import check_connected, full_report, windings_span_plane
 
 # the loose model (connected on the torus only)
 SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
 
 # sha256 over "name\nfile" of every default-model solution in order (first 16
 # hex digits), and the nodes visited
-GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 439), (2, 3): ("f5837c02a18e0854", 7710),
-          (3, 2): ("376e130448769230", 11753), (1, 5): ("96d48af6994e947f", 1930)}
+GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 392), (2, 3): ("f5837c02a18e0854", 4704),
+          (3, 2): ("376e130448769230", 10634), (1, 5): ("96d48af6994e947f", 503)}
 
 
 @pytest.mark.parametrize("dims,expected", sorted(SMALL_COUNTS.items()))
@@ -111,9 +136,25 @@ def test_pool_size_is_bounded(monkeypatch):
     assert _pool_size(8, 100) == 1
 
 
-def test_each_regular_arc_set_judged_once_in_the_caller(monkeypatch):
-    """Work items return arc sets and the run judges each distinct one once,
-    in the calling process, the same sets whatever the number of jobs."""
+def _leaves(dims):
+    """The union of the work items' regular leaf arc sets."""
+    leaves = set()
+    for col, idx in _work_items(_engine(dims)):
+        leaves |= _run_item((dims, True, None, col, idx))[0]
+    return leaves
+
+
+def _arcs_of(dims, mask):
+    return tuple(tables_for(dims).arcs[aid] for aid in _bits(mask))
+
+
+def test_each_orbit_judged_once_in_the_caller(monkeypatch):
+    """Work items return arc sets and the run judges one member of each
+    symmetry orbit among them, in the calling process, the same members
+    whatever the number of jobs."""
+    dims = TorusDims(2, 3)
+    orbits = {canonical_id(GroundEmbedding(dims, _arcs_of(dims, mask)))
+              for mask in _leaves(dims)}
     judged = []
     original = search.windings_span_plane
 
@@ -126,11 +167,85 @@ def test_each_regular_arc_set_judged_once_in_the_caller(monkeypatch):
     runs = []
     for jobs in (1, 2):
         judged.clear()
-        enumerate_grounds(SearchConfig(TorusDims(2, 3), jobs=jobs))
-        assert judged
-        assert len(set(judged)) == len(judged)
+        enumerate_grounds(SearchConfig(dims, jobs=jobs))
+        judged_orbits = [canonical_id(GroundEmbedding(dims, arcs)) for arcs in judged]
+        assert len(set(judged_orbits)) == len(judged_orbits)
+        assert set(judged_orbits) == orbits
         runs.append(set(judged))
     assert runs[0] == runs[1]
+    assert len(orbits) < len(_leaves(dims))  # some leaves were skipped
+
+
+def _judge_each_leaf(eng, leaves, strict):
+    """The leaf judge without orbits: every regular arc set tested and
+    canonicalised on its own."""
+    found = {}
+    for mask in leaves:
+        e = GroundEmbedding(eng.dims, _arcs_of(eng.dims, mask))
+        if windings_span_plane(e) if strict else check_connected(e).ok:
+            eid, rep = canonical_representative(e)
+            found.setdefault(identifier_text(eid), rep)
+    return found
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4)], ids="{0[0]}x{0[1]}".format)
+def test_orbit_judge_matches_per_leaf_judge(dims, strict):
+    dims = TorusDims(*dims)
+    eng = _engine(dims)
+    leaves = _leaves(dims)
+    got = _judge(eng, leaves, strict)
+    expected = _judge_each_leaf(eng, leaves, strict)
+    assert sorted(got) == sorted(expected)
+    assert [serialize(got[k]) for k in sorted(got)] == \
+           [serialize(expected[k]) for k in sorted(expected)]
+
+
+def _walk_without_lookahead(dims):
+    """The search tree as it is without the degree lookahead: every
+    undominated node descends. Returns its regular leaf arc sets and its
+    node count."""
+    eng = _engine(dims)
+    leaves = set()
+    nodes = 0
+
+    def place(state, alive, col, index, first):
+        nonlocal nodes
+        nodes += 1
+        cand = eng.columns[col][index]
+        s = _apply(state, cand)
+        if _dominated(s, dims.cols):
+            return
+        alive = eng.narrow(alive, state, s, cand)
+        if s.in_ge2 == s.in_ge1:
+            leaves.add(s.arcs_mask)
+        for c in range(dims.cols - 1, col, -1):
+            scan(s, alive, c, 0, True)
+        if first:
+            scan(s, alive, col, index + 1, False)
+
+    def scan(state, alive, col, start, first):
+        for i in range(start, len(eng.columns[col])):
+            if eng.alive_in(alive, col) >> i & 1:
+                place(state, alive, col, i, first)
+
+    for col, idx in _work_items(eng):
+        place(_State(dims.cols), eng.all_alive, col, idx, True)
+    return leaves, nodes
+
+
+# nodes of the tree without the lookahead, as the search visited them before
+# it had one
+TREE_WITHOUT_LOOKAHEAD = {(2, 2): 439, (2, 3): 7710, (3, 2): 11753, (1, 5): 1930,
+                          (4, 1): 1335}
+
+
+@pytest.mark.parametrize("dims", sorted(TREE_WITHOUT_LOOKAHEAD), ids="{0[0]}x{0[1]}".format)
+def test_lookahead_keeps_every_regular_leaf(dims):
+    """The lookahead cuts only branches without a regular leaf below."""
+    leaves, nodes = _walk_without_lookahead(TorusDims(*dims))
+    assert _leaves(TorusDims(*dims)) == leaves
+    assert nodes == TREE_WITHOUT_LOOKAHEAD[dims]
 
 
 def _columns_from_paths(dims):
