@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
     else:
         print(report_to_text(report), end="")
     if args.braid:
-        for (r, c), actions in sorted(emb.zeta):
+        for (r, c), actions in emb.zeta:
             word = to_braid_word(actions)
             print(f"braid ({r},{c}) {actions}: {word}")
     return EXIT_OK if report.all_pass(strict=args.strict) else EXIT_PROPERTY_FAIL

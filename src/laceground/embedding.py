@@ -10,10 +10,8 @@ two records: a ``_Candidate`` is a set of arcs added as one move, and a
 ``_State`` is the partial embedding it is added to. Both hold bitsets only:
 arcs, slots, and the vertices with at least one and with two arcs in and
 out (no degree passes 2), plus the row-0 label entries that the domination
-test reads. ``_feasible`` tests a move with a few integer ANDs and
-``_apply`` makes it. The search does not call ``_feasible`` per candidate:
-it keeps, per column, an alive bitset of the candidates that pass it and
-narrows the bitset as moves are made (see ``search``).
+test reads. ``_apply`` makes a move; the search never tests one, since it
+keeps an alive bitset of the candidates that still fit (see ``search``).
 
 The rules by which an arc cannot join a sequence of arcs (a repeat, a
 conflict with its own periodic copies, a taken slot, a crossing, a third
@@ -24,9 +22,9 @@ over a whole sequence to name the first arc that fails, for ``verify`` and
 of a column, so it builds the candidates from the fault-free paths only
 and from the masks the walk already holds.
 
-The value API is a thin layer over that engine: ``add_path`` builds the
-candidate for a path, tests it against the state of its input and returns a
-new embedding or a ``Rejection``, never mutating its argument.
+The value API is a thin layer over that engine: ``add_path`` runs
+``_first_fault`` over the arcs of its input and then the path's, and
+returns a new embedding or a ``Rejection``, never mutating its argument.
 """
 
 from dataclasses import dataclass
@@ -247,20 +245,6 @@ class _State:
         self.in_ge1 = self.in_ge2 = self.out_ge1 = self.out_ge2 = 0
 
 
-def _feasible(state: _State, cand: _Candidate) -> bool:
-    # pure mask arithmetic: no shared arcs or crossings, free slots, and the
-    # degree caps hold (a vertex at 2 takes nothing, a vertex at 1 cannot
-    # take a double contribution)
-    return not (
-        state.arcs_mask & cand.blocked_mask
-        or state.slots_mask & cand.slots_mask
-        or state.in_ge2 & cand.in_any
-        or state.in_ge1 & cand.in_two
-        or state.out_ge2 & cand.out_any
-        or state.out_ge1 & cand.out_two
-    )
-
-
 def _apply(state: _State, cand: _Candidate) -> _State:
     """The state after the move; ``state`` is left as it was. The degree
     bitsets saturate at 2, which is exact for feasible moves."""
@@ -334,11 +318,13 @@ def path_arcs(path: LacePath, start_col: int, dims: TorusDims) -> list[Arc]:
 def add_path(
     e: GroundEmbedding, path: LacePath, start_col: int
 ) -> tuple[Optional[GroundEmbedding], Optional[Rejection]]:
-    """Add every arc of the path as one search move.
+    """Add every arc of the path.
 
-    Returns (new_embedding, None) on success or (None, rejection); the input
-    embedding is untouched either way. The rejection names the first arc
-    that fails, taking the arcs of ``e`` first and then the path's in order.
+    Returns (new_embedding, None) when ``verify``'s fault rule
+    (``_first_fault``) accepts the arcs of ``e`` followed by the path's, or
+    else (None, rejection) naming the first arc that fails; the input
+    embedding is untouched either way. So an ``e`` that already holds a
+    fault takes no path.
     """
     dims = e.dims
     if not 0 <= start_col < dims.cols:
@@ -346,11 +332,11 @@ def add_path(
     if path.height != dims.rows:
         raise ValueError(f"path height {path.height} != rows {dims.rows}")
     t = tables_for(dims)
-    arcs = path_arcs(path, start_col, dims)
-    ids = [t.arc_id[a] for a in arcs]
-    if _first_fault(ids, t) is None and _feasible(_state_of(e), _Candidate(ids, t)):
-        return GroundEmbedding(dims, e.arcs + tuple(arcs), e.zeta), None
-    return None, _first_fault([t.arc_id[a] for a in e.arcs] + ids, t)
+    arcs = e.arcs + tuple(path_arcs(path, start_col, dims))
+    fault = _first_fault([t.arc_id[a] for a in arcs], t)
+    if fault is None:
+        return GroundEmbedding(dims, arcs, e.zeta), None
+    return None, fault
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +356,9 @@ def serialize(e: GroundEmbedding) -> str:
     """Canonical text form: header, dims, arcs in row-major origin order,
     then zeta annotations."""
     lines = ["ground v1", f"dims {e.dims.rows} {e.dims.cols}"]
-    for a in sorted(e.arcs):
+    for a in e.arcs:
         lines.append(f"arc {a.row} {a.col} {a.dx} {a.dy}")
-    for (r, c), actions in sorted(e.zeta):
+    for (r, c), actions in e.zeta:
         lines.append(f"zeta {r} {c} {actions}")
     return "\n".join(lines) + "\n"
 

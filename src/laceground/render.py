@@ -51,7 +51,7 @@ def render_svg(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
     # arcs, one instance per tile
     for tr in range(rep_r):
         for tc in range(rep_c):
-            for a in sorted(e.arcs):
+            for a in e.arcs:
                 r0 = tr * rows + a.row
                 c0 = tc * cols + a.col
                 r1, c1 = r0 + a.dy, c0 + a.dx

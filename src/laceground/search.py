@@ -1,20 +1,28 @@
 """Backtracking enumeration of ground embeddings.
 
-Column by column, the search adds zero, one or two lace paths (each rooted at
-that column) with the mask engine of ``embedding``. Each node carries an
-alive bitset: the candidates of every column that still fit its state,
-exactly those ``_feasible`` accepts. A move narrows it with a few ANDs of
-precomputed masks, one per arc the move adds and one per vertex it fills
-(``_Engine.narrow``), so a node's children are read off its set bits
-instead of testing every candidate of the column at every node. This is
-the bitset form of the option lists of Knuth's Dancing Links.
+The search adds lace paths one at a time with the mask engine of
+``embedding``. Its options form one flat list of candidates: those of
+column 0, then those of column 1, and so on, each candidate the arcs of a
+path rooted at its column. A node is a set of candidates and carries an
+alive bitset: the candidates above its last one that still fit its state,
+exactly those whose arcs ``embedding._first_fault`` accepts after the
+state's. A move narrows it with a few ANDs of precomputed masks, one per
+arc the move adds and one per vertex it fills (``_Engine.narrow``), so a
+node's children are read off its set bits instead of testing every
+candidate at every node. This is the bitset form of the option lists of
+Knuth's Dancing Links.
 
-Children take candidates in bit order: everything below a node lies above
-its own bit. So a vertex with exactly one arc in needs an alive candidate
-above that bit adding an arc into it, or no leaf below is 2-in/2-out; the
-degree lookahead (``_Engine.child_limit``) cuts such a node before the
-domination test, and stops a node's children at the last bit that can
-still give each such vertex its second arc.
+A column takes at most two paths, and the masks alone keep that rule: once
+two of a column's candidates are placed, none of the others fits (two
+rooted paths fill the arcs into the column's row-0 vertex, a skipping
+path's double step blocks that vertex, and two skipping paths share their
+first arc).
+
+Everything below a node takes candidates above its own bit. So a vertex
+with exactly one arc in needs an alive candidate adding an arc into it, or
+no leaf below is 2-in/2-out; the degree lookahead (``_Engine.child_limit``)
+cuts such a node before the domination test, and stops a node's children at
+the last bit that can still give each such vertex its second arc.
 
 A column's candidates are the distinct arc sets its lace paths lay down,
 built by one depth-first walk over arc ids from the column's row-0 vertex
@@ -35,15 +43,16 @@ plane is one piece), and survivors are reduced to canonical form and keyed
 by canonical identifier, so duplicate classes collapse and results are
 independent of scheduling.
 
-The search tree is partitioned into independent work items by the position of
-the first path placed (all earlier columns empty). Items share nothing and
-their leaf sets merge commutatively, which makes multi-process runs
-byte-identical to the single-process reference run.
+The search tree is partitioned into independent work items by the first
+candidate placed. Items share nothing and their leaf sets merge
+commutatively, which makes multi-process runs byte-identical to the
+single-process reference run.
 """
 
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,14 +105,12 @@ class SearchResult:
 
 
 class _Engine:
-    """The candidate columns of a grid and the masks that keep their alive
-    bitsets.
+    """The candidates of a grid and the masks that keep their alive bitsets.
 
-    An alive bitset holds, for every column at once, the candidates that
-    still fit the search state: bit ``offsets[c] + i`` stands for
-    ``columns[c][i]``. A move narrows it by ANDing it with precomputed masks
-    (``narrow``), each the complement of the candidates that a state with
-    some feature cannot take:
+    Bit ``k`` of an alive bitset stands for ``candidates[k]``. A move
+    narrows the bitset by ANDing it with precomputed masks (``narrow``),
+    each the complement of the candidates that a state with some feature
+    cannot take:
 
     - ``arc_keep[a]``, a state holding arc ``a``: the dead candidates
       contain or cross it (``blocked_mask``), share one of its slots, or add
@@ -119,17 +126,10 @@ class _Engine:
     def __init__(self, dims: TorusDims):
         self.dims = dims
         self.t = tables_for(dims)
-        self.columns = [self._column_candidates(c) for c in range(dims.cols)]
-        self.offsets = []  # one per column, then the number of candidates
-        self.column_masks = []  # a column's part of a bitset, bit i for cand i
-        total = 0
-        for cands in self.columns:
-            self.offsets.append(total)
-            self.column_masks.append((1 << len(cands)) - 1)
-            total += len(cands)
-        self.offsets.append(total)
-        self.all_alive = (1 << total) - 1
-        self.arc_keep, self.full_keep = self._keep_masks(total)
+        self.candidates = [cand for c in range(dims.cols)
+                           for cand in self._column_candidates(c)]
+        self.all_alive = (1 << len(self.candidates)) - 1
+        self.arc_keep, self.full_keep = self._keep_masks()
         # per vertex: the candidates that add an arc into it
         self.into = [self.all_alive ^ keep for keep in self.full_keep]
 
@@ -165,7 +165,7 @@ class _Engine:
                 out.append(_Candidate(ids, t, masks))
         return out
 
-    def _keep_masks(self, total: int) -> tuple[list[int], list[int]]:
+    def _keep_masks(self) -> tuple[list[int], list[int]]:
         t = self.t
         # arcs sharing a slot with each arc, and arcs into each vertex
         sharers = [sum(1 << b for b, sb in enumerate(t.slot_mask) if sa & sb)
@@ -175,23 +175,21 @@ class _Engine:
             into[t.head_vid[aid]] |= 1 << aid
         # the dead candidates as bit matrices, one row per arc and per
         # vertex, filled bytewise
-        size = (total + 7) // 8
+        size = (len(self.candidates) + 7) // 8
         arc_rows = [bytearray(size) for _ in t.arcs]
         full_rows = [bytearray(size) for _ in range(t.n_vertices)]
-        for col, cands in enumerate(self.columns):
-            for i, cand in enumerate(cands):
-                assert cand.in_any == cand.out_any and cand.in_two == cand.out_two
-                k = self.offsets[col] + i
-                byte, bit = k >> 3, 1 << (k & 7)
-                arcs = cand.blocked_mask
-                for aid in cand.arc_ids:
-                    arcs |= sharers[aid]
-                for v in _bits(cand.in_two):
-                    arcs |= into[v]
-                for aid in _bits(arcs):
-                    arc_rows[aid][byte] |= bit
-                for v in _bits(cand.in_any):
-                    full_rows[v][byte] |= bit
+        for k, cand in enumerate(self.candidates):
+            assert cand.in_any == cand.out_any and cand.in_two == cand.out_two
+            byte, bit = k >> 3, 1 << (k & 7)
+            arcs = cand.blocked_mask
+            for aid in cand.arc_ids:
+                arcs |= sharers[aid]
+            for v in _bits(cand.in_two):
+                arcs |= into[v]
+            for aid in _bits(arcs):
+                arc_rows[aid][byte] |= bit
+            for v in _bits(cand.in_any):
+                full_rows[v][byte] |= bit
         everything = self.all_alive
         return ([everything ^ int.from_bytes(r, "little") for r in arc_rows],
                 [everything ^ int.from_bytes(r, "little") for r in full_rows])
@@ -209,27 +207,22 @@ class _Engine:
             full ^= low
         return alive
 
-    def child_limit(self, alive: int, waiting: int, left: int) -> int:
+    def child_limit(self, alive: int, waiting: int) -> int:
         """One past the highest bit a child of a node may take, for a node
-        whose ``waiting`` vertices have exactly one arc in and whose
-        children take bits from ``left`` on: the last alive candidate that
-        adds the second arc into each of them must still be reachable. A
-        value of at most ``left`` means that one of them never gets it."""
+        whose ``waiting`` vertices have exactly one arc in: the last alive
+        candidate that adds the second arc into each of them must still be
+        reachable. Zero means that one of them never gets it."""
         into = self.into
-        limit = self.offsets[-1]
+        limit = len(self.candidates)
         while waiting:
             low = waiting & -waiting
             top = (alive & into[low.bit_length() - 1]).bit_length()
             if top < limit:
-                if top <= left:
-                    return top
+                if not top:
+                    return 0
                 limit = top
             waiting ^= low
         return limit
-
-    def alive_in(self, alive: int, col: int) -> int:
-        """Column ``col``'s part of an alive bitset: bit i is candidate i."""
-        return (alive >> self.offsets[col]) & self.column_masks[col]
 
 
 def _bits(mask: int):
@@ -262,65 +255,41 @@ class _ItemRunner:
         self.leaves: set[int] = set()  # arc sets of the regular leaves met
         self.complete = True
 
-    def run(self, start_col: int, first_index: int):
+    def run(self, first: int):
         eng = self.eng
         try:
-            self._place(_State(eng.dims.cols), eng.all_alive, start_col,
-                        first_index, True)
+            self._place(_State(eng.dims.cols), eng.all_alive, first)
         except _Budget:
             self.complete = False
 
-    def _place(self, state: _State, alive: int, col: int, index: int, first: bool):
-        """Add candidate ``index`` of column ``col``, then leave the column,
-        or, after the column's first path, add a second one later in the
-        column's order."""
+    def _place(self, state: _State, alive: int, k: int):
+        """Add candidate ``k``, then each alive candidate above it in turn."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _Budget()
         eng = self.eng
-        cand = eng.columns[col][index]
+        cand = eng.candidates[k]
         s = _apply(state, cand)
-        alive = eng.narrow(alive, state, s, cand)
-        # every child, and everything below it, takes candidates from the
-        # bits above this node's: later in the column after a first path,
-        # in later columns only after a second
-        limit = eng.offsets[-1]
+        # every child, and everything below it, takes bits above this node's
+        alive = eng.narrow(alive & -(2 << k), state, s, cand)
         waiting = s.in_ge1 ^ s.in_ge2
+        children = alive
         if waiting:
-            left = eng.offsets[col] + index + 1 if first else eng.offsets[col + 1]
-            limit = eng.child_limit(alive, waiting, left)
-            if limit <= left:
+            children &= (1 << eng.child_limit(alive, waiting)) - 1
+            if not children:
                 return  # a vertex with one arc in can never get its second
         if self.pruning and _dominated(s, eng.dims.cols):
             return
-        self._descend(s, alive, col + 1, limit)
-        if first:
-            self._scan(s, alive, col, index + 1, False, limit)
-
-    def _descend(self, state: _State, alive: int, col: int, limit: int):
-        """Complete the state over the columns from ``col`` on: all of them
-        unused, then a first path in the last column, and so on back to
-        ``col``. Only candidates below bit ``limit`` are tried."""
         # degrees never exceed 2 and out-degrees equal in-degrees (see
         # _Engine), so the used vertices are 2-in/2-out exactly when every
         # vertex with an arc in has two
-        if state.in_ge2 == state.in_ge1:
-            self.leaves.add(state.arcs_mask)
-        for c in range(self.eng.dims.cols - 1, col - 1, -1):
-            self._scan(state, alive, c, 0, True, limit)
-
-    def _scan(self, state: _State, alive: int, col: int, start: int, first: bool,
-              limit: int):
+        if not waiting:
+            self.leaves.add(s.arcs_mask)
         # every set bit is a candidate that fits: nothing is left to test
-        eng = self.eng
-        below = limit - eng.offsets[col] - start  # candidates under the limit
-        if below <= 0:
-            return
-        m = (eng.alive_in(alive, col) >> start) & ((1 << below) - 1)
-        while m:
-            low = m & -m
-            self._place(state, alive, col, start + low.bit_length() - 1, first)
-            m ^= low
+        while children:
+            low = children & -children
+            self._place(s, alive, low.bit_length() - 1)
+            children ^= low
 
 
 def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbedding]:
@@ -345,18 +314,12 @@ def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbe
     return found
 
 
-def _work_items(eng: _Engine) -> list[tuple[int, int]]:
-    """Partition of the tree by the first path placed: (column, cand index).
-    Earlier columns are empty in that item; the all-empty embedding is not a
-    solution, so the partition covers everything."""
-    return [(c, i) for c in range(eng.dims.cols)
-            for i in range(len(eng.columns[c]))]
-
-
 def _run_item(args) -> tuple[set[int], int, bool]:
-    dims, pruning, budget, col, idx = args
+    """One work item: the subtree whose first candidate is ``first``. The
+    all-empty embedding is not a solution, so the items cover the tree."""
+    dims, pruning, budget, first = args
     runner = _ItemRunner(_engine(dims), pruning, budget)
-    runner.run(col, idx)
+    runner.run(first)
     return runner.leaves, runner.nodes, runner.complete
 
 
@@ -367,37 +330,30 @@ def _pool_size(jobs: int, n_items: int) -> int:
 
 
 def enumerate_grounds(config: SearchConfig) -> SearchResult:
-    """Run the full column-indexed search and return canonical solutions."""
+    """Run the full search and return canonical solutions."""
     config.dims.validate()
     start = time.monotonic()
     eng = _engine(config.dims)
-    items = _work_items(eng)
-    budgets: list[Optional[int]] = [None] * len(items)
-    if config.node_budget is not None and items:
-        per = config.node_budget // len(items)
-        extra = config.node_budget % len(items)
-        budgets = [per + (1 if k < extra else 0) for k in range(len(items))]
+    n_items = len(eng.candidates)
+    budgets: list[Optional[int]] = [None] * n_items
+    if config.node_budget is not None and n_items:
+        per, extra = divmod(config.node_budget, n_items)
+        budgets = [per + (1 if k < extra else 0) for k in range(n_items)]
 
     leaves: set[int] = set()
     nodes = 0
     complete = True
-    job_args = [(config.dims, config.pruning, budgets[k], col, idx)
-                for k, (col, idx) in enumerate(items)]
-    workers = _pool_size(config.jobs, len(items))
-    if workers == 1:
-        results = map(_run_item, job_args)
+    job_args = [(config.dims, config.pruning, budgets[k], k) for k in range(n_items)]
+    workers = _pool_size(config.jobs, n_items)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        results = (pool.map(_run_item, job_args,
+                            chunksize=max(1, n_items // (workers * 8)))
+                   if pool else map(_run_item, job_args))
         for item_leaves, n, comp in results:
             leaves |= item_leaves
             nodes += n
             complete = complete and comp
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_run_item, job_args,
-                               chunksize=max(1, len(job_args) // (workers * 8)))
-            for item_leaves, n, comp in results:
-                leaves |= item_leaves
-                nodes += n
-                complete = complete and comp
 
     found = _judge(eng, leaves, config.strict_connectivity)
     solutions = sorted(found.items())

@@ -247,7 +247,7 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
     circuits: list[list[Arc]] = []
     windings: list[WindingVector] = []
     used: set[Arc] = set()
-    for start in sorted(e.arcs):
+    for start in e.arcs:
         if start in used:
             continue
         circuit = [start]

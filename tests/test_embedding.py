@@ -53,6 +53,15 @@ def test_add_path_crossing_rejected():
     assert rej.kind == "crossing"
 
 
+def test_add_path_rejects_an_input_with_a_fault():
+    """The arcs of the input are taken first, so an input that already holds
+    a crossing takes no path, and the rejection names that crossing."""
+    e = GroundEmbedding(TorusDims(2, 2), (Arc(0, 0, -2, 0), Arc(0, 1, -1, 1)))
+    e2, rej = add_path(e, LacePath(((0, 1), (0, 1)), False), 0)
+    assert e2 is None
+    assert rej == ("crossing", (0, 1), Arc(0, 1, -1, 1))
+
+
 def test_add_path_duplicate_arc():
     e = new_embedding(TorusDims(2, 1))
     path = LacePath(((0, 1), (0, 1)), False)

@@ -19,7 +19,7 @@ from laceground.embedding import (
     GroundEmbedding,
     _apply,
     _Candidate,
-    _feasible,
+    _first_fault,
     _State,
     _state_of,
     add_path,
@@ -80,12 +80,18 @@ def test_add_path_never_mutates_its_input(e, data):
 @given(dims_2d, st.data())
 def test_alive_bitsets_are_the_feasible_candidates(dims, data):
     """The search's alive bitset, narrowed move by move, holds exactly the
-    candidates ``_feasible`` accepts, in every column and after every move."""
+    candidates whose arcs ``_first_fault`` accepts after the state's, and
+    none of a column that already holds two paths."""
     eng = _engine(dims)
     t = tables_for(dims)
     paths = generate_lace_paths(dims.rows)
     e = new_embedding(dims)
     state, alive = _State(dims.cols), eng.all_alive
+    placed = [0] * dims.cols  # paths per column
+    # a candidate's first arc leaves its column's row-0 or row n-1 vertex
+    column_bits = [0] * dims.cols
+    for k, x in enumerate(eng.candidates):
+        column_bits[t.arcs[x.arc_ids[0]].col] |= 1 << k
     for _ in range(data.draw(st.integers(0, 5))):
         path = data.draw(st.sampled_from(paths))
         col = data.draw(st.integers(0, dims.cols - 1))
@@ -93,12 +99,16 @@ def test_alive_bitsets_are_the_feasible_candidates(dims, data):
         if nxt is None:
             continue
         e = nxt
+        placed[col] += 1
         cand = _Candidate([t.arc_id[a] for a in path_arcs(path, col, dims)], t)
         after = _apply(state, cand)
         state, alive = after, eng.narrow(alive, state, after, cand)
-        for c, cands in enumerate(eng.columns):
-            expected = sum(1 << i for i, x in enumerate(cands) if _feasible(state, x))
-            assert eng.alive_in(alive, c) == expected
+        ids = [t.arc_id[a] for a in e.arcs]
+        assert alive == sum(1 << k for k, x in enumerate(eng.candidates)
+                            if _first_fault(ids + list(x.arc_ids), t) is None)
+        for c in range(dims.cols):
+            if placed[c] >= 2:
+                assert not alive & column_bits[c]
     # the moves made one by one give the state of the embedding as a whole
     whole = _state_of(e)
     assert [getattr(state, k) for k in _State.__slots__] == \

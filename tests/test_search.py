@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from laceground import search
+from laceground import cli, search
 from laceground.canonical import (
     _dominated,
     canonical_id,
@@ -29,7 +29,6 @@ from laceground.search import (
     _judge,
     _pool_size,
     _run_item,
-    _work_items,
     count_table,
     enumerate_grounds,
 )
@@ -139,8 +138,8 @@ def test_pool_size_is_bounded(monkeypatch):
 def _leaves(dims):
     """The union of the work items' regular leaf arc sets."""
     leaves = set()
-    for col, idx in _work_items(_engine(dims)):
-        leaves |= _run_item((dims, True, None, col, idx))[0]
+    for first in range(len(_engine(dims).candidates)):
+        leaves |= _run_item((dims, True, None, first))[0]
     return leaves
 
 
@@ -209,28 +208,22 @@ def _walk_without_lookahead(dims):
     leaves = set()
     nodes = 0
 
-    def place(state, alive, col, index, first):
+    def place(state, alive, k):
         nonlocal nodes
         nodes += 1
-        cand = eng.columns[col][index]
+        cand = eng.candidates[k]
         s = _apply(state, cand)
         if _dominated(s, dims.cols):
             return
         alive = eng.narrow(alive, state, s, cand)
         if s.in_ge2 == s.in_ge1:
             leaves.add(s.arcs_mask)
-        for c in range(dims.cols - 1, col, -1):
-            scan(s, alive, c, 0, True)
-        if first:
-            scan(s, alive, col, index + 1, False)
+        for i in range(k + 1, len(eng.candidates)):
+            if alive >> i & 1:
+                place(s, alive, i)
 
-    def scan(state, alive, col, start, first):
-        for i in range(start, len(eng.columns[col])):
-            if eng.alive_in(alive, col) >> i & 1:
-                place(state, alive, col, i, first)
-
-    for col, idx in _work_items(eng):
-        place(_State(dims.cols), eng.all_alive, col, idx, True)
+    for k in range(len(eng.candidates)):
+        place(_State(dims.cols), eng.all_alive, k)
     return leaves, nodes
 
 
@@ -272,8 +265,20 @@ def _columns_from_paths(dims):
                                   (4, 1), (4, 2), (1, 8)], ids="{0[0]}x{0[1]}".format)
 def test_column_walk_matches_path_builder(dims):
     """The fault-pruned walk gives the same candidates, in the same order, as
-    materialising every path; the order decides which second paths a
-    dominated node skips, so the node counts depend on it."""
+    materialising every path, column after column; the order decides which
+    later candidates a dominated node skips, so the node counts depend on
+    it."""
     dims = TorusDims(*dims)
-    got = [[c.arc_ids for c in column] for column in _engine(dims).columns]
-    assert got == _columns_from_paths(dims)
+    got = [c.arc_ids for c in _engine(dims).candidates]
+    assert got == [ids for column in _columns_from_paths(dims) for ids in column]
+
+
+def test_traced_layers_are_looked_up_by_name():
+    """``perfbench/tracing.py`` times the layers by wrapping these names
+    where their callers look them up; a refactor that imports them another
+    way would leave its per-layer metrics at zero."""
+    for module, names in ((search, ("tables_for", "windings_span_plane",
+                                    "canonical_representative")),
+                          (cli, ("enumerate_grounds", "full_report", "render_svg"))):
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)
