@@ -14,7 +14,7 @@ import hashlib
 from functools import lru_cache
 from itertools import chain
 
-from .embedding import GroundEmbedding, _state_of, tables_for
+from .embedding import GroundEmbedding, tables_for
 from .geometry import Arc, TorusDims, arc_ends, wrap
 
 TRANSFORMS = ("identity", "h_reflect", "v_reflect", "rot180")
@@ -180,29 +180,30 @@ def solution_name(eid: EmbeddingId) -> str:
 # Search pruning
 # ---------------------------------------------------------------------------
 
-def _dominated(state, cols: int) -> bool:
+def _dominated(labels, cols: int) -> bool:
     """True when a column shift, possibly mirrored, provably beats the label
-    at the origin in every completion of the search state.
+    at the origin in every completion of a partial embedding whose row-0
+    labels are ``labels`` (flat, entry col * 8 + slot).
 
     The witness is the row-0 vertex (0, c) under the identity (c != 0) or
     under h_reflect. Those two symmetries map any lace-path decomposition to
     another valid one, so the smaller-identifier member is itself reachable
     and the branch is redundant; row-reversing symmetries are deliberately
     not used as witnesses. Label entries are compared in order while both
-    are decided: a filled slot, or any slot of a vertex that is already
-    2-in/2-out, can no longer change.
+    are decided: a filled slot, or any slot of a vertex whose label has four
+    non-zero entries, can no longer change. Such a vertex is 2-in/2-out,
+    since no slot holds two arcs and no degree passes 2; more than four
+    occur only in arc sets with a fault, which have no completion.
     """
-    labels = state.labels
-    done = state.in_ge2 & state.out_ge2  # vertices already 2-in/2-out
-    if not (labels[0] or done & 1):
-        return False  # no entry of the origin is decided
     origin = labels[:8]
     # entries of the origin decided before its first undecided one
-    k0 = 8 if done & 1 or 0 not in origin else origin.index(0)
+    k0 = 8 if origin.count(0) <= 4 else origin.index(0)
+    if not k0:
+        return False  # no entry of the origin is decided
     for c in range(cols):
         label = labels[c * 8:c * 8 + 8]
         mirrored = label[:1] + label[:0:-1]  # h_reflect: entry i reads slot -i
-        witness_done = done >> c & 1
+        witness_done = label.count(0) <= 4
         # both symmetries keep label signs
         for w in ((label, mirrored) if c else (mirrored,)):
             k = k0 if witness_done or 0 not in w[:k0] else w.index(0)
@@ -213,10 +214,10 @@ def _dominated(state, cols: int) -> bool:
 
 def prune_predicate(e: GroundEmbedding) -> bool:
     """Sound branch-keeping test for partial embeddings: the search's own
-    domination test on the state of ``e``.
+    domination test on the row-0 labels of ``e``.
 
     Returns False only when no completion of ``e`` can contribute a new
     canonical class (see ``_dominated``); undecidable comparisons keep the
     branch.
     """
-    return not _dominated(_state_of(e), e.dims.cols)
+    return not _dominated(list(chain.from_iterable(label_grid(e)[0])), e.dims.cols)

@@ -1,17 +1,11 @@
-"""The toroidal embedding, the mask engine the search runs on, and the file
+"""The toroidal embedding, its conflict tables, its fault rule and the file
 format.
 
 A ``GroundEmbedding`` is an immutable value: dims, a sorted tuple of arcs,
 and optional per-vertex action annotations.
 
 All pairwise geometric conflicts for a given grid size are precomputed once
-into bitmask tables (``tables_for``). On them the search's engine works with
-two records: a ``_Candidate`` is a set of arcs added as one move, and a
-``_State`` is the partial embedding it is added to. Both hold bitsets only:
-arcs, slots, and the vertices with at least one and with two arcs in and
-out (no degree passes 2), plus the row-0 label entries that the domination
-test reads. ``_apply`` makes a move; the search never tests one, since it
-keeps an alive bitset of the candidates that still fit (see ``search``).
+into bitmask tables (``tables_for``).
 
 The rules by which an arc cannot join a sequence of arcs (a repeat, a
 conflict with its own periodic copies, a taken slot, a crossing, a third
@@ -19,12 +13,11 @@ arc at a vertex) live in one place, ``_join``, which adds arcs one by one
 to the masks of the sequence so far (``_Arcs``). ``_first_fault`` runs it
 over a whole sequence to name the first arc that fails, for ``verify`` and
 ``add_path``; the search runs it one arc at a time while it walks the paths
-of a column, so it builds the candidates from the fault-free paths only
-and from the masks the walk already holds.
+of a column, and builds its candidates from the masks that walk holds.
 
-The value API is a thin layer over that engine: ``add_path`` runs
-``_first_fault`` over the arcs of its input and then the path's, and
-returns a new embedding or a ``Rejection``, never mutating its argument.
+``add_path`` runs ``_first_fault`` over the arcs of its input and then the
+path's, and returns a new embedding or a ``Rejection``, never mutating its
+argument.
 """
 
 from dataclasses import dataclass
@@ -191,80 +184,6 @@ def _first_fault(arc_ids, t: MaskTables, degree: bool = True) -> Optional[Reject
     return Rejection(kind, arc.head(t.dims) if at_head else (arc.row, arc.col), arc)
 
 
-class _Candidate:
-    """A set of arcs added as one search move, with its combined masks.
-
-    Its degrees are four vertex bitsets: the vertices it adds at least one,
-    or two, arcs into, or out of. Of its label entries only row 0's are
-    kept, since the domination test reads no others. ``masks``, when given,
-    are the arcs' masks as ``_join`` joined them.
-    """
-
-    __slots__ = ("arc_ids", "arcs_mask", "slots_mask", "blocked_mask",
-                 "in_any", "in_two", "out_any", "out_two", "label_updates")
-
-    def __init__(self, arc_ids, t: MaskTables, masks: Optional[_Arcs] = None):
-        if masks is None:
-            arcs_mask = slots = conflict = 0
-            in_any = in_two = out_any = out_two = 0
-            for aid in arc_ids:
-                arcs_mask |= 1 << aid
-                slots |= t.slot_mask[aid]
-                conflict |= t.conflict_mask[aid]
-                o, h = 1 << t.origin_vid[aid], 1 << t.head_vid[aid]
-                out_two |= out_any & o
-                out_any |= o
-                in_two |= in_any & h
-                in_any |= h
-            masks = _Arcs(arcs_mask, slots, conflict, out_any, out_two, in_any, in_two)
-        self.arc_ids = tuple(arc_ids)
-        self.arcs_mask = masks.arcs
-        self.slots_mask = masks.slots
-        # arcs that may not be present: the set itself plus everything it crosses
-        self.blocked_mask = masks.arcs | masks.crossed
-        self.in_any, self.in_two = masks.in_any, masks.in_two
-        self.out_any, self.out_two = masks.out_any, masks.out_two
-        row0 = t.dims.cols * 8
-        self.label_updates = tuple(end for aid in arc_ids for end in t.ends[aid]
-                                   if end[0] < row0)
-
-
-class _State:
-    """A partial embedding as the search holds it: masks of its arcs and
-    slots, the degree bitsets (vertices with at least one and with two arcs
-    in and out; the search never lets a degree pass 2) and the flat label
-    grid of row 0 (entry col * 8 + slot)."""
-
-    __slots__ = ("arcs_mask", "slots_mask", "labels",
-                 "in_ge1", "in_ge2", "out_ge1", "out_ge2")
-
-    def __init__(self, cols: int):
-        self.arcs_mask = 0
-        self.slots_mask = 0
-        self.labels = [0] * (cols * 8)
-        self.in_ge1 = self.in_ge2 = self.out_ge1 = self.out_ge2 = 0
-
-
-def _apply(state: _State, cand: _Candidate) -> _State:
-    """The state after the move; ``state`` is left as it was. The degree
-    bitsets saturate at 2, which is exact for feasible moves."""
-    s = _State.__new__(_State)
-    s.arcs_mask = state.arcs_mask | cand.arcs_mask
-    s.slots_mask = state.slots_mask | cand.slots_mask
-    in1, out1 = state.in_ge1, state.out_ge1
-    s.in_ge1 = in1 | cand.in_any
-    s.in_ge2 = state.in_ge2 | (in1 & cand.in_any) | cand.in_two
-    s.out_ge1 = out1 | cand.out_any
-    s.out_ge2 = state.out_ge2 | (out1 & cand.out_any) | cand.out_two
-    if cand.label_updates:
-        labels = s.labels = state.labels[:]
-        for index, value in cand.label_updates:
-            labels[index] = value
-    else:
-        s.labels = state.labels  # never written after its state is made
-    return s
-
-
 @dataclass(frozen=True)
 class GroundEmbedding:
     dims: TorusDims
@@ -296,12 +215,6 @@ class GroundEmbedding:
 def new_embedding(dims: TorusDims) -> GroundEmbedding:
     dims.validate()
     return GroundEmbedding(dims)
-
-
-def _state_of(e: GroundEmbedding) -> _State:
-    """The search's state for an embedding: its arcs applied as one move."""
-    t = tables_for(e.dims)
-    return _apply(_State(e.dims.cols), _Candidate([t.arc_id[a] for a in e.arcs], t))
 
 
 def path_arcs(path: LacePath, start_col: int, dims: TorusDims) -> list[Arc]:

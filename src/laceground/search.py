@@ -1,16 +1,20 @@
 """Backtracking enumeration of ground embeddings.
 
-The search adds lace paths one at a time with the mask engine of
-``embedding``. Its options form one flat list of candidates: those of
-column 0, then those of column 1, and so on, each candidate the arcs of a
-path rooted at its column. A node is a set of candidates and carries an
-alive bitset: the candidates above its last one that still fit its state,
-exactly those whose arcs ``embedding._first_fault`` accepts after the
-state's. A move narrows it with a few ANDs of precomputed masks, one per
-arc the move adds and one per vertex it fills (``_Engine.narrow``), so a
-node's children are read off its set bits instead of testing every
-candidate at every node. This is the bitset form of the option lists of
-Knuth's Dancing Links.
+The search adds lace paths one at a time. Its options form one flat list
+of candidates: those of column 0, then those of column 1, and so on, each
+candidate the arcs of a path rooted at its column. A node is a set of
+candidates, and its state is four plain values: the placed arcs as a
+bitset, the vertices with at least one arc in, the vertices with two arcs
+in (no degree passes 2), and the flat row-0 label list (entry
+col * 8 + slot) that the domination test reads. Out-degrees need no value
+of their own: every candidate is a closed walk, so they equal the
+in-degrees. A node also carries an alive bitset: the candidates above its
+last one that still fit its state, exactly those whose arcs
+``embedding._first_fault`` accepts after the state's. A move narrows it
+with a few ANDs of precomputed masks, one per arc the move adds and one
+per vertex it fills (``_Engine.narrow``), so a node's children are read
+off its set bits instead of testing every candidate at every node. This is
+the bitset form of the option lists of Knuth's Dancing Links.
 
 A column takes at most two paths, and the masks alone keep that rule: once
 two of a column's candidates are placed, none of the others fits (two
@@ -62,15 +66,7 @@ from .canonical import (
     canonical_representative,
     identifier_text,
 )
-from .embedding import (
-    _NO_ARCS,
-    GroundEmbedding,
-    _apply,
-    _Candidate,
-    _State,
-    _join,
-    tables_for,
-)
+from .embedding import _NO_ARCS, GroundEmbedding, MaskTables, _Arcs, _join, tables_for
 from .geometry import TorusDims
 from .paths import _lace_paths
 from .validator import check_connected, windings_span_plane
@@ -104,6 +100,27 @@ class SearchResult:
     complete: bool
 
 
+class _Candidate:
+    """A set of arcs added as one search move, made from the masks the
+    column walk joined: its arcs, the arcs it blocks (itself and every arc
+    it crosses), the vertices it adds at least one and two arcs into, and
+    the row-0 label entries it writes, as (index, value) pairs."""
+
+    __slots__ = ("arc_ids", "arcs_mask", "blocked_mask", "in_any", "in_two",
+                 "label_updates")
+
+    def __init__(self, arc_ids: tuple[int, ...], masks: _Arcs, t: MaskTables):
+        # a closed walk: the keep masks and the search read the in side only
+        assert masks.in_any == masks.out_any and masks.in_two == masks.out_two
+        self.arc_ids = arc_ids
+        self.arcs_mask = masks.arcs
+        self.blocked_mask = masks.arcs | masks.crossed
+        self.in_any, self.in_two = masks.in_any, masks.in_two
+        row0 = t.dims.cols * 8
+        self.label_updates = tuple(end for aid in arc_ids for end in t.ends[aid]
+                                   if end[0] < row0)
+
+
 class _Engine:
     """The candidates of a grid and the masks that keep their alive bitsets.
 
@@ -119,8 +136,7 @@ class _Engine:
       add an arc into ``v``.
 
     Every candidate is a closed walk, with as many arcs out of a vertex as
-    into it, so in a search state the out-degree bitsets equal the in-degree
-    bitsets, and the masks read the in side only.
+    into it, so the masks read the in side only.
     """
 
     def __init__(self, dims: TorusDims):
@@ -162,7 +178,7 @@ class _Engine:
         for _, (_, ids, masks) in _lace_paths(self.dims.rows, extend, start):
             if masks.arcs not in seen:
                 seen.add(masks.arcs)
-                out.append(_Candidate(ids, t, masks))
+                out.append(_Candidate(ids, masks, t))
         return out
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
@@ -179,7 +195,6 @@ class _Engine:
         arc_rows = [bytearray(size) for _ in t.arcs]
         full_rows = [bytearray(size) for _ in range(t.n_vertices)]
         for k, cand in enumerate(self.candidates):
-            assert cand.in_any == cand.out_any and cand.in_two == cand.out_two
             byte, bit = k >> 3, 1 << (k & 7)
             arcs = cand.blocked_mask
             for aid in cand.arc_ids:
@@ -194,17 +209,17 @@ class _Engine:
         return ([everything ^ int.from_bytes(r, "little") for r in arc_rows],
                 [everything ^ int.from_bytes(r, "little") for r in full_rows])
 
-    def narrow(self, alive: int, before: _State, after: _State, cand: _Candidate) -> int:
-        """``alive`` for ``before`` narrowed to the candidates that still fit
-        ``after``, the state that placing ``cand`` on ``before`` gives."""
+    def narrow(self, alive: int, cand: _Candidate, filled: int) -> int:
+        """``alive`` narrowed to the candidates that still fit once ``cand``
+        is placed, a move that gives the ``filled`` vertices their second
+        arc in."""
         arc_keep = self.arc_keep
         for aid in cand.arc_ids:
             alive &= arc_keep[aid]
-        full = after.in_ge2 ^ before.in_ge2  # the vertices just filled
-        while full:
-            low = full & -full
+        while filled:
+            low = filled & -filled
             alive &= self.full_keep[low.bit_length() - 1]
-            full ^= low
+            filled ^= low
         return alive
 
     def child_limit(self, alive: int, waiting: int) -> int:
@@ -258,37 +273,47 @@ class _ItemRunner:
     def run(self, first: int):
         eng = self.eng
         try:
-            self._place(_State(eng.dims.cols), eng.all_alive, first)
+            self._place(0, 0, 0, [0] * (eng.dims.cols * 8), eng.all_alive, first)
         except _Budget:
             self.complete = False
 
-    def _place(self, state: _State, alive: int, k: int):
-        """Add candidate ``k``, then each alive candidate above it in turn."""
+    def _place(self, arcs: int, in_ge1: int, in_ge2: int, labels: list[int],
+               alive: int, k: int):
+        """Add candidate ``k`` to the node whose state is ``arcs``,
+        ``in_ge1``, ``in_ge2`` and ``labels``, then each alive candidate
+        above it in turn. The arguments are left as they were."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _Budget()
         eng = self.eng
         cand = eng.candidates[k]
-        s = _apply(state, cand)
+        arcs |= cand.arcs_mask
+        filled = (in_ge1 & cand.in_any) | cand.in_two
+        in_ge1 |= cand.in_any
+        in_ge2 |= filled
+        if cand.label_updates:
+            labels = labels[:]  # the parent's list is shared by its children
+            for index, value in cand.label_updates:
+                labels[index] = value
         # every child, and everything below it, takes bits above this node's
-        alive = eng.narrow(alive & -(2 << k), state, s, cand)
-        waiting = s.in_ge1 ^ s.in_ge2
+        alive = eng.narrow(alive & -(2 << k), cand, filled)
+        waiting = in_ge1 ^ in_ge2
         children = alive
         if waiting:
             children &= (1 << eng.child_limit(alive, waiting)) - 1
             if not children:
                 return  # a vertex with one arc in can never get its second
-        if self.pruning and _dominated(s, eng.dims.cols):
+        if self.pruning and _dominated(labels, eng.dims.cols):
             return
-        # degrees never exceed 2 and out-degrees equal in-degrees (see
-        # _Engine), so the used vertices are 2-in/2-out exactly when every
-        # vertex with an arc in has two
+        # degrees never exceed 2 and out-degrees equal in-degrees, so the
+        # used vertices are 2-in/2-out exactly when every vertex with an arc
+        # in has two
         if not waiting:
-            self.leaves.add(s.arcs_mask)
+            self.leaves.add(arcs)
         # every set bit is a candidate that fits: nothing is left to test
         while children:
             low = children & -children
-            self._place(s, alive, low.bit_length() - 1)
+            self._place(arcs, in_ge1, in_ge2, labels, alive, low.bit_length() - 1)
             children ^= low
 
 
@@ -325,8 +350,13 @@ def _run_item(args) -> tuple[set[int], int, bool]:
 
 def _pool_size(jobs: int, n_items: int) -> int:
     """Worker processes for a run. The pool starts all its workers at once,
-    so more than the CPUs or the work items would only cost processes."""
-    return max(1, min(jobs, os.cpu_count() or 1, n_items))
+    so more than the CPUs this process may run on, or the work items, would
+    only cost processes."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, n_items))
 
 
 def enumerate_grounds(config: SearchConfig) -> SearchResult:

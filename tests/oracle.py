@@ -11,12 +11,30 @@ Filter levels:
   "reference"  - additionally strict connectivity: the cycle windings
                  generate all of Z x Z, so the planar lift is one piece
                  (the enumerator's default output contract)
+
+``search_state`` reads the search's node state off an embedding, for tests
+that replay the search's moves.
 """
 
-from laceground.canonical import canonical_representative, identifier_text
+from collections import Counter
+from itertools import chain
+
+from laceground.canonical import canonical_representative, identifier_text, label_grid
 from laceground.embedding import GroundEmbedding, tables_for
 from laceground.geometry import TorusDims
 from laceground.validator import _fundamental_windings, check_two_regular, full_report
+
+
+def search_state(e: GroundEmbedding):
+    """The four values the search holds at a node, read off the embedding:
+    its arcs as a bitset of arc ids, the vertices with at least one and with
+    two arcs in (as bitsets of vertex ids), and the flat row-0 labels."""
+    t = tables_for(e.dims)
+    indegree = Counter(t.head_vid[t.arc_id[a]] for a in e.arcs)
+    return (sum(1 << t.arc_id[a] for a in e.arcs),
+            sum(1 << v for v in indegree),
+            sum(1 << v for v, n in indegree.items() if n >= 2),
+            list(chain.from_iterable(label_grid(e)[0])))
 
 
 def _out_options(t, vid):

@@ -13,9 +13,7 @@ from laceground.canonical import (
 )
 from laceground.embedding import (
     GroundEmbedding,
-    _apply,
     _first_fault,
-    _State,
     path_arcs,
     serialize,
     tables_for,
@@ -33,6 +31,7 @@ from laceground.search import (
     enumerate_grounds,
 )
 from laceground.validator import check_connected, full_report, windings_span_plane
+from oracle import search_state
 
 # the loose model (connected on the torus only)
 SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
@@ -127,10 +126,17 @@ def test_golden_solutions(dims, jobs):
 
 def test_pool_size_is_bounded(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert _pool_size(100_000, 1_494) == 4
     assert _pool_size(2, 1_494) == 2
     assert _pool_size(8, 3) == 3
     assert _pool_size(1, 0) == 1
+    # a process pinned to one of the machine's four CPUs
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    assert _pool_size(8, 100) == 1
+    # a platform without an affinity call: the machine's count, maybe unknown
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert _pool_size(8, 100) == 4
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _pool_size(8, 100) == 1
 
@@ -162,7 +168,8 @@ def test_each_orbit_judged_once_in_the_caller(monkeypatch):
         return original(e)
 
     monkeypatch.setattr(search, "windings_span_plane", record)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool at jobs 2
+    # a real pool at jobs 2
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     runs = []
     for jobs in (1, 2):
         judged.clear()
@@ -202,28 +209,30 @@ def test_orbit_judge_matches_per_leaf_judge(dims, strict):
 
 def _walk_without_lookahead(dims):
     """The search tree as it is without the degree lookahead: every
-    undominated node descends. Returns its regular leaf arc sets and its
-    node count."""
+    undominated node descends, each node's state read off its embedding.
+    Returns its regular leaf arc sets and its node count."""
     eng = _engine(dims)
+    t = tables_for(dims)
     leaves = set()
     nodes = 0
 
-    def place(state, alive, k):
+    def place(e, in_ge2, alive, k):
         nonlocal nodes
         nodes += 1
         cand = eng.candidates[k]
-        s = _apply(state, cand)
-        if _dominated(s, dims.cols):
+        e = GroundEmbedding(dims, e.arcs + tuple(t.arcs[aid] for aid in cand.arc_ids))
+        arcs, after_ge1, after_ge2, labels = search_state(e)
+        if _dominated(labels, dims.cols):
             return
-        alive = eng.narrow(alive, state, s, cand)
-        if s.in_ge2 == s.in_ge1:
-            leaves.add(s.arcs_mask)
+        alive = eng.narrow(alive, cand, after_ge2 & ~in_ge2)
+        if after_ge2 == after_ge1:
+            leaves.add(arcs)
         for i in range(k + 1, len(eng.candidates)):
             if alive >> i & 1:
-                place(s, alive, i)
+                place(e, after_ge2, alive, i)
 
     for k in range(len(eng.candidates)):
-        place(_State(dims.cols), eng.all_alive, k)
+        place(GroundEmbedding(dims), 0, eng.all_alive, k)
     return leaves, nodes
 
 
