@@ -1,7 +1,7 @@
 """Enumeration and verification of toroidal 2-in/2-out lace ground embeddings."""
 
 from .geometry import Arc, TorusDims, arcs_cross, direction_slot, step_length, wrap
-from .paths import LacePath, count_lace_paths, generate_lace_paths, is_valid_lace_path
+from .paths import LacePath, count_lace_paths, generate_lace_paths
 from .embedding import (
     GroundEmbedding,
     GroundFileError,
@@ -15,11 +15,9 @@ from .canonical import (
     canonical_representative,
     identifier,
     identifier_text,
-    is_canonical,
     prune_predicate,
     transform,
     translate,
-    vertex_label,
 )
 from .validator import (
     CircuitPartition,
@@ -28,7 +26,6 @@ from .validator import (
     check_connected,
     check_embedded,
     check_no_contractible_directed_cycles,
-    check_rotationally_consecutive,
     check_thread_conservation,
     check_two_regular,
     full_report,

@@ -8,30 +8,29 @@ slot, positive for incoming, negative for outgoing, magnitude equal to the
 step length - and an embedding's identifier strings the labels together in
 row-major order. The canonical identifier is the minimum over the whole
 symmetry orbit; exactly one member of each orbit attains it.
+
+The symmetries act in one way only: as permutations of arc ids
+(``arc_permutations``), the same ones the search uses to judge one leaf per
+orbit. An image's labels are the label entries of its permuted arcs
+(``arc_tables(dims).ends``). On a symmetric ground several symmetries reach
+the least identifier; ties go to the least (transform name, dr, dc), which
+decides where the representative's zeta annotations land. A label holds one
+arc per slot, so a ground in which two arcs share a slot has no
+well-defined identifier: which arc a label shows would depend on arc order,
+which a symmetry changes. The canonical forms refuse it with ValueError.
 """
 
 import hashlib
 from functools import lru_cache
 from itertools import chain
 
-from .embedding import GroundEmbedding, tables_for
+from .embedding import GroundEmbedding, arc_tables
 from .geometry import Arc, TorusDims, arc_ends, wrap
 
 TRANSFORMS = ("identity", "h_reflect", "v_reflect", "rot180")
 
 Label = tuple[int, int, int, int, int, int, int, int]
 EmbeddingId = tuple
-
-# Per-transform slot permutation and sign applied to a vertex label:
-# entry i of the transformed label reads from SOURCE_SLOT[t][i] of the
-# original, multiplied by LABEL_SIGN[t].
-_SOURCE_SLOT = {
-    "identity": tuple(range(8)),
-    "h_reflect": tuple((8 - i) % 8 for i in range(8)),
-    "v_reflect": tuple((4 - i) % 8 for i in range(8)),
-    "rot180": tuple((i + 4) % 8 for i in range(8)),
-}
-_LABEL_SIGN = {"identity": 1, "h_reflect": 1, "v_reflect": -1, "rot180": -1}
 
 # Per-transform sign applied to a vertex's (row, col), modulo the periods.
 _VERTEX_SIGN = {"identity": (1, 1), "h_reflect": (1, -1),
@@ -45,17 +44,6 @@ def label_grid(e: GroundEmbedding) -> list[list[Label]]:
         for (r, c), slot, value in arc_ends(a, e.dims):
             grid[r][c][slot] = value
     return [[tuple(lab) for lab in row] for row in grid]
-
-
-def vertex_label(e: GroundEmbedding, v: tuple[int, int]) -> Label:
-    return label_grid(e)[v[0]][v[1]]
-
-
-def transformed_label(label: Label, name: str) -> Label:
-    src = _SOURCE_SLOT[name]
-    if _LABEL_SIGN[name] > 0:
-        return tuple([label[s] for s in src])
-    return tuple([-label[s] for s in src])
 
 
 def identifier(e: GroundEmbedding) -> EmbeddingId:
@@ -110,57 +98,62 @@ def translate(e: GroundEmbedding, dr: int, dc: int) -> GroundEmbedding:
 @lru_cache(maxsize=None)
 def arc_permutations(dims: TorusDims) -> dict[tuple[str, int, int], tuple[int, ...]]:
     """Every symmetry of the grid as a permutation of arc ids (the ids of
-    ``tables_for(dims)``), keyed by (transform name, dr, dc): entry ``i`` is
-    the id of arc ``i`` under ``translate(transform(e, name), dr, dc)``."""
-    t = tables_for(dims)
-    return {
-        (name, dr, dc): tuple(
-            t.arc_id[_translate_arc(_transform_arc(a, name, dims), dr, dc, dims)]
-            for a in t.arcs)
-        for name in TRANSFORMS
-        for dr in range(dims.rows)
-        for dc in range(dims.cols)
-    }
+    ``arc_tables(dims)``), keyed by (transform name, dr, dc): entry ``i`` is
+    the id of arc ``i`` under ``translate(transform(e, name), dr, dc)``,
+    composed from one permutation per transform and one per translation."""
+    t = arc_tables(dims)
+    moved = {name: [t.arc_id[_transform_arc(a, name, dims)] for a in t.arcs]
+             for name in TRANSFORMS}
+    shifted = {(dr, dc): [t.arc_id[_translate_arc(a, dr, dc, dims)] for a in t.arcs]
+               for dr in range(dims.rows) for dc in range(dims.cols)}
+    return {(name, dr, dc): tuple(map(shift.__getitem__, moved[name]))
+            for name in TRANSFORMS for (dr, dc), shift in shifted.items()}
 
 
-def _orbit_identifiers(e: GroundEmbedding):
-    """Yield (identifier, transform name, dr, dc) over the full orbit.
+def _least_image(e: GroundEmbedding):
+    """The least (flat labels, (name, dr, dc)) over the orbit of ``e``: the
+    labels of ``translate(transform(e, name), dr, dc)`` in row-major order,
+    entry ``vertex * 8 + slot``. Raises ValueError when two arcs of ``e``
+    share a slot."""
+    dims = e.dims
+    t = arc_tables(dims)
+    ends = t.ends
+    ids = [t.arc_id[a] for a in e.arcs]
+    owner = {}
+    for aid in ids:
+        for entry, _ in ends[aid]:
+            other = owner.setdefault(entry, aid)
+            if other != aid:
+                raise ValueError(
+                    f"arcs {tuple(t.arcs[other])} and {tuple(t.arcs[aid])} share "
+                    f"slot {entry % 8} of vertex {divmod(entry // 8, dims.cols)}")
+    size = 8 * t.n_vertices
 
-    The labels are computed once; a transform moves the label of each vertex
-    to the vertex's image and rewrites it as ``transformed_label`` does.
-    """
-    rows, cols = e.dims
-    grid = label_grid(e)
-    for name in TRANSFORMS:
-        moved = [[None] * cols for _ in range(rows)]
-        for r in range(rows):
-            for c in range(cols):
-                tr, tc = _transform_vertex((r, c), name, e.dims)
-                moved[tr][tc] = transformed_label(grid[r][c], name)
-        for c0 in range(cols):
-            shifted = [row[c0:] + row[:c0] for row in moved]
-            for r0 in range(rows):
-                # moving source vertex (r0, c0) to the origin = translating
-                # by (-r0, -c0)
-                eid = (rows, cols) + tuple(
-                    chain.from_iterable(shifted[r0:] + shifted[:r0]))
-                yield eid, name, (-r0) % rows, (-c0) % cols
+    def labels(perm):
+        flat = [0] * size
+        for aid in ids:
+            (o, o_len), (h, h_len) = ends[perm[aid]]
+            flat[o] = o_len
+            flat[h] = h_len
+        return flat
+
+    return min((labels(perm), key) for key, perm in arc_permutations(dims).items())
+
+
+def _identifier_of(dims: TorusDims, flat: list[int]) -> EmbeddingId:
+    return (dims.rows, dims.cols) + tuple(
+        tuple(flat[i:i + 8]) for i in range(0, len(flat), 8))
 
 
 def canonical_id(e: GroundEmbedding) -> EmbeddingId:
     """Least identifier over all four transforms and all translations."""
-    return min(eid for eid, _, _, _ in _orbit_identifiers(e))
+    return _identifier_of(e.dims, _least_image(e)[0])
 
 
 def canonical_representative(e: GroundEmbedding) -> tuple[EmbeddingId, GroundEmbedding]:
     """The canonical identifier together with the orbit member attaining it."""
-    best = min(_orbit_identifiers(e))
-    eid, name, dr, dc = best
-    return eid, translate(transform(e, name), dr, dc)
-
-
-def is_canonical(e: GroundEmbedding) -> bool:
-    return identifier(e) == canonical_id(e)
+    flat, (name, dr, dc) = _least_image(e)
+    return _identifier_of(e.dims, flat), translate(transform(e, name), dr, dc)
 
 
 def identifier_text(eid: EmbeddingId) -> str:

@@ -168,7 +168,11 @@ def cmd_canon(args) -> int:
     emb = _load(args.file)
     if emb is None:
         return EXIT_USAGE
-    eid, _rep = canonical_representative(emb)
+    try:
+        eid, _rep = canonical_representative(emb)
+    except ValueError as exc:  # two arcs share a slot
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAIL
     print(identifier_text(eid))
     print(f"canonical: {'true' if identifier(emb) == eid else 'false'}")
     return EXIT_OK

@@ -12,8 +12,6 @@ from typing import NamedTuple
 # Slot indices around a vertex, clockwise from North.
 N, NE, E, SE, S, SW, W, NW = range(8)
 
-SLOT_NAMES = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
-
 # Unit direction of each slot as (dcol, drow).
 SLOT_VECTORS = (
     (0, -1),   # N

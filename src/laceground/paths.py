@@ -1,4 +1,4 @@
-"""Generation and validation of lace paths.
+"""Generation of lace paths.
 
 A lace path of height n is a sequence of step vectors with net displacement
 (0, n): it drops exactly n rows and returns to its starting column. Horizontal
@@ -21,7 +21,7 @@ import heapq
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .geometry import LACE_STEPS, LACE_STEP_SET
+from .geometry import LACE_STEPS
 
 Step = tuple[int, int]
 
@@ -47,33 +47,6 @@ class LacePath(NamedTuple):
     def anchor_row(self, rows: int) -> int:
         """Row of the path's start vertex on an ``rows``-row torus."""
         return rows - 1 if self.skipping else 0
-
-
-def _no_adjacent_horizontals(steps) -> bool:
-    return all(not (a[1] == 0 and b[1] == 0) for a, b in zip(steps, steps[1:]))
-
-
-def is_valid_lace_path(steps, n: int, skipping: bool = False) -> bool:
-    """Check every lace-path invariant for height n.
-
-    Rooted form: first step non-horizontal. Skipping form: first step must be
-    the (0, 2) double step and n must be at least 2.
-    """
-    steps = tuple(tuple(s) for s in steps)
-    for s in steps:
-        if s not in LACE_STEP_SET:
-            raise ValueError(f"step {s} not in the lace step set")
-    if not steps:
-        return False
-    if sum(dy for _, dy in steps) != n:
-        return False
-    if sum(dx for dx, _ in steps) != 0:
-        return False
-    if not _no_adjacent_horizontals(steps):
-        return False
-    if skipping:
-        return n >= 2 and steps[0] == SKIP_STEP
-    return steps[0][1] >= 1
 
 
 def _sequences(n: int, first_free: bool, extend=None,

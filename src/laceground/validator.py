@@ -181,13 +181,6 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
     return False
 
 
-def check_rotationally_consecutive(e: GroundEmbedding) -> CheckResult:
-    """Every used vertex must read in,in,out,out around the compass (up to
-    rotation); an alternating vertex is the witness. Requires 2-regularity
-    and at most one arc per slot."""
-    return _rotationally_consecutive(e, check_two_regular(e))
-
-
 def _rotationally_consecutive(e: GroundEmbedding,
                               two_regular: CheckResult) -> CheckResult:
     if not two_regular.ok:
@@ -334,24 +327,6 @@ def _conserved(partition: CircuitPartition) -> CheckResult:
             f"circuit {i} has longitudinal winding {w.longitudinal}")
     return CheckResult(PASS, None,
                        "windings: " + ", ".join(str(tuple(w)) for w in partition.windings))
-
-
-def circuit_cut_crossings(circuit: list[Arc], cut_col: int, cols: int) -> int:
-    """Net signed crossings of a circuit over the meridional cut just left of
-    ``cut_col`` (rightward positive). Equals the circuit's longitudinal
-    winding regardless of which cut is chosen."""
-    total = 0
-    for a in circuit:
-        if a.dx == 0:
-            continue
-        x0, x1 = a.col, a.col + a.dx
-        lo, hi = min(x0, x1), max(x0, x1)
-        # The cut sits half a cell left of cut_col, repeated every period:
-        # an integer-endpoint segment crosses it once per line position
-        # cut_col + j*cols with lo < cut_col + j*cols <= hi.
-        count = (hi - cut_col) // cols - (lo - cut_col) // cols
-        total += count if a.dx > 0 else -count
-    return total
 
 
 def full_report(e: GroundEmbedding, strict: bool = False,

@@ -13,15 +13,27 @@ Filter levels:
                  (the enumerator's default output contract)
 
 ``search_state`` reads the search's node state off an embedding, for tests
-that replay the search's moves.
+that replay the search's moves. The other functions are independent
+references the program's own code is checked against: the lace-path
+invariants (``is_valid_lace_path``), a circuit's longitudinal winding read at
+a cut (``circuit_cut_crossings``), and the canonical form computed image by
+image (``canonical_reference``).
 """
 
 from collections import Counter
 from itertools import chain
 
-from laceground.canonical import canonical_representative, identifier_text, label_grid
+from laceground.canonical import (
+    TRANSFORMS,
+    canonical_representative,
+    identifier,
+    identifier_text,
+    label_grid,
+    transform,
+    translate,
+)
 from laceground.embedding import GroundEmbedding, tables_for
-from laceground.geometry import TorusDims
+from laceground.geometry import LACE_STEP_SET, Arc, TorusDims
 from laceground.validator import _fundamental_windings, check_two_regular, full_report
 
 
@@ -35,6 +47,60 @@ def search_state(e: GroundEmbedding):
             sum(1 << v for v in indegree),
             sum(1 << v for v, n in indegree.items() if n >= 2),
             list(chain.from_iterable(label_grid(e)[0])))
+
+
+def is_valid_lace_path(steps, n: int, skipping: bool = False) -> bool:
+    """Check every lace-path invariant for height n.
+
+    Rooted form: first step non-horizontal. Skipping form: first step must be
+    the (0, 2) double step and n must be at least 2.
+    """
+    steps = tuple(tuple(s) for s in steps)
+    for s in steps:
+        if s not in LACE_STEP_SET:
+            raise ValueError(f"step {s} not in the lace step set")
+    if not steps:
+        return False
+    if sum(dy for _, dy in steps) != n:
+        return False
+    if sum(dx for dx, _ in steps) != 0:
+        return False
+    if any(a[1] == 0 and b[1] == 0 for a, b in zip(steps, steps[1:])):
+        return False
+    if skipping:
+        return n >= 2 and steps[0] == (0, 2)
+    return steps[0][1] >= 1
+
+
+def circuit_cut_crossings(circuit: list[Arc], cut_col: int, cols: int) -> int:
+    """Net signed crossings of a circuit over the meridional cut just left of
+    ``cut_col`` (rightward positive). Equals the circuit's longitudinal
+    winding regardless of which cut is chosen."""
+    total = 0
+    for a in circuit:
+        if a.dx == 0:
+            continue
+        x0, x1 = a.col, a.col + a.dx
+        lo, hi = min(x0, x1), max(x0, x1)
+        # The cut sits half a cell left of cut_col, repeated every period:
+        # an integer-endpoint segment crosses it once per line position
+        # cut_col + j*cols with lo < cut_col + j*cols <= hi.
+        count = (hi - cut_col) // cols - (lo - cut_col) // cols
+        total += count if a.dx > 0 else -count
+    return total
+
+
+def canonical_reference(e: GroundEmbedding):
+    """(identifier, representative) of ``e``'s class, by brute force: the
+    image ``translate(transform(e, name), dr, dc)`` with the least
+    ``(identifier(image), name, dr, dc)``, zeta annotations included."""
+    rows, cols = e.dims
+    key, image = min(
+        (((identifier(image), name, dr, dc), image)
+         for name in TRANSFORMS for dr in range(rows) for dc in range(cols)
+         for image in [translate(transform(e, name), dr, dc)]),
+        key=lambda pair: pair[0])
+    return key[0], image
 
 
 def _out_options(t, vid):

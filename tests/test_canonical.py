@@ -1,33 +1,35 @@
 import random
 
+import pytest
+
 from laceground.canonical import (
     TRANSFORMS,
     canonical_id,
     canonical_representative,
     identifier,
     identifier_text,
-    is_canonical,
+    label_grid,
     prune_predicate,
     solution_name,
     transform,
     translate,
-    vertex_label,
 )
-from laceground.embedding import GroundEmbedding, add_path, new_embedding
+from laceground.embedding import GroundEmbedding, add_path, arc_tables, new_embedding
 from laceground.geometry import Arc, TorusDims
 from laceground.paths import LacePath
 from laceground.search import SearchConfig, enumerate_grounds
+from oracle import canonical_reference
 
 TORCHON_1x1 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, -1, 1), Arc(0, 0, 1, 0)))
 MIRROR_1x1 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 1, 1), Arc(0, 0, -1, 0)))
 
 
 def test_vertex_label_examples():
-    assert vertex_label(new_embedding(TorusDims(2, 2)), (1, 1)) == (0,) * 8
-    assert vertex_label(TORCHON_1x1, (0, 0)) == (0, 1, -1, 0, 0, -1, 1, 0)
+    assert label_grid(new_embedding(TorusDims(2, 2)))[1][1] == (0,) * 8
+    assert label_grid(TORCHON_1x1)[0][0] == (0, 1, -1, 0, 0, -1, 1, 0)
     lone = GroundEmbedding(TorusDims(3, 1), (Arc(1, 0, 0, 2),))
     # head of the double step receives +2 at north
-    assert vertex_label(lone, (0, 0))[0] == 2
+    assert label_grid(lone)[0][0][0] == 2
 
 
 def test_transform_laws():
@@ -52,14 +54,34 @@ def test_one_by_one_orbit():
     # the two mirror embeddings share a canonical id and exactly one is canonical
     ids = {canonical_id(TORCHON_1x1), canonical_id(MIRROR_1x1)}
     assert len(ids) == 1
-    assert is_canonical(TORCHON_1x1) != is_canonical(MIRROR_1x1)
+    (cid,) = ids
+    assert (identifier(TORCHON_1x1) == cid) != (identifier(MIRROR_1x1) == cid)
     eid, rep = canonical_representative(TORCHON_1x1)
-    assert identifier(rep) == eid
-    assert is_canonical(rep)
+    assert identifier(rep) == eid == canonical_id(rep)
 
 
 def test_empty_embedding_is_canonical():
-    assert is_canonical(new_embedding(TorusDims(2, 2)))
+    e = new_embedding(TorusDims(2, 2))
+    assert identifier(e) == canonical_id(e)
+
+
+def test_shared_slot_has_no_canonical_form():
+    # a label holds one arc per slot: which of the two it showed would
+    # depend on arc order, which a symmetry changes
+    e = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, -2, 0), Arc(0, 0, -1, 0)))
+    for moved in (e, transform(e, "h_reflect")):
+        with pytest.raises(ValueError, match=r"share slot \d of vertex \(0, 0\)"):
+            canonical_representative(moved)
+        with pytest.raises(ValueError):
+            canonical_id(moved)
+
+
+def test_canonical_form_builds_no_crossing_table():
+    dims = TorusDims(3, 7)  # tables no other test builds
+    e = GroundEmbedding(dims, (Arc(0, 3, 0, 1), Arc(1, 3, 1, 1), Arc(2, 4, -1, 1)))
+    assert canonical_representative(e) == canonical_reference(e)
+    assert "conflict_mask" not in vars(arc_tables(dims))
+    assert "self_ok" not in vars(arc_tables(dims))
 
 
 def test_canonical_invariance_over_solutions():

@@ -18,6 +18,10 @@ SLOT_CLASH = "ground v1\ndims 1 3\narc 0 2 1 0\narc 0 0 -1 0\n"
 # two loops through the same south and north slots: 2-in/2-out and
 # rotationally consecutive, but the arrivals share one slot
 SHARED_SLOTS = "ground v1\ndims 1 1\narc 0 0 0 1\narc 0 0 0 2\n"
+# two arcs out of the west slot, and the h_reflect image: two arcs out of
+# the east slot
+SHARED_WEST = "ground v1\ndims 1 1\narc 0 0 -2 0\narc 0 0 -1 0\n"
+SHARED_EAST = "ground v1\ndims 1 1\narc 0 0 1 0\narc 0 0 2 0\n"
 
 
 def run(capsys, *argv):
@@ -262,6 +266,16 @@ def test_canon_orbit(tmp_path, capsys):
     assert out_a.splitlines()[0] == out_b.splitlines()[0]
     flags = {out_a.splitlines()[1], out_b.splitlines()[1]}
     assert flags == {"canonical: true", "canonical: false"}
+
+
+@pytest.mark.parametrize("text", [SHARED_WEST, SHARED_EAST])
+def test_canon_refuses_a_shared_slot(text, tmp_path, capsys):
+    f = tmp_path / "shared.gnd"
+    f.write_text(text)
+    code, out, err = run(capsys, "canon", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {f}: ") and "share slot" in err
 
 
 def test_render_tiling(tmp_path, capsys):

@@ -8,8 +8,8 @@ from laceground.paths import (
     count_lace_paths,
     format_path,
     generate_lace_paths,
-    is_valid_lace_path,
 )
+from oracle import is_valid_lace_path
 
 PUBLISHED_COUNTS = {1: 3, 2: 39, 3: 498, 4: 6667, 5: 91833}
 

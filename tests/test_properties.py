@@ -4,7 +4,6 @@ partial embeddings."""
 from hypothesis import example, given, settings, strategies as st
 
 from laceground.canonical import (
-    _SOURCE_SLOT,
     TRANSFORMS,
     arc_permutations,
     canonical_representative,
@@ -29,7 +28,7 @@ from laceground.geometry import Arc, TorusDims
 from laceground.paths import generate_lace_paths
 from laceground.search import SearchConfig, _engine, enumerate_grounds
 from laceground.validator import full_report
-from oracle import search_state
+from oracle import canonical_reference, search_state
 
 dims_2d = st.builds(TorusDims, st.integers(1, 3), st.integers(1, 3))
 
@@ -109,6 +108,10 @@ def test_alive_bitsets_are_the_feasible_candidates(dims, data):
                 assert not alive & column_bits[c]
 
 
+# h_reflect mirrors a vertex's compass left to right: slot i goes to slot -i
+H_REFLECT_SLOT = tuple((8 - i) % 8 for i in range(8))
+
+
 def _dominated_by_labels(e: GroundEmbedding) -> bool:
     """``_dominated`` as its docstring states it, read off the label grid:
     a row-0 witness under the identity (column >= 1) or h_reflect whose
@@ -122,8 +125,8 @@ def _dominated_by_labels(e: GroundEmbedding) -> bool:
     def decided(c, slot):
         return grid[0][c][slot] != 0 or degree.get((0, c)) == [2, 2]
 
-    for name in ("identity", "h_reflect"):
-        src = _SOURCE_SLOT[name]
+    # entry i of a witness's label reads slot src[i] of the vertex
+    for name, src in (("identity", range(8)), ("h_reflect", H_REFLECT_SLOT)):
         for c in range(e.dims.cols):
             if name == "identity" and c == 0:
                 continue
@@ -169,6 +172,17 @@ def annotated_embeddings(draw):
     vertices = [(r, c) for r in range(e.dims.rows) for c in range(e.dims.cols)]
     zeta = draw(st.dictionaries(st.sampled_from(vertices), zeta_strings))
     return GroundEmbedding(e.dims, e.arcs, tuple(zeta.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(annotated_embeddings())
+# every image ties: the least (transform name, dr, dc), h_reflect with no
+# translation, moves the zeta to (0, 2)
+@example(GroundEmbedding(TorusDims(2, 3), zeta=(((0, 1), "CT"),)))
+def test_canonical_representative_is_the_least_image(e):
+    """Identifier, arcs and zeta of the representative are those of the
+    brute-force least image."""
+    assert canonical_representative(e) == canonical_reference(e)
 
 
 @settings(max_examples=60, deadline=None)

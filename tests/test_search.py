@@ -288,6 +288,8 @@ def test_traced_layers_are_looked_up_by_name():
     way would leave its per-layer metrics at zero."""
     for module, names in ((search, ("tables_for", "windings_span_plane",
                                     "canonical_representative")),
-                          (cli, ("enumerate_grounds", "full_report", "render_svg"))):
+                          (cli, ("enumerate_grounds", "full_report", "render_svg",
+                                 "canonical_representative", "serialize",
+                                 "deserialize", "to_braid_word", "main"))):
         for name in names:
             assert callable(getattr(module, name, None)), (module.__name__, name)

