@@ -8,8 +8,8 @@ bitset, the vertices with at least one arc in, the vertices with two arcs
 in (no degree passes 2), and the flat row-0 label list (entry
 col * 8 + slot) that the domination test reads. Out-degrees need no value
 of their own: every candidate is a closed walk, so they equal the
-in-degrees. A node also carries an alive bitset: the candidates above its
-last one that still fit its state, exactly those whose arcs
+in-degrees. A node also carries an alive bitset: the candidates its
+subtree may add that still fit its state, exactly those whose arcs
 ``embedding._first_fault`` accepts after the state's. A move narrows it
 with a few ANDs of precomputed masks, one per arc the move adds and one
 per vertex it fills (``_Engine.narrow``), so a node's children are read
@@ -22,11 +22,13 @@ rooted paths fill the arcs into the column's row-0 vertex, a skipping
 path's double step blocks that vertex, and two skipping paths share their
 first arc).
 
-Everything below a node takes candidates above its own bit. So a vertex
-with exactly one arc in needs an alive candidate adding an arc into it, or
-no leaf below is 2-in/2-out; the degree lookahead (``_Engine.child_limit``)
-cuts such a node before the domination test, and stops a node's children at
-the last bit that can still give each such vertex its second arc.
+A node branches on its most constrained vertex, as Dancing Links does on
+the item with the fewest options. Every regular leaf below a node adds one
+candidate into each vertex with one arc in, so the children are the alive
+candidates into the waiting vertex with the fewest (``_Engine.fewest_into``),
+and the node is cut when that vertex has none. A node with no waiting vertex
+is a leaf, and its child ``j`` keeps the alive bits above ``j``, the lowest
+candidate the child adds.
 
 A column's candidates are the distinct arc sets its lace paths lay down,
 built by one depth-first walk over arc ids from the column's row-0 vertex
@@ -58,6 +60,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .canonical import (
@@ -222,22 +225,22 @@ class _Engine:
             filled ^= low
         return alive
 
-    def child_limit(self, alive: int, waiting: int) -> int:
-        """One past the highest bit a child of a node may take, for a node
-        whose ``waiting`` vertices have exactly one arc in: the last alive
-        candidate that adds the second arc into each of them must still be
-        reachable. Zero means that one of them never gets it."""
+    def fewest_into(self, alive: int, waiting: int) -> int:
+        """The alive candidates into the ``waiting`` vertex that has the
+        fewest of them, ties to the lowest vertex id; zero if one of them
+        has none, so never gets its second arc in."""
         into = self.into
-        limit = len(self.candidates)
+        best, fewest = 0, _BIG
         while waiting:
             low = waiting & -waiting
-            top = (alive & into[low.bit_length() - 1]).bit_length()
-            if top < limit:
-                if not top:
+            options = alive & into[low.bit_length() - 1]
+            count = options.bit_count()
+            if count < fewest:
+                if not count:
                     return 0
-                limit = top
+                best, fewest = options, count
             waiting ^= low
-        return limit
+        return best
 
 
 def _bits(mask: int):
@@ -248,13 +251,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-_ENGINES: dict[TorusDims, _Engine] = {}
-
-
+@lru_cache(maxsize=None)
 def _engine(dims: TorusDims) -> _Engine:
-    if dims not in _ENGINES:
-        _ENGINES[dims] = _Engine(dims)
-    return _ENGINES[dims]
+    return _Engine(dims)
 
 
 class _Budget(Exception):
@@ -273,15 +272,16 @@ class _ItemRunner:
     def run(self, first: int):
         eng = self.eng
         try:
-            self._place(0, 0, 0, [0] * (eng.dims.cols * 8), eng.all_alive, first)
+            self._place(0, 0, 0, [0] * (eng.dims.cols * 8),
+                        eng.all_alive & -(2 << first), first)
         except _Budget:
             self.complete = False
 
     def _place(self, arcs: int, in_ge1: int, in_ge2: int, labels: list[int],
                alive: int, k: int):
         """Add candidate ``k`` to the node whose state is ``arcs``,
-        ``in_ge1``, ``in_ge2`` and ``labels``, then each alive candidate
-        above it in turn. The arguments are left as they were."""
+        ``in_ge1``, ``in_ge2`` and ``labels``, then branch on the most
+        constrained vertex. The arguments are left as they were."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _Budget()
@@ -295,14 +295,11 @@ class _ItemRunner:
             labels = labels[:]  # the parent's list is shared by its children
             for index, value in cand.label_updates:
                 labels[index] = value
-        # every child, and everything below it, takes bits above this node's
-        alive = eng.narrow(alive & -(2 << k), cand, filled)
+        alive = eng.narrow(alive, cand, filled)
         waiting = in_ge1 ^ in_ge2
-        children = alive
-        if waiting:
-            children &= (1 << eng.child_limit(alive, waiting)) - 1
-            if not children:
-                return  # a vertex with one arc in can never get its second
+        children = eng.fewest_into(alive, waiting) if waiting else alive
+        if waiting and not children:
+            return  # a vertex with one arc in can never get its second
         if self.pruning and _dominated(labels, eng.dims.cols):
             return
         # degrees never exceed 2 and out-degrees equal in-degrees, so the
@@ -313,7 +310,9 @@ class _ItemRunner:
         # every set bit is a candidate that fits: nothing is left to test
         while children:
             low = children & -children
-            self._place(arcs, in_ge1, in_ge2, labels, alive, low.bit_length() - 1)
+            j = low.bit_length() - 1
+            self._place(arcs, in_ge1, in_ge2, labels,
+                        alive if waiting else alive & -(2 << j), j)
             children ^= low
 
 

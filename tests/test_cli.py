@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -70,12 +71,12 @@ def test_oversized_grids_rejected_before_any_build(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(paths, "_sequences", refuse)
     built = tables_for.cache_info().currsize
-    engines = dict(search._ENGINES)
+    engines = search._engine.cache_info().currsize
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "must be <=" in err
     assert tables_for.cache_info().currsize == built
-    assert search._ENGINES == engines
+    assert search._engine.cache_info().currsize == engines
 
 
 def test_largest_grids_still_parse():
@@ -138,6 +139,21 @@ def test_enumerate_budget_exit_code(capsys):
                        "--budget", "5")
     assert code == 3
     assert "complete=false" in out
+
+
+def test_readme_budget_example_is_current(capsys):
+    """README quotes the classes and nodes its budget example prints, so a
+    change to the walk order cannot leave the example stale."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    example = re.search(r"`(enumerate [^`]*--budget[^`]*)`\s+keeps\s+([\d,]+)\s+"
+                        r"classes\s+at\s+([\d,]+)\s+nodes",
+                        readme.read_text(encoding="utf-8"))
+    assert example, "README has no budget example"
+    command, classes, nodes = example.groups()
+    code, out, _ = run(capsys, *command.split())
+    assert code == 3
+    assert out.strip() == (f"solutions={classes.replace(',', '')} "
+                           f"nodes={nodes.replace(',', '')} complete=false")
 
 
 def test_enumerate_requires_budget_on_big_grids(capsys):

@@ -1,10 +1,12 @@
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from laceground import cli, search
 from laceground.canonical import (
     _dominated,
+    arc_permutations,
     canonical_id,
     canonical_representative,
     identifier,
@@ -24,6 +26,7 @@ from laceground.search import (
     SearchConfig,
     _bits,
     _engine,
+    _ItemRunner,
     _judge,
     _pool_size,
     _run_item,
@@ -38,8 +41,8 @@ SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 1
 
 # sha256 over "name\nfile" of every default-model solution in order (first 16
 # hex digits), and the nodes visited
-GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 392), (2, 3): ("f5837c02a18e0854", 4704),
-          (3, 2): ("376e130448769230", 10634), (1, 5): ("96d48af6994e947f", 503)}
+GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 298), (2, 3): ("f5837c02a18e0854", 2275),
+          (3, 2): ("376e130448769230", 7583), (1, 5): ("96d48af6994e947f", 272)}
 
 
 @pytest.mark.parametrize("dims,expected", sorted(SMALL_COUNTS.items()))
@@ -248,6 +251,59 @@ def test_lookahead_keeps_every_regular_leaf(dims):
     leaves, nodes = _walk_without_lookahead(TorusDims(*dims))
     assert _leaves(TorusDims(*dims)) == leaves
     assert nodes == TREE_WITHOUT_LOOKAHEAD[dims]
+
+
+def _leaf_visits(dims):
+    """The arc sets of the regular leaves of the walk without pruning, one
+    entry per visit."""
+    eng = _engine(dims)
+    visits = []
+    for first in range(len(eng.candidates)):
+        runner = _ItemRunner(eng, False, None)
+        runner.leaves = SimpleNamespace(add=visits.append)
+        runner.run(first)
+    return visits
+
+
+# per grid: the regular candidate sets, their distinct arc sets (a ground may
+# split into paths in several ways), the strict-connected arc sets and the
+# strict classes; at 1x5 some regular sets hold smaller ones, so a leaf with
+# children is on the way to other leaves
+REGULAR_SETS = {(2, 2): (94, 66, 58, 12), (2, 3): (886, 484, 376, 31),
+                (3, 2): (1278, 476, 460, 31), (1, 5): (242, 242, 32, 4)}
+
+
+@pytest.mark.parametrize("dims", sorted(REGULAR_SETS), ids="{0[0]}x{0[1]}".format)
+def test_walk_reaches_each_regular_candidate_set_once(dims):
+    """Without pruning the walk visits every set of candidates whose union
+    is regular, and none twice: a branching rule that skipped a completion
+    or reached one through two children would change the count."""
+    visits = _leaf_visits(TorusDims(*dims))
+    assert (len(visits), len(set(visits))) == REGULAR_SETS[dims][:2]
+
+
+@pytest.mark.parametrize("dims", sorted(REGULAR_SETS), ids="{0[0]}x{0[1]}".format)
+def test_regular_leaves_are_closed_under_every_symmetry(dims):
+    """Every image of a regular leaf under the grid's 4 x rows x cols
+    symmetries, row translations and reflections included, is a regular
+    leaf, and the strict-connected leaves are exactly the orbits of the
+    classes the search emits."""
+    dims = TorusDims(*dims)
+    leaves = set(_leaf_visits(dims))
+    perms = arc_permutations(dims).values()
+
+    def images(ids):
+        return {sum(1 << perm[aid] for aid in ids) for perm in perms}
+
+    for mask in leaves:
+        assert images(list(_bits(mask))) <= leaves
+    strict = [mask for mask in leaves
+              if windings_span_plane(GroundEmbedding(dims, _arcs_of(dims, mask)))]
+    arc_id = tables_for(dims).arc_id
+    classes = enumerate_grounds(SearchConfig(dims)).canonical_solutions
+    orbit_sizes = [len(images([arc_id[a] for a in e.arcs])) for _, e in classes]
+    assert (len(strict), len(classes)) == REGULAR_SETS[dims][2:]
+    assert sum(orbit_sizes) == len(strict)
 
 
 def _columns_from_paths(dims):
