@@ -22,10 +22,9 @@ which a symmetry changes. The canonical forms refuse it with ValueError.
 
 import hashlib
 from functools import lru_cache
-from itertools import chain
 
-from .embedding import GroundEmbedding, arc_tables
-from .geometry import Arc, TorusDims, arc_ends, wrap
+from .embedding import GroundEmbedding, arc_tables, slot_table
+from .geometry import Arc, TorusDims, wrap
 
 TRANSFORMS = ("identity", "h_reflect", "v_reflect", "rot180")
 
@@ -37,20 +36,22 @@ _VERTEX_SIGN = {"identity": (1, 1), "h_reflect": (1, -1),
                 "v_reflect": (-1, 1), "rot180": (-1, -1)}
 
 
+def _identifier_of(dims: TorusDims, flat: list[int]) -> EmbeddingId:
+    return (dims.rows, dims.cols) + tuple(
+        tuple(flat[i:i + 8]) for i in range(0, len(flat), 8))
+
+
 def label_grid(e: GroundEmbedding) -> list[list[Label]]:
-    rows, cols = e.dims
-    grid = [[[0] * 8 for _ in range(cols)] for _ in range(rows)]
-    for a in e.arcs:
-        for (r, c), slot, value in arc_ends(a, e.dims):
-            grid[r][c][slot] = value
-    return [[tuple(lab) for lab in row] for row in grid]
+    """The label of vertex (r, c) at ``[r][c]``: its entries of
+    ``slot_table(e)``'s flat labels."""
+    labels = identifier(e)[2:]
+    cols = e.dims.cols
+    return [list(labels[i:i + cols]) for i in range(0, len(labels), cols)]
 
 
 def identifier(e: GroundEmbedding) -> EmbeddingId:
     """Dims followed by row-major vertex labels; totally ordered as a tuple."""
-    grid = label_grid(e)
-    return (e.dims.rows, e.dims.cols) + tuple(
-        lab for row in grid for lab in row)
+    return _identifier_of(e.dims, slot_table(e)[0])
 
 
 def _transform_arc(a: Arc, name: str, dims: TorusDims) -> Arc:
@@ -118,16 +119,14 @@ def _least_image(e: GroundEmbedding):
     dims = e.dims
     t = arc_tables(dims)
     ends = t.ends
+    _, owner, shared = slot_table(e)
+    if shared:
+        entry, aid = shared[0]
+        raise ValueError(
+            f"arcs {tuple(t.arcs[owner[entry]])} and {tuple(t.arcs[aid])} share "
+            f"slot {entry % 8} of vertex {divmod(entry // 8, dims.cols)}")
     ids = [t.arc_id[a] for a in e.arcs]
-    owner = {}
-    for aid in ids:
-        for entry, _ in ends[aid]:
-            other = owner.setdefault(entry, aid)
-            if other != aid:
-                raise ValueError(
-                    f"arcs {tuple(t.arcs[other])} and {tuple(t.arcs[aid])} share "
-                    f"slot {entry % 8} of vertex {divmod(entry // 8, dims.cols)}")
-    size = 8 * t.n_vertices
+    size = len(owner)
 
     def labels(perm):
         flat = [0] * size
@@ -138,11 +137,6 @@ def _least_image(e: GroundEmbedding):
         return flat
 
     return min((labels(perm), key) for key, perm in arc_permutations(dims).items())
-
-
-def _identifier_of(dims: TorusDims, flat: list[int]) -> EmbeddingId:
-    return (dims.rows, dims.cols) + tuple(
-        tuple(flat[i:i + 8]) for i in range(0, len(flat), 8))
 
 
 def canonical_id(e: GroundEmbedding) -> EmbeddingId:
@@ -213,4 +207,4 @@ def prune_predicate(e: GroundEmbedding) -> bool:
     canonical class (see ``_dominated``); undecidable comparisons keep the
     branch.
     """
-    return not _dominated(list(chain.from_iterable(label_grid(e)[0])), e.dims.cols)
+    return not _dominated(slot_table(e)[0][:8 * e.dims.cols], e.dims.cols)

@@ -10,6 +10,9 @@ tables added to the same object on first use (``tables_for``). The
 canonical forms read only the former, so they never pay for the pairwise
 table, which takes seconds at 8x8.
 
+``slot_table`` reads a ground's one slot table from those label entries:
+its vertex labels, the arc in each slot and the slots a second arc takes.
+
 The rules by which an arc cannot join a sequence of arcs (a repeat, a
 conflict with its own periodic copies, a taken slot, a crossing, a third
 arc at a vertex) live in one place, ``_join``, which adds arcs one by one
@@ -42,14 +45,6 @@ from .paths import LacePath
 # file builds the conflict tables of its dims, whose cost grows as the
 # square of the number of arcs (a few seconds at 8x8).
 MAX_PERIOD = 8
-
-
-class SlotRecord(NamedTuple):
-    """One arc's presence at a vertex: slot index, direction, the arc."""
-
-    slot: int
-    incoming: bool
-    arc: Arc
 
 
 class Rejection(NamedTuple):
@@ -209,22 +204,32 @@ class GroundEmbedding:
         object.__setattr__(self, "arcs", tuple(sorted(Arc(*a) for a in self.arcs)))
         object.__setattr__(self, "zeta", tuple(sorted(self.zeta)))
 
-    def slot_records(self) -> dict[tuple[int, int], list[SlotRecord]]:
-        """Per-vertex slot occupancy in slot order, derived from the arc set."""
-        table: dict[tuple[int, int], list[SlotRecord]] = {}
-        for a in self.arcs:
-            for incoming, (v, slot, _) in enumerate(arc_ends(a, self.dims)):
-                table.setdefault(v, []).append(SlotRecord(slot, bool(incoming), a))
-        for recs in table.values():
-            recs.sort(key=lambda rec: rec.slot)
-        return table
-
     def non_isolated(self) -> list[tuple[int, int]]:
         seen = set()
         for a in self.arcs:
             seen.add((a.row, a.col))
             seen.add(a.head(self.dims))
         return sorted(seen)
+
+
+def slot_table(e: GroundEmbedding):
+    """The flat signed labels of a ground (entry ``vertex * 8 + slot``), the
+    id of the first arc in each entry (else None), and each (entry, arc id)
+    where a later arc takes a taken entry, in arc order; a label holds the
+    last arc's length."""
+    t = arc_tables(e.dims)
+    labels = [0] * (8 * t.n_vertices)
+    owner = [None] * len(labels)
+    shared = []
+    for a in e.arcs:
+        aid = t.arc_id[a]
+        for entry, length in t.ends[aid]:
+            if owner[entry] is None:
+                owner[entry] = aid
+            else:
+                shared.append((entry, aid))
+            labels[entry] = length
+    return labels, owner, shared
 
 
 def new_embedding(dims: TorusDims) -> GroundEmbedding:

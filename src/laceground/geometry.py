@@ -118,8 +118,9 @@ def arc_ends(arc: Arc, dims: TorusDims):
     origin and then at its head.
 
     The length is negative at the origin and positive at the head, as a
-    vertex label records outgoing and incoming arcs. Slot tables, vertex
-    labels and the search's masks are all read from these two records.
+    vertex label records outgoing and incoming arcs. The search's masks and
+    the one slot table of a ground (``embedding.slot_table``) are read from
+    these two records.
     """
     out_slot, in_slot, length = _STEP_ENDS[arc.dx, arc.dy]
     return (((arc.row, arc.col), out_slot, -length),

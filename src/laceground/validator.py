@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .embedding import GroundEmbedding, _first_fault, tables_for
-from .geometry import Arc, direction_slot
+from .embedding import GroundEmbedding, _first_fault, arc_tables, slot_table, tables_for
+from .geometry import Arc
 
 PASS, FAIL, BLOCKED, INCONCLUSIVE = "pass", "fail", "blocked", "inconclusive"
 
@@ -181,20 +181,26 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
     return False
 
 
+def _turns(labels: list[int], vid: int) -> int:
+    """How often the arcs at vertex ``vid`` switch between in and out once
+    round its slots: more than 2 when they alternate."""
+    signs = [x > 0 for x in labels[8 * vid:8 * vid + 8] if x]
+    return sum(signs[i] != signs[i - 1] for i in range(len(signs)))
+
+
 def _rotationally_consecutive(e: GroundEmbedding,
                               two_regular: CheckResult) -> CheckResult:
     if not two_regular.ok:
         return CheckResult(BLOCKED, two_regular.witness, "requires 2-regularity")
-    table = e.slot_records()
-    # two arcs in one slot have no order around the vertex: their records
-    # would be read in arc order, which a translation changes
-    for v, recs in sorted(table.items()):
-        if len({rec.slot for rec in recs}) < len(recs):
-            return CheckResult(BLOCKED, v, "requires an embedding without slot conflicts")
-    for v, recs in sorted(table.items()):
-        flags = [rec.incoming for rec in recs]
-        changes = sum(flags[i] != flags[(i + 1) % len(flags)] for i in range(len(flags)))
-        if changes != 2:
+    labels, _, shared = slot_table(e)
+    # two arcs in one slot have no order around the vertex: a label shows
+    # the later in arc order, which a translation changes
+    if shared:
+        v = divmod(min(shared)[0] // 8, e.dims.cols)
+        return CheckResult(BLOCKED, v, "requires an embedding without slot conflicts")
+    for vid in range(len(labels) // 8):
+        if _turns(labels, vid) > 2:
+            v = divmod(vid, e.dims.cols)
             return CheckResult(FAIL, v, f"vertex {v} has rotationally alternating arcs")
     return CheckResult(PASS)
 
@@ -209,51 +215,44 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
     consecutive so the adjacent outgoing arc is unique; diagnostic callers
     may hand in sub-regular embeddings (single in/out pairs walk fine).
     """
-    table = e.slot_records()
-    for v, recs in sorted(table.items()):
-        slots = [rec.slot for rec in recs]
-        if len(set(slots)) < len(slots):
+    t = arc_tables(e.dims)
+    labels, owner, shared = slot_table(e)
+    clashes = {entry // 8 for entry, _ in shared}
+    for vid in range(t.n_vertices):
+        v = divmod(vid, e.dims.cols)
+        if vid in clashes:
             # two arcs in one slot would pair two arrivals with one exit,
             # and the walk would never close
             raise ValueError(f"cannot partition: vertex {v} has two arcs in one slot")
-        ins = sum(1 for rec in recs if rec.incoming)
-        outs = len(recs) - ins
+        ins = sum(x > 0 for x in labels[8 * vid:8 * vid + 8])
+        outs = sum(x < 0 for x in labels[8 * vid:8 * vid + 8])
         if ins != outs or ins > 2:
             raise ValueError(
                 f"cannot partition: vertex {v} has {ins} incoming, {outs} outgoing arcs")
-        if ins == 2:
-            flags = [rec.incoming for rec in recs]
-            changes = sum(flags[i] != flags[(i + 1) % 4] for i in range(4))
-            if changes != 2:
-                raise ValueError(f"cannot partition: vertex {v} is rotationally alternating")
+        if _turns(labels, vid) > 2:
+            raise ValueError(f"cannot partition: vertex {v} is rotationally alternating")
 
-    def paired_out(v: tuple[int, int], arrival_slot: int) -> Arc:
-        recs = table[v]
-        slots = [rec.slot for rec in recs]
-        i = slots.index(arrival_slot)
+    def paired_out(aid: int) -> int:
+        # the arc out of the head of ``aid`` by a taken slot next to its own
+        entry = t.ends[aid][1][0]
+        taken = [k for k in range(entry - entry % 8, entry - entry % 8 + 8) if labels[k]]
+        i = taken.index(entry)
         for j in (i + 1, i - 1):
-            slot, incoming, arc = recs[j % len(recs)]
-            if not incoming:
-                return arc
-        raise AssertionError(f"no rotationally consecutive outgoing arc at {v}")
+            if labels[taken[j % len(taken)]] < 0:
+                return owner[taken[j % len(taken)]]
+        raise AssertionError(f"no outgoing arc next to entry {entry}")
 
     circuits: list[list[Arc]] = []
     windings: list[WindingVector] = []
-    used: set[Arc] = set()
-    for start in e.arcs:
+    used: set[int] = set()
+    for start in (t.arc_id[a] for a in e.arcs):
         if start in used:
             continue
-        circuit = [start]
-        used.add(start)
-        cur = start
-        while True:
-            h = cur.head(e.dims)
-            nxt = paired_out(h, direction_slot(cur.step, at_head=True))
-            if nxt == start:
-                break
-            circuit.append(nxt)
-            used.add(nxt)
-            cur = nxt
+        ids = [start]
+        while (nxt := paired_out(ids[-1])) != start:
+            ids.append(nxt)
+        used.update(ids)
+        circuit = [t.arcs[aid] for aid in ids]
         sdx = sum(a.dx for a in circuit)
         sdy = sum(a.dy for a in circuit)
         assert sdx % e.dims.cols == 0 and sdy % e.dims.rows == 0
@@ -278,17 +277,18 @@ def check_no_contractible_directed_cycles(
     for recs in by_tail.values():
         recs.sort()
 
+    # cycles left to examine; below zero once one goes unexamined
     budget = [max_cycles]
     vertices = sorted(by_tail)
     order = {v: i for i, v in enumerate(vertices)}
 
     def dfs(start, v, disp, path, on_path):
-        if budget[0] <= 0:
-            return None
         for a in by_tail.get(v, ()):
             h = a.head(e.dims)
             if h == start:
                 budget[0] -= 1
+                if budget[0] < 0:
+                    return None
                 if disp + a.dx == 0:
                     return path + [a]
                 continue
@@ -297,7 +297,7 @@ def check_no_contractible_directed_cycles(
             on_path.add(h)
             found = dfs(start, h, disp + a.dx, path + [a], on_path)
             on_path.discard(h)
-            if found is not None:
+            if found is not None or budget[0] < 0:
                 return found
         return None
 
@@ -307,7 +307,7 @@ def check_no_contractible_directed_cycles(
             return CheckResult(FAIL, witness,
                                "directed cycle with zero displacement: "
                                + ", ".join(str(tuple(a)) for a in witness))
-        if budget[0] <= 0:
+        if budget[0] < 0:
             return CheckResult(INCONCLUSIVE, None, "cycle budget exhausted")
     return CheckResult(PASS)
 
@@ -329,8 +329,7 @@ def _conserved(partition: CircuitPartition) -> CheckResult:
                        "windings: " + ", ".join(str(tuple(w)) for w in partition.windings))
 
 
-def full_report(e: GroundEmbedding, strict: bool = False,
-                max_cycles: int = 100_000) -> PropertyReport:
+def full_report(e: GroundEmbedding, strict: bool = False) -> PropertyReport:
     """Every check, each piece of shared work (the 2-regularity test, the
     winding walk, the circuit partition) done once. The circuits are traced
     only on a conflict-free, 2-regular, rotationally consecutive ground."""
@@ -340,7 +339,7 @@ def full_report(e: GroundEmbedding, strict: bool = False,
     connected = _connected(*walk, strict=False)
     strict_connected = _connected(*walk, strict=True)
     rot = _rotationally_consecutive(e, two_regular)
-    nocontract = check_no_contractible_directed_cycles(e, max_cycles=max_cycles)
+    nocontract = check_no_contractible_directed_cycles(e)
     partition = None
     if not (two_regular.ok and rot.ok):
         conserved = CheckResult(BLOCKED, None,

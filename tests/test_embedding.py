@@ -7,6 +7,7 @@ from laceground.embedding import (
     deserialize,
     new_embedding,
     serialize,
+    slot_table,
 )
 from laceground.geometry import Arc, TorusDims
 from laceground.paths import LacePath
@@ -27,11 +28,10 @@ def test_add_path_one_by_one():
     e = new_embedding(TorusDims(1, 1))
     e2, rej = add_path(e, NE_W_PATH, 0)
     assert rej is None
-    recs = e2.slot_records()[(0, 0)]
-    by_slot = {r.slot: r for r in recs}
+    labels = slot_table(e2)[0]
     # two incoming (NE, W), two outgoing (SW, E)
-    assert by_slot[1].incoming and by_slot[6].incoming
-    assert not by_slot[5].incoming and not by_slot[2].incoming
+    assert labels[1] > 0 and labels[6] > 0
+    assert labels[5] < 0 and labels[2] < 0
     assert check_two_regular(e2).ok and check_connected(e2).ok
     # the original is untouched
     assert e.arcs == ()

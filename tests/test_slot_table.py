@@ -1,0 +1,119 @@
+"""The per-ground slot table and golden digests of everything that reads it:
+the report, the canonical forms, the label grid, the drawing, the circuit
+partition and the pruning test, over solutions, their one-arc-removed
+negatives and random arc subsets (crossings, shared slots and wrong degrees
+included)."""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from laceground.canonical import canonical_representative, label_grid, prune_predicate
+from laceground.embedding import GroundEmbedding, arc_tables, serialize, slot_table
+from laceground.geometry import Arc, TorusDims
+from laceground.render import render_svg
+from laceground.search import SearchConfig, enumerate_grounds
+from laceground.validator import (
+    full_report,
+    partition_circuits,
+    report_to_json,
+    report_to_text,
+)
+
+# sha256 of each part of the digest over every ground of ``_grounds`` in
+# order (first 16 hex digits)
+GOLDEN_DIGESTS = {
+    "report": "42dfab5b91f46833",
+    "canonical": "0408b901eb4a9e1d",
+    "labels": "a8310ddfa1f115e9",
+    "render": "5f1d92366c993a4e",
+    "partition": "c8b80a3e0b23e828",
+    "prune": "54f9a00932f8be07",
+}
+
+
+def _grounds():
+    """The loose 2x2 and 2x3 solutions, each followed by its one-arc-removed
+    negatives, then the 2x2 solutions with one step mirrored, then 2,000
+    seeded random arc subsets of grids up to 3x4."""
+    out = []
+    solutions = {dims: [e for _, e in enumerate_grounds(SearchConfig(
+        dims, strict_connectivity=False)).canonical_solutions]
+        for dims in (TorusDims(2, 2), TorusDims(2, 3))}
+    for e in solutions[TorusDims(2, 2)] + solutions[TorusDims(2, 3)]:
+        out.append(e)
+        out.extend(GroundEmbedding(e.dims, e.arcs[:i] + e.arcs[i + 1:])
+                   for i in range(len(e.arcs)))
+    # on two columns a mirrored step keeps its head: these stay 2-in/2-out,
+    # some with a shared slot and some with a crossing
+    for e in solutions[TorusDims(2, 2)]:
+        for i, a in enumerate(e.arcs):
+            mirrored = a._replace(dx=-a.dx)
+            if mirrored not in e.arcs:
+                out.append(GroundEmbedding(e.dims, e.arcs[:i] + (mirrored,) + e.arcs[i + 1:]))
+    rng = random.Random(13)
+    for _ in range(2000):
+        dims = TorusDims(rng.randint(1, 3), rng.randint(1, 4))
+        arcs = arc_tables(dims).arcs
+        out.append(GroundEmbedding(dims, tuple(rng.sample(arcs, rng.randint(0, min(12, len(arcs)))))))
+    return out
+
+
+def _or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _digests():
+    parts = {name: hashlib.sha256() for name in GOLDEN_DIGESTS}
+    for e in _grounds():
+        report = full_report(e, strict=True)
+        canon = _or_error(canonical_representative, e)
+        if not isinstance(canon, str):
+            canon = repr(canon[0]) + "\n" + serialize(canon[1])
+        partition = _or_error(partition_circuits, e)
+        if not isinstance(partition, str):
+            partition = repr((partition.circuits, partition.windings))
+        for name, text in (
+                ("report", json.dumps(report_to_json(report), sort_keys=True)
+                 + report_to_text(report)),
+                ("canonical", canon),
+                ("labels", repr(label_grid(e))),
+                ("render", render_svg(e, (2, 2), labels=True)),
+                ("partition", partition),
+                ("prune", repr(prune_predicate(e)))):
+            parts[name].update((text + "\n").encode())
+    return {name: h.hexdigest()[:16] for name, h in parts.items()}
+
+
+def test_golden_digests():
+    assert _digests() == GOLDEN_DIGESTS
+
+
+def test_slot_table_of_a_one_by_one_ground():
+    """A 1x1 ground with two arcs in its east slot: the labels hold the
+    later arc's length, the owner the earlier arc, and the clash is listed
+    once, with the arc that found the slot taken."""
+    dims = TorusDims(1, 1)
+    t = arc_tables(dims)
+    e = GroundEmbedding(dims, (Arc(0, 0, 1, 0), Arc(0, 0, 2, 0)))
+    labels, owner, shared = slot_table(e)
+    one, two = t.arc_id[Arc(0, 0, 1, 0)], t.arc_id[Arc(0, 0, 2, 0)]
+    assert labels == [0, 0, -2, 0, 0, 0, 2, 0]
+    assert owner == [None, None, one, None, None, None, one, None]
+    assert shared == [(2, two), (6, two)]
+    assert slot_table(GroundEmbedding(dims, (Arc(0, 0, 1, 0),)))[2] == []
+
+
+def test_a_repeated_arc_takes_its_slots_twice():
+    """A ground that lists an arc twice holds two arcs in each of its slots,
+    and the canonical forms refuse it as they refuse any shared slot."""
+    arc = Arc(0, 0, 1, 0)
+    e = GroundEmbedding(TorusDims(1, 1), (arc, arc))
+    assert [entry for entry, _ in slot_table(e)[2]] == [2, 6]
+    with pytest.raises(ValueError, match="share slot 2 of vertex"):
+        canonical_representative(e)
