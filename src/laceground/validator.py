@@ -181,27 +181,27 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
     return False
 
 
-def _turns(labels: list[int], vid: int) -> int:
-    """How often the arcs at vertex ``vid`` switch between in and out once
-    round its slots: more than 2 when they alternate."""
-    signs = [x > 0 for x in labels[8 * vid:8 * vid + 8] if x]
-    return sum(signs[i] != signs[i - 1] for i in range(len(signs)))
-
-
 def _rotationally_consecutive(e: GroundEmbedding,
                               two_regular: CheckResult) -> CheckResult:
+    """The two arcs in, and the two arcs out, of each vertex sit next to
+    each other round it.
+
+    Once no slot holds two arcs this always holds. A lace step arrives by
+    slot NW, N, NE, E or W and leaves by E, SE, S, SW or W, so the arcs in
+    lie on the closed upper half of the compass, from W through N to E, and
+    the arcs out on the closed lower half, from E through S to W. The halves
+    meet only at their ends, so no slot of the lower half lies strictly
+    between two slots of the upper half, and both arcs out lie on the same
+    side of the two arcs in: they cannot alternate.
+    """
     if not two_regular.ok:
         return CheckResult(BLOCKED, two_regular.witness, "requires 2-regularity")
-    labels, _, shared = slot_table(e)
     # two arcs in one slot have no order around the vertex: a label shows
     # the later in arc order, which a translation changes
+    shared = slot_table(e)[2]
     if shared:
         v = divmod(min(shared)[0] // 8, e.dims.cols)
         return CheckResult(BLOCKED, v, "requires an embedding without slot conflicts")
-    for vid in range(len(labels) // 8):
-        if _turns(labels, vid) > 2:
-            v = divmod(vid, e.dims.cols)
-            return CheckResult(FAIL, v, f"vertex {v} has rotationally alternating arcs")
     return CheckResult(PASS)
 
 
@@ -211,9 +211,10 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
     From each unused arc, repeatedly leave by the outgoing arc rotationally
     adjacent to the arrival slot, closing when the walk returns to the start
     arc. Every vertex needs as many incoming as outgoing arcs, each in a
-    slot of its own, and vertices with two of each must be rotationally
-    consecutive so the adjacent outgoing arc is unique; diagnostic callers
-    may hand in sub-regular embeddings (single in/out pairs walk fine).
+    slot of its own; then the arcs in, and the arcs out, are rotationally
+    consecutive (see ``_rotationally_consecutive``), so the adjacent
+    outgoing arc is unique. Diagnostic callers may hand in sub-regular
+    embeddings (single in/out pairs walk fine).
     """
     t = arc_tables(e.dims)
     labels, owner, shared = slot_table(e)
@@ -229,8 +230,6 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
         if ins != outs or ins > 2:
             raise ValueError(
                 f"cannot partition: vertex {v} has {ins} incoming, {outs} outgoing arcs")
-        if _turns(labels, vid) > 2:
-            raise ValueError(f"cannot partition: vertex {v} is rotationally alternating")
 
     def paired_out(aid: int) -> int:
         # the arc out of the head of ``aid`` by a taken slot next to its own

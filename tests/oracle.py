@@ -16,8 +16,10 @@ Filter levels:
 that replay the search's moves. The other functions are independent
 references the program's own code is checked against: the lace-path
 invariants (``is_valid_lace_path``), a circuit's longitudinal winding read at
-a cut (``circuit_cut_crossings``), and the canonical form computed image by
-image (``canonical_reference``).
+a cut (``circuit_cut_crossings``), the canonical form computed image by
+image (``canonical_reference``), the crossing tables tested pair by pair
+(``crossing_tables_reference``) and the search's keep masks read candidate
+by candidate (``keep_masks_reference``).
 """
 
 from collections import Counter
@@ -32,8 +34,8 @@ from laceground.canonical import (
     transform,
     translate,
 )
-from laceground.embedding import GroundEmbedding, tables_for
-from laceground.geometry import LACE_STEP_SET, Arc, TorusDims
+from laceground.embedding import GroundEmbedding, arc_tables, tables_for
+from laceground.geometry import LACE_STEP_SET, Arc, TorusDims, arcs_cross
 from laceground.validator import _fundamental_windings, check_two_regular, full_report
 
 
@@ -101,6 +103,54 @@ def canonical_reference(e: GroundEmbedding):
          for image in [translate(transform(e, name), dr, dc)]),
         key=lambda pair: pair[0])
     return key[0], image
+
+
+def crossing_tables_reference(dims: TorusDims):
+    """``(self_ok, conflict_mask)`` of ``tables_for(dims)``, by testing every
+    arc against its own periodic copies and every pair of arcs."""
+    arcs = arc_tables(dims).arcs
+    self_ok = [not arcs_cross(a, a, dims) for a in arcs]
+    masks = [0] * len(arcs)
+    for i, a in enumerate(arcs):
+        for j in range(i + 1, len(arcs)):
+            if arcs_cross(a, arcs[j], dims):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return self_ok, masks
+
+
+def keep_masks_reference(eng):
+    """``(arc_keep, full_keep)`` of a search engine, candidate by candidate:
+    the arcs a candidate rules out (its arcs, those they cross, those that
+    share a slot with them, and those into a vertex it adds two arcs into),
+    and the vertices it adds an arc into."""
+    t = eng.t
+    sharers = [sum(1 << b for b, sb in enumerate(t.slot_mask) if sa & sb)
+               for sa in t.slot_mask]
+    into = [0] * t.n_vertices
+    for aid in range(len(t.arcs)):
+        into[t.head_vid[aid]] |= 1 << aid
+    # one row per arc and per vertex, filled bytewise
+    size = (len(eng.candidates) + 7) // 8
+    arc_rows = [bytearray(size) for _ in t.arcs]
+    full_rows = [bytearray(size) for _ in range(t.n_vertices)]
+    for k, cand in enumerate(eng.candidates):
+        byte, bit = k >> 3, 1 << (k & 7)
+        arcs = cand.blocked_mask
+        for aid in cand.arc_ids:
+            arcs |= sharers[aid]
+        for v in _bits(cand.in_two):
+            arcs |= into[v]
+        for aid in _bits(arcs):
+            arc_rows[aid][byte] |= bit
+        for v in _bits(cand.in_any):
+            full_rows[v][byte] |= bit
+    return ([eng.all_alive ^ int.from_bytes(r, "little") for r in arc_rows],
+            [eng.all_alive ^ int.from_bytes(r, "little") for r in full_rows])
+
+
+def _bits(mask: int):
+    return (i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _out_options(t, vid):

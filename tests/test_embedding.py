@@ -1,5 +1,6 @@
 import pytest
 
+from laceground import embedding
 from laceground.embedding import (
     GroundEmbedding,
     GroundFileError,
@@ -8,12 +9,42 @@ from laceground.embedding import (
     new_embedding,
     serialize,
     slot_table,
+    tables_for,
 )
-from laceground.geometry import Arc, TorusDims
+from laceground.geometry import LACE_STEPS, Arc, TorusDims
 from laceground.paths import LacePath
 from laceground.validator import check_connected, check_embedded, check_two_regular
+from oracle import crossing_tables_reference
 
 NE_W_PATH = LacePath(((-1, 1), (1, 0)), False)
+
+
+CROSSING_GRIDS = [(r, c) for r in range(1, 5) for c in range(1, 5)] + [(1, 8), (8, 1)]
+
+
+@pytest.mark.parametrize("dims", CROSSING_GRIDS, ids="{0[0]}x{0[1]}".format)
+def test_crossing_tables_match_pairwise_tests(dims):
+    """The crossing tables moved by translation equal those tested pair by
+    pair."""
+    dims = TorusDims(*dims)
+    t = tables_for(dims)
+    assert (t.self_ok, t.conflict_mask) == crossing_tables_reference(dims)
+
+
+def test_crossing_tables_test_only_the_arcs_out_of_one_vertex(monkeypatch):
+    """One build of the crossing tables calls ``arcs_cross`` once for each
+    arc out of vertex (0, 0) and each arc, not once per pair of arcs."""
+    dims = TorusDims(7, 8)
+    calls = []
+
+    def counting(a, b, d):
+        calls.append((a, b))
+        return cross(a, b, d)
+
+    cross = embedding.arcs_cross
+    monkeypatch.setattr(embedding, "arcs_cross", counting)
+    t = tables_for.__wrapped__(dims)  # a build of its own, past the cache
+    assert len(calls) == len(LACE_STEPS) * len(t.arcs)
 
 
 def test_new_embedding():

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from laceground import cli, search
+from laceground import cli, embedding, search
 from laceground.canonical import (
     _dominated,
     arc_permutations,
@@ -34,7 +34,7 @@ from laceground.search import (
     enumerate_grounds,
 )
 from laceground.validator import check_connected, full_report, windings_span_plane
-from oracle import search_state
+from oracle import keep_masks_reference, search_state
 
 # the loose model (connected on the torus only)
 SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
@@ -338,12 +338,21 @@ def test_column_walk_matches_path_builder(dims):
     assert got == [ids for column in _columns_from_paths(dims) for ids in column]
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (1, 5), (5, 1)], ids="{0[0]}x{0[1]}".format)
+def test_keep_masks_match_candidate_by_candidate(dims):
+    """The keep masks read off the transposed candidates equal those
+    gathered candidate by candidate."""
+    eng = _engine(TorusDims(*dims))
+    assert (eng.arc_keep, eng.full_keep) == keep_masks_reference(eng)
+
+
 def test_traced_layers_are_looked_up_by_name():
     """``perfbench/tracing.py`` times the layers by wrapping these names
     where their callers look them up; a refactor that imports them another
     way would leave its per-layer metrics at zero."""
     for module, names in ((search, ("tables_for", "windings_span_plane",
                                     "canonical_representative")),
+                          (embedding, ("arcs_cross",)),
                           (cli, ("enumerate_grounds", "full_report", "render_svg",
                                  "canonical_representative", "serialize",
                                  "deserialize", "to_braid_word", "main"))):

@@ -1,9 +1,10 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from laceground.embedding import GroundEmbedding, deserialize
-from laceground.geometry import Arc, TorusDims
+from laceground.geometry import LACE_STEPS, Arc, TorusDims, direction_slot
 from laceground.search import SearchConfig, enumerate_grounds
 from laceground.validator import (
     check_connected,
@@ -49,6 +50,27 @@ def test_rotationally_consecutive():
     assert full_report(TORCHON_1x1).rotationally_consecutive.ok
     blocked = full_report(EMPTY_2x2).rotationally_consecutive
     assert blocked.status == "blocked"
+
+
+def test_lace_steps_never_alternate_round_a_vertex():
+    """Two arcs in and two arcs out of a vertex, each by a lace step and
+    each in a slot of its own, never alternate in, out, in, out round it:
+    the rotational check and the circuit walk rely on this instead of
+    testing it."""
+    checked = 0
+    for ins in combinations(LACE_STEPS, 2):
+        for outs in combinations(LACE_STEPS, 2):
+            in_slots = {direction_slot(s, at_head=True) for s in ins}
+            out_slots = {direction_slot(s) for s in outs}
+            if len(in_slots | out_slots) < 4:
+                continue  # a shared slot, refused before the check
+            signs = [slot in in_slots for slot in sorted(in_slots | out_slots)]
+            switches = sum(signs[i] != signs[i - 1] for i in range(4))
+            assert switches == 2, (ins, outs)
+            checked += 1
+    # in slots W, NW, N, NE and E are taken by 2, 1, 2, 1 and 2 steps, out
+    # slots E, SE, S, SW and W by 2, 1, 2, 1 and 2
+    assert checked == 353
 
 
 def test_partition_torchon():
