@@ -15,7 +15,6 @@ from .canonical import (
     canonical_representative,
     identifier,
     identifier_text,
-    prune_predicate,
     transform,
     translate,
 )

@@ -11,7 +11,8 @@ symmetry orbit; exactly one member of each orbit attains it.
 
 The symmetries act in one way only: as permutations of arc ids
 (``arc_permutations``), the same ones the search uses to judge one leaf per
-orbit. An image's labels are the label entries of its permuted arcs
+orbit. The search's walk applies none of them; it only starts at column 0
+(see ``search``), which the column translations make exact. An image's labels are the label entries of its permuted arcs
 (``arc_tables(dims).ends``). On a symmetric ground several symmetries reach
 the least identifier; ties go to the least (transform name, dr, dc), which
 decides where the representative's zeta annotations land. A label holds one
@@ -162,49 +163,3 @@ def solution_name(eid: EmbeddingId) -> str:
     digest = hashlib.sha256(identifier_text(eid).encode()).hexdigest()
     return digest[:16]
 
-
-# ---------------------------------------------------------------------------
-# Search pruning
-# ---------------------------------------------------------------------------
-
-def _dominated(labels, cols: int) -> bool:
-    """True when a column shift, possibly mirrored, provably beats the label
-    at the origin in every completion of a partial embedding whose row-0
-    labels are ``labels`` (flat, entry col * 8 + slot).
-
-    The witness is the row-0 vertex (0, c) under the identity (c != 0) or
-    under h_reflect. Those two symmetries map any lace-path decomposition to
-    another valid one, so the smaller-identifier member is itself reachable
-    and the branch is redundant; row-reversing symmetries are deliberately
-    not used as witnesses. Label entries are compared in order while both
-    are decided: a filled slot, or any slot of a vertex whose label has four
-    non-zero entries, can no longer change. Such a vertex is 2-in/2-out,
-    since no slot holds two arcs and no degree passes 2; more than four
-    occur only in arc sets with a fault, which have no completion.
-    """
-    origin = labels[:8]
-    # entries of the origin decided before its first undecided one
-    k0 = 8 if origin.count(0) <= 4 else origin.index(0)
-    if not k0:
-        return False  # no entry of the origin is decided
-    for c in range(cols):
-        label = labels[c * 8:c * 8 + 8]
-        mirrored = label[:1] + label[:0:-1]  # h_reflect: entry i reads slot -i
-        witness_done = label.count(0) <= 4
-        # both symmetries keep label signs
-        for w in ((label, mirrored) if c else (mirrored,)):
-            k = k0 if witness_done or 0 not in w[:k0] else w.index(0)
-            if w[:k] < origin[:k]:
-                return True
-    return False
-
-
-def prune_predicate(e: GroundEmbedding) -> bool:
-    """Sound branch-keeping test for partial embeddings: the search's own
-    domination test on the row-0 labels of ``e``.
-
-    Returns False only when no completion of ``e`` can contribute a new
-    canonical class (see ``_dominated``); undecidable comparisons keep the
-    branch.
-    """
-    return not _dominated(slot_table(e)[0][:8 * e.dims.cols], e.dims.cols)

@@ -3,18 +3,17 @@
 The search adds lace paths one at a time. Its options form one flat list
 of candidates: those of column 0, then those of column 1, and so on, each
 candidate the arcs of a path rooted at its column. A node is a set of
-candidates, and its state is four plain values: the placed arcs as a
-bitset, the vertices with at least one arc in, the vertices with two arcs
-in (no degree passes 2), and the flat row-0 label list (entry
-col * 8 + slot) that the domination test reads. Out-degrees need no value
-of their own: every candidate is a closed walk, so they equal the
-in-degrees. A node also carries an alive bitset: the candidates its
-subtree may add that still fit its state, exactly those whose arcs
-``embedding._first_fault`` accepts after the state's. A move narrows it
-with a few ANDs of precomputed masks, one per arc the move adds and one
-per vertex it fills (``_Engine.narrow``), so a node's children are read
-off its set bits instead of testing every candidate at every node. This is
-the bitset form of the option lists of Knuth's Dancing Links.
+candidates, and its state is three plain values: the placed arcs as a
+bitset, the vertices with at least one arc in and the vertices with two
+arcs in (no degree passes 2). Out-degrees need no value of their own:
+every candidate is a closed walk, so they equal the in-degrees. A node
+also carries an alive bitset: the candidates its subtree may add that
+still fit its state, exactly those whose arcs ``embedding._first_fault``
+accepts after the state's. A move narrows it with a few ANDs of
+precomputed masks, one per arc the move adds and one per vertex it fills
+(``_Engine.narrow``), so a node's children are read off its set bits
+instead of testing every candidate at every node. This is the bitset form
+of the option lists of Knuth's Dancing Links.
 
 A column takes at most two paths, and the masks alone keep that rule: once
 two of a column's candidates are placed, none of the others fits (two
@@ -34,9 +33,7 @@ A node tests its children in its own loop (``_ItemRunner._branch``): each
 child counts as a node, then its state, its narrowed bitset and its
 waiting vertex are computed there, and only a live child costs a call. A
 child is dead when a waiting vertex has no alive candidate into it: at 3x3
-that is 150,623 of the 207,970 nodes. Only a child whose candidate writes
-row 0 copies the labels and is tested for domination; any other child has
-its parent's labels, which already passed.
+that is 172,752 of the 248,645 nodes.
 
 A column's candidates are the distinct arc sets its lace paths lay down,
 built by one depth-first walk over arc ids from the column's row-0 vertex
@@ -58,9 +55,15 @@ by canonical identifier, so duplicate classes collapse and results are
 independent of scheduling.
 
 The search tree is partitioned into independent work items by the first
-candidate placed. Items share nothing and their leaf sets merge
-commutatively, which makes multi-process runs byte-identical to the
-single-process reference run.
+candidate placed, its lowest. Items share nothing and their leaf sets
+merge commutatively, which makes multi-process runs byte-identical to the
+single-process reference run. The one symmetry rule of the walk breaks the
+column shift at the root: with pruning on, only the column-0 candidates
+start items. Column c's candidates are column 0's moved c columns right,
+in the same order, and faults are invariant under translation, so a
+regular set whose lowest column is c, moved c columns left, is a regular
+set in the same orbit that holds a column-0 candidate; the judge keeps one
+set per orbit, so the classes are those of the whole tree.
 """
 
 import os
@@ -71,13 +74,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .canonical import (
-    _dominated,
-    arc_permutations,
-    canonical_representative,
-    identifier_text,
-)
-from .embedding import _NO_ARCS, GroundEmbedding, MaskTables, _Arcs, _join, tables_for
+from .canonical import arc_permutations, canonical_representative, identifier_text
+from .embedding import _NO_ARCS, GroundEmbedding, _Arcs, _join, tables_for
 from .geometry import TorusDims
 from .paths import _lace_paths
 from .validator import check_connected, windings_span_plane
@@ -87,9 +85,11 @@ _BIG = 1 << 62
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search options. Defaults give the reference semantics: pruning on and
-    strict connectivity (the cycle windings generate all of Z x Z, so the
-    ground tiled over the plane hangs together as one piece of fabric).
+    """Search options. Defaults give the reference semantics: pruning on
+    (work items start only at column 0's candidates; ``pruning=False`` walks
+    the whole tree, one item per candidate) and strict connectivity (the
+    cycle windings generate all of Z x Z, so the ground tiled over the
+    plane hangs together as one piece of fabric).
     ``strict_connectivity=False`` selects the loose model, which asks only
     for one component on the torus with a cycle that wraps it; its lift may
     fall apart into separate strands. ``jobs`` is an upper bound on worker
@@ -113,23 +113,17 @@ class SearchResult:
 
 class _Candidate:
     """A set of arcs added as one search move, made from the masks the
-    column walk joined: its arcs, the arcs it blocks (itself and every arc
-    it crosses), the vertices it adds at least one and two arcs into, and
-    the row-0 label entries it writes, as (index, value) pairs."""
+    column walk joined: its arcs and the vertices it adds at least one and
+    two arcs into."""
 
-    __slots__ = ("arc_ids", "arcs_mask", "blocked_mask", "in_any", "in_two",
-                 "label_updates")
+    __slots__ = ("arc_ids", "arcs_mask", "in_any", "in_two")
 
-    def __init__(self, arc_ids: tuple[int, ...], masks: _Arcs, t: MaskTables):
+    def __init__(self, arc_ids: tuple[int, ...], masks: _Arcs):
         # a closed walk: the keep masks and the search read the in side only
         assert masks.in_any == masks.out_any and masks.in_two == masks.out_two
         self.arc_ids = arc_ids
         self.arcs_mask = masks.arcs
-        self.blocked_mask = masks.arcs | masks.crossed
         self.in_any, self.in_two = masks.in_any, masks.in_two
-        row0 = t.dims.cols * 8
-        self.label_updates = tuple(end for aid in arc_ids for end in t.ends[aid]
-                                   if end[0] < row0)
 
 
 class _Engine:
@@ -141,8 +135,8 @@ class _Engine:
     cannot take:
 
     - ``arc_keep[a]``, a state holding arc ``a``: the dead candidates
-      contain or cross it (``blocked_mask``), share one of its slots, or add
-      two arcs into its head;
+      contain or cross it, share one of its slots, or add two arcs into its
+      head;
     - ``full_keep[v]``, vertex ``v`` with two arcs in: the dead candidates
       add an arc into ``v``.
 
@@ -154,8 +148,9 @@ class _Engine:
     def __init__(self, dims: TorusDims):
         self.dims = dims
         self.t = tables_for(dims)
-        self.candidates = [cand for c in range(dims.cols)
-                           for cand in self._column_candidates(c)]
+        columns = [self._column_candidates(c) for c in range(dims.cols)]
+        self.candidates = [cand for column in columns for cand in column]
+        self.n_column0 = len(columns[0])  # they come first
         self.all_alive = (1 << len(self.candidates)) - 1
         self.arc_keep, self.full_keep = self._keep_masks()
         # per vertex: the candidates that add an arc into it
@@ -190,7 +185,7 @@ class _Engine:
         for _, (_, ids, masks) in _lace_paths(self.dims.rows, extend, start):
             if masks.arcs not in seen:
                 seen.add(masks.arcs)
-                out.append(_Candidate(ids, masks, t))
+                out.append(_Candidate(ids, masks))
         return out
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
@@ -278,9 +273,8 @@ class _Budget(Exception):
 
 
 class _ItemRunner:
-    def __init__(self, eng: _Engine, pruning: bool, budget: Optional[int]):
+    def __init__(self, eng: _Engine, budget: Optional[int]):
         self.eng = eng
-        self.pruning = pruning
         self.budget = budget if budget is not None else _BIG
         self.nodes = 0
         self.leaves: set[int] = set()  # arc sets of the regular leaves met
@@ -289,28 +283,22 @@ class _ItemRunner:
     def run(self, first: int):
         """Walk the subtree whose lowest candidate is ``first``: the one
         child ``first`` of the empty node."""
-        eng = self.eng
         try:
-            self._branch(0, 0, 0, [0] * (eng.dims.cols * 8), eng.all_alive, 0,
-                         1 << first)
+            self._branch(0, 0, 0, self.eng.all_alive, 0, 1 << first)
         except _Budget:
             self.complete = False
 
-    def _branch(self, arcs: int, in_ge1: int, in_ge2: int, labels: list[int],
-                alive: int, waiting: int, children: int):
+    def _branch(self, arcs: int, in_ge1: int, in_ge2: int, alive: int,
+                waiting: int, children: int):
         """Visit the ``children`` of a live node whose state is ``arcs``,
-        ``in_ge1``, ``in_ge2`` and ``labels``, with ``alive`` its narrowed
-        candidates and ``waiting`` its vertices with one arc in.
+        ``in_ge1`` and ``in_ge2``, with ``alive`` its narrowed candidates and
+        ``waiting`` its vertices with one arc in.
 
         Each child counts as a node, then its state is computed here, and
         only a live child costs a call: one whose waiting vertices all still
-        have an alive candidate into them, and which is not dominated. Only
-        a child that writes row 0 copies the labels and is tested for
-        domination; the others have their parent's labels, which passed.
-        The arguments are left as they were."""
+        have an alive candidate into them."""
         eng = self.eng
         candidates, narrow, fewest_into = eng.candidates, eng.narrow, eng.fewest_into
-        cols, pruning = eng.dims.cols, self.pruning
         # every set bit is a candidate that fits: nothing is left to test
         while children:
             low = children & -children
@@ -331,13 +319,6 @@ class _ItemRunner:
                     continue  # a vertex with one arc in can never get its second
             else:
                 grandchildren = child_alive
-            child_labels = labels
-            if cand.label_updates:
-                child_labels = labels[:]  # shared by this node's other children
-                for index, value in cand.label_updates:
-                    child_labels[index] = value
-                if pruning and _dominated(child_labels, cols):
-                    continue
             child_arcs = arcs | cand.arcs_mask
             # degrees never exceed 2 and out-degrees equal in-degrees, so the
             # used vertices are 2-in/2-out exactly when every vertex with an
@@ -345,8 +326,8 @@ class _ItemRunner:
             if not child_waiting:
                 self.leaves.add(child_arcs)
             if grandchildren:
-                self._branch(child_arcs, child_ge1, child_ge2, child_labels,
-                             child_alive, child_waiting, grandchildren)
+                self._branch(child_arcs, child_ge1, child_ge2, child_alive,
+                             child_waiting, grandchildren)
 
 
 def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbedding]:
@@ -374,8 +355,8 @@ def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbe
 def _run_item(args) -> tuple[set[int], int, bool]:
     """One work item: the subtree whose first candidate is ``first``. The
     all-empty embedding is not a solution, so the items cover the tree."""
-    dims, pruning, budget, first = args
-    runner = _ItemRunner(_engine(dims), pruning, budget)
+    dims, budget, first = args
+    runner = _ItemRunner(_engine(dims), budget)
     runner.run(first)
     return runner.leaves, runner.nodes, runner.complete
 
@@ -396,7 +377,9 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     config.dims.validate()
     start = time.monotonic()
     eng = _engine(config.dims)
-    n_items = len(eng.candidates)
+    # pruning starts items only at column 0's candidates (see the module
+    # docstring): every orbit of regular sets has a member that holds one
+    n_items = eng.n_column0 if config.pruning else len(eng.candidates)
     budgets: list[Optional[int]] = [None] * n_items
     if config.node_budget is not None and n_items:
         per, extra = divmod(config.node_budget, n_items)
@@ -405,7 +388,7 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     leaves: set[int] = set()
     nodes = 0
     complete = True
-    job_args = [(config.dims, config.pruning, budgets[k], k) for k in range(n_items)]
+    job_args = [(config.dims, budgets[k], k) for k in range(n_items)]
     workers = _pool_size(config.jobs, n_items)
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:

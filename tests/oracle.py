@@ -23,14 +23,12 @@ by candidate (``keep_masks_reference``).
 """
 
 from collections import Counter
-from itertools import chain
 
 from laceground.canonical import (
     TRANSFORMS,
     canonical_representative,
     identifier,
     identifier_text,
-    label_grid,
     transform,
     translate,
 )
@@ -40,15 +38,14 @@ from laceground.validator import _fundamental_windings, check_two_regular, full_
 
 
 def search_state(e: GroundEmbedding):
-    """The four values the search holds at a node, read off the embedding:
-    its arcs as a bitset of arc ids, the vertices with at least one and with
-    two arcs in (as bitsets of vertex ids), and the flat row-0 labels."""
+    """The three values the search holds at a node, read off the embedding:
+    its arcs as a bitset of arc ids and the vertices with at least one and
+    with two arcs in (as bitsets of vertex ids)."""
     t = tables_for(e.dims)
     indegree = Counter(t.head_vid[t.arc_id[a]] for a in e.arcs)
     return (sum(1 << t.arc_id[a] for a in e.arcs),
             sum(1 << v for v in indegree),
-            sum(1 << v for v, n in indegree.items() if n >= 2),
-            list(chain.from_iterable(label_grid(e)[0])))
+            sum(1 << v for v, n in indegree.items() if n >= 2))
 
 
 def is_valid_lace_path(steps, n: int, skipping: bool = False) -> bool:
@@ -136,9 +133,9 @@ def keep_masks_reference(eng):
     full_rows = [bytearray(size) for _ in range(t.n_vertices)]
     for k, cand in enumerate(eng.candidates):
         byte, bit = k >> 3, 1 << (k & 7)
-        arcs = cand.blocked_mask
+        arcs = cand.arcs_mask
         for aid in cand.arc_ids:
-            arcs |= sharers[aid]
+            arcs |= t.conflict_mask[aid] | sharers[aid]
         for v in _bits(cand.in_two):
             arcs |= into[v]
         for aid in _bits(arcs):

@@ -9,14 +9,12 @@ from laceground.canonical import (
     identifier,
     identifier_text,
     label_grid,
-    prune_predicate,
     solution_name,
     transform,
     translate,
 )
-from laceground.embedding import GroundEmbedding, add_path, arc_tables, new_embedding
+from laceground.embedding import GroundEmbedding, arc_tables, new_embedding
 from laceground.geometry import Arc, TorusDims
-from laceground.paths import LacePath
 from laceground.search import SearchConfig, enumerate_grounds
 from oracle import canonical_reference
 
@@ -102,25 +100,6 @@ def test_identifier_text_and_name_stable():
     assert text == "1x1|0,1,-1,0,0,-1,1,0"
     assert len(solution_name(eid)) == 16
     assert solution_name(eid) == solution_name(eid)
-
-
-def test_prune_predicate_keeps_canonical_prefixes():
-    # any state reached while building a stored representative must be kept
-    result = enumerate_grounds(SearchConfig(TorusDims(2, 1)))
-    for _, emb in result.canonical_solutions:
-        assert prune_predicate(emb)
-
-
-def test_prune_predicate_discards_dominated():
-    # a lone path at column 1 of an otherwise empty grid is column-shift
-    # dominated as soon as the shifted label comparison is decided
-    e = new_embedding(TorusDims(1, 2))
-    e2, _ = add_path(e, LacePath(((-1, 1), (1, 0)), False), 1)
-    moved = translate(e2, 0, 1)
-    keep_original = prune_predicate(e2)
-    keep_moved = prune_predicate(moved)
-    # at least one of the two placements is redundant
-    assert not (keep_original and keep_moved) or canonical_id(e2) == canonical_id(moved)
 
 
 def test_pruning_differential_small_grids():

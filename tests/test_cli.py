@@ -134,6 +134,25 @@ def test_enumerate_jobs_byte_identical(tmp_path, capsys):
     assert mismatch == [] and errors == []
 
 
+def test_no_prune_writes_the_same_files(tmp_path, capsys):
+    """The walk from column 0 alone and the whole tree give the same classes
+    and the same files."""
+    dirs = []
+    for extra in ((), ("--no-prune",)):
+        d = tmp_path / ("whole" if extra else "column0")
+        code, out, _ = run(capsys, "enumerate", "--rows", "2", "--cols", "4",
+                           "--jobs", "2", "--out", str(d), *extra)
+        assert code == 0
+        assert out.startswith("solutions=126 ")
+        dirs.append(d)
+    a, b = dirs
+    names = sorted(p.name for p in a.iterdir())
+    assert len(names) == 126
+    assert names == sorted(p.name for p in b.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
 def test_enumerate_budget_exit_code(capsys):
     code, out, _ = run(capsys, "enumerate", "--rows", "2", "--cols", "2",
                        "--budget", "5")

@@ -8,8 +8,6 @@ from laceground.canonical import (
     arc_permutations,
     canonical_representative,
     identifier,
-    label_grid,
-    prune_predicate,
     transform,
     translate,
 )
@@ -106,60 +104,6 @@ def test_alive_bitsets_are_the_feasible_candidates(dims, data):
         for c in range(dims.cols):
             if placed[c] >= 2:
                 assert not alive & column_bits[c]
-
-
-# h_reflect mirrors a vertex's compass left to right: slot i goes to slot -i
-H_REFLECT_SLOT = tuple((8 - i) % 8 for i in range(8))
-
-
-def _dominated_by_labels(e: GroundEmbedding) -> bool:
-    """``_dominated`` as its docstring states it, read off the label grid:
-    a row-0 witness under the identity (column >= 1) or h_reflect whose
-    label is smaller than the origin's in the entries decided at both."""
-    grid = label_grid(e)
-    degree = {}
-    for a in e.arcs:
-        degree.setdefault((a.row, a.col), [0, 0])[1] += 1
-        degree.setdefault(a.head(e.dims), [0, 0])[0] += 1
-
-    def decided(c, slot):
-        return grid[0][c][slot] != 0 or degree.get((0, c)) == [2, 2]
-
-    # entry i of a witness's label reads slot src[i] of the vertex
-    for name, src in (("identity", range(8)), ("h_reflect", H_REFLECT_SLOT)):
-        for c in range(e.dims.cols):
-            if name == "identity" and c == 0:
-                continue
-            for i in range(8):
-                if not (decided(c, src[i]) and decided(0, i)):
-                    break
-                if grid[0][c][src[i]] != grid[0][0][i]:
-                    if grid[0][c][src[i]] < grid[0][0][i]:
-                        return True
-                    break
-    return False
-
-
-@st.composite
-def fault_free_arc_sets(draw):
-    """Arcs added one at a time in random order, each kept only when
-    ``_first_fault`` accepts it after those kept: a vertex may have more
-    arcs in than out."""
-    dims = draw(dims_2d)
-    t = tables_for(dims)
-    ids = []
-    for aid in draw(st.lists(st.integers(0, len(t.arcs) - 1), max_size=16)):
-        if _first_fault(ids + [aid], t) is None:
-            ids.append(aid)
-    return GroundEmbedding(dims, tuple(t.arcs[aid] for aid in ids))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(partial_embeddings(), fault_free_arc_sets()))
-# (0, 0) has two arcs in and one out, so its empty entries are still open
-@example(GroundEmbedding(TorusDims(1, 2), (Arc(0, 0, 0, 1), Arc(0, 1, -1, 1))))
-def test_domination_reads_the_decided_label_entries(e):
-    assert prune_predicate(e) == (not _dominated_by_labels(e))
 
 
 zeta_strings = st.text(alphabet=sorted(ZETA_ALPHABET), min_size=1, max_size=6)

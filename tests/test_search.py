@@ -5,7 +5,6 @@ import pytest
 
 from laceground import cli, embedding, search
 from laceground.canonical import (
-    _dominated,
     arc_permutations,
     canonical_id,
     canonical_representative,
@@ -41,8 +40,8 @@ SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 1
 
 # sha256 over "name\nfile" of every default-model solution in order (first 16
 # hex digits), and the nodes visited
-GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 298), (2, 3): ("f5837c02a18e0854", 2275),
-          (3, 2): ("376e130448769230", 7583), (1, 5): ("96d48af6994e947f", 272)}
+GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 251), (2, 3): ("f5837c02a18e0854", 2705),
+          (3, 2): ("376e130448769230", 6570), (1, 5): ("96d48af6994e947f", 486)}
 
 
 @pytest.mark.parametrize("dims,expected", sorted(SMALL_COUNTS.items()))
@@ -145,10 +144,11 @@ def test_pool_size_is_bounded(monkeypatch):
 
 
 def _leaves(dims):
-    """The union of the work items' regular leaf arc sets."""
+    """The union of the regular leaf arc sets of the default run's work
+    items, those that start at a column-0 candidate."""
     leaves = set()
-    for first in range(len(_engine(dims).candidates)):
-        leaves |= _run_item((dims, True, None, first))[0]
+    for first in range(_engine(dims).n_column0):
+        leaves |= _run_item((dims, None, first))[0]
     return leaves
 
 
@@ -211,9 +211,9 @@ def test_orbit_judge_matches_per_leaf_judge(dims, strict):
 
 
 def _walk_without_lookahead(dims):
-    """The search tree as it is without the degree lookahead: every
-    undominated node descends, each node's state read off its embedding.
-    Returns its regular leaf arc sets and its node count."""
+    """The search tree as it is without the degree lookahead: from each
+    column-0 candidate every node descends, each node's state read off its
+    embedding. Returns its regular leaf arc sets and its node count."""
     eng = _engine(dims)
     t = tables_for(dims)
     leaves = set()
@@ -224,9 +224,7 @@ def _walk_without_lookahead(dims):
         nodes += 1
         cand = eng.candidates[k]
         e = GroundEmbedding(dims, e.arcs + tuple(t.arcs[aid] for aid in cand.arc_ids))
-        arcs, after_ge1, after_ge2, labels = search_state(e)
-        if _dominated(labels, dims.cols):
-            return
+        arcs, after_ge1, after_ge2 = search_state(e)
         alive = eng.narrow(alive, cand, after_ge2 & ~in_ge2)
         if after_ge2 == after_ge1:
             leaves.add(arcs)
@@ -234,14 +232,13 @@ def _walk_without_lookahead(dims):
             if alive >> i & 1:
                 place(e, after_ge2, alive, i)
 
-    for k in range(len(eng.candidates)):
+    for k in range(eng.n_column0):
         place(GroundEmbedding(dims), 0, eng.all_alive, k)
     return leaves, nodes
 
 
-# nodes of the tree without the lookahead, as the search visited them before
-# it had one
-TREE_WITHOUT_LOOKAHEAD = {(2, 2): 439, (2, 3): 7710, (3, 2): 11753, (1, 5): 1930,
+# nodes of the tree without the lookahead, from the column-0 candidates
+TREE_WITHOUT_LOOKAHEAD = {(2, 2): 362, (2, 3): 7307, (3, 2): 9833, (1, 5): 1832,
                           (4, 1): 1335}
 
 
@@ -254,12 +251,12 @@ def test_lookahead_keeps_every_regular_leaf(dims):
 
 
 def _leaf_visits(dims):
-    """The arc sets of the regular leaves of the walk without pruning, one
-    entry per visit."""
+    """The arc sets of the regular leaves of the walk without pruning, every
+    candidate starting a work item, one entry per visit."""
     eng = _engine(dims)
     visits = []
     for first in range(len(eng.candidates)):
-        runner = _ItemRunner(eng, False, None)
+        runner = _ItemRunner(eng, None)
         runner.leaves = SimpleNamespace(add=visits.append)
         runner.run(first)
     return visits
@@ -280,6 +277,22 @@ def test_walk_reaches_each_regular_candidate_set_once(dims):
     or reached one through two children would change the count."""
     visits = _leaf_visits(TorusDims(*dims))
     assert (len(visits), len(set(visits))) == REGULAR_SETS[dims][:2]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (1, 5), (2, 4)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_column_0_items_reach_a_translate_of_every_leaf(dims):
+    """The root rule: the work items that start at a column-0 candidate
+    reach only regular leaves of the whole walk, and a column translate of
+    each of its regular leaves."""
+    dims = TorusDims(*dims)
+    rooted = _leaves(dims)
+    every = set(_leaf_visits(dims))
+    assert rooted <= every
+    shifts = [arc_permutations(dims)[("identity", 0, dc)] for dc in range(dims.cols)]
+    for mask in every:
+        ids = list(_bits(mask))
+        assert any(sum(1 << shift[aid] for aid in ids) in rooted for shift in shifts)
 
 
 @pytest.mark.parametrize("dims", sorted(REGULAR_SETS), ids="{0[0]}x{0[1]}".format)
@@ -331,8 +344,8 @@ def _columns_from_paths(dims):
 def test_column_walk_matches_path_builder(dims):
     """The fault-pruned walk gives the same candidates, in the same order, as
     materialising every path, column after column; the order decides which
-    later candidates a dominated node skips, so the node counts depend on
-    it."""
+    candidates start the work items and which later candidates a leaf's
+    children keep, so the node counts depend on it."""
     dims = TorusDims(*dims)
     got = [c.arc_ids for c in _engine(dims).candidates]
     assert got == [ids for column in _columns_from_paths(dims) for ids in column]
