@@ -12,19 +12,20 @@ symmetry orbit; exactly one member of each orbit attains it.
 The symmetries act in one way only: as permutations of arc ids
 (``arc_permutations``), the same ones the search uses to judge one leaf per
 orbit. The search's walk applies none of them; it only starts at column 0
-(see ``search``), which the column translations make exact. An image's labels are the label entries of its permuted arcs
+(see ``search``), which the column translations make exact. An image's
+labels are the label entries of its permuted arcs
 (``arc_tables(dims).ends``). On a symmetric ground several symmetries reach
 the least identifier; ties go to the least (transform name, dr, dc), which
 decides where the representative's zeta annotations land. A label holds one
-arc per slot, so a ground in which two arcs share a slot has no
-well-defined identifier: which arc a label shows would depend on arc order,
-which a symmetry changes. The canonical forms refuse it with ValueError.
+arc per slot, so a ground in which two arcs share a slot has no well-defined
+identifier: which arc a label shows would depend on arc order, which a
+symmetry changes. The canonical forms refuse it with ValueError.
 """
 
 import hashlib
 from functools import lru_cache
 
-from .embedding import GroundEmbedding, arc_tables, slot_table
+from .embedding import GroundEmbedding, arc_tables, slot_table, translations
 from .geometry import Arc, TorusDims, wrap
 
 TRANSFORMS = ("identity", "h_reflect", "v_reflect", "rot180")
@@ -86,12 +87,11 @@ def transform(e: GroundEmbedding, name: str) -> GroundEmbedding:
     return GroundEmbedding(e.dims, arcs, zeta)
 
 
-def _translate_arc(a: Arc, dr: int, dc: int, dims: TorusDims) -> Arc:
-    return Arc(*wrap(a.row + dr, a.col + dc, dims), a.dx, a.dy)
-
-
 def translate(e: GroundEmbedding, dr: int, dc: int) -> GroundEmbedding:
-    arcs = tuple(sorted(_translate_arc(a, dr, dc, e.dims) for a in e.arcs))
+    """Move the arcs and zeta ``dr`` rows down and ``dc`` columns right."""
+    t = arc_tables(e.dims)
+    shift = translations(e.dims)[dr % e.dims.rows, dc % e.dims.cols]
+    arcs = tuple(t.arcs[shift[t.arc_id[a]]] for a in e.arcs)
     zeta = tuple(sorted(
         (wrap(v[0] + dr, v[1] + dc, e.dims), actions) for v, actions in e.zeta))
     return GroundEmbedding(e.dims, arcs, zeta)
@@ -102,14 +102,13 @@ def arc_permutations(dims: TorusDims) -> dict[tuple[str, int, int], tuple[int, .
     """Every symmetry of the grid as a permutation of arc ids (the ids of
     ``arc_tables(dims)``), keyed by (transform name, dr, dc): entry ``i`` is
     the id of arc ``i`` under ``translate(transform(e, name), dr, dc)``,
-    composed from one permutation per transform and one per translation."""
+    composed from one permutation per transform and one of
+    ``translations(dims)``."""
     t = arc_tables(dims)
     moved = {name: [t.arc_id[_transform_arc(a, name, dims)] for a in t.arcs]
              for name in TRANSFORMS}
-    shifted = {(dr, dc): [t.arc_id[_translate_arc(a, dr, dc, dims)] for a in t.arcs]
-               for dr in range(dims.rows) for dc in range(dims.cols)}
     return {(name, dr, dc): tuple(map(shift.__getitem__, moved[name]))
-            for name in TRANSFORMS for (dr, dc), shift in shifted.items()}
+            for name in TRANSFORMS for (dr, dc), shift in translations(dims).items()}
 
 
 def _least_image(e: GroundEmbedding):

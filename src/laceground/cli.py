@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=_at_most(MAX_PERIOD), required=True)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out", type=Path, default=None, help="directory for .gnd solution files")
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--loose", action="store_true", help=_LOOSE_HELP)
     p.add_argument("--budget", type=_positive, default=None, help="node budget")
 
@@ -88,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rows", type=_at_most(MAX_PATH_HEIGHT), required=True)
     p.add_argument("--max-cols", type=_at_most(MAX_PERIOD), required=True)
     p.add_argument("--jobs", type=_positive, default=1)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--loose", action="store_true", help=_LOOSE_HELP)
     p.add_argument("--budget", type=_positive, default=None)
     p.add_argument("--format", choices=("pretty", "tsv"), default="pretty")
@@ -136,8 +134,7 @@ def cmd_enumerate(args) -> int:
             return EXIT_USAGE
     config = SearchConfig(
         TorusDims(args.rows, args.cols), jobs=args.jobs,
-        pruning=not args.no_prune, strict_connectivity=not args.loose,
-        node_budget=args.budget)
+        strict_connectivity=not args.loose, node_budget=args.budget)
     result = enumerate_grounds(config)
     if out_dir is not None:
         for eid_text, emb in result.canonical_solutions:
@@ -204,8 +201,7 @@ def cmd_counts(args) -> int:
         print("error: bounds of 4x4 and larger require --budget", file=sys.stderr)
         return EXIT_USAGE
     table = count_table(args.max_rows, args.max_cols, jobs=args.jobs,
-                        pruning=not args.no_prune, strict=not args.loose,
-                        node_budget=args.budget)
+                        strict=not args.loose, node_budget=args.budget)
     rendered = [[f"{cell.count}" if cell.complete else f">={cell.count}*"
                  for cell in row] for row in table]
     if args.format == "tsv":

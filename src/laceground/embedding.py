@@ -4,14 +4,15 @@ format.
 A ``GroundEmbedding`` is an immutable value: dims, a sorted tuple of arcs,
 and optional per-vertex action annotations.
 
-The arc universe of a grid and the label entries of its arcs are built once
-(``arc_tables``), and so are its geometric conflicts, as bitmask tables
-added to the same object on first use (``tables_for``). Only the arcs out
-of vertex (0, 0) are tested against every arc; every other arc's row is one
-of theirs moved by a translation of the torus. That is 576 crossing tests
-at 3x3 (testing every pair took 2,628), and the tables take about 0.1 s at
-8x8 (about 4 s pair by pair). The canonical forms read only the arcs and
-label entries, so they never build the crossing tables.
+The arc universe of a grid, the label entries of its arcs and its
+translations, as permutations of arc ids, are built once (``arc_tables``,
+``translations``); whatever moves arcs around the torus reads the latter.
+The geometric conflicts are bitmask tables added to the arc tables on
+first use (``tables_for``): only the arcs out of vertex (0, 0) are tested
+against every arc, 576 crossing tests at 3x3 (2,628 pair by pair), and
+every other arc's row is one of theirs translated. The canonical forms
+read only the arcs and label entries, so they never build the crossing
+tables.
 
 ``slot_table`` reads a ground's one slot table from those label entries:
 its vertex labels, the arc in each slot and the slots a second arc takes.
@@ -22,7 +23,7 @@ arc at a vertex) live in one place, ``_join``, which adds arcs one by one
 to the masks of the sequence so far (``_Arcs``). ``_first_fault`` runs it
 over a whole sequence to name the first arc that fails, for ``verify`` and
 ``add_path``; the search runs it one arc at a time while it walks the paths
-of a column, and builds its candidates from the masks that walk holds.
+of column 0, and builds its candidates from the masks that walk holds.
 
 ``add_path`` runs ``_first_fault`` over the arcs of its input and then the
 path's, and returns a new embedding or a ``Rejection``, never mutating its
@@ -106,6 +107,17 @@ def arc_tables(dims: TorusDims) -> MaskTables:
 
 
 @lru_cache(maxsize=None)
+def translations(dims: TorusDims) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Every translation of the torus as a permutation of arc ids (the ids
+    of ``arc_tables(dims)``), keyed by (dr, dc): entry ``i`` is the id of
+    arc ``i`` moved ``dr`` rows down and ``dc`` columns right."""
+    t = arc_tables(dims)
+    return {(dr, dc): tuple(t.arc_id[Arc(*wrap(a.row + dr, a.col + dc, dims), a.dx, a.dy)]
+                            for a in t.arcs)
+            for dr in range(dims.rows) for dc in range(dims.cols)}
+
+
+@lru_cache(maxsize=None)
 def tables_for(dims: TorusDims) -> MaskTables:
     """``arc_tables(dims)`` with its crossing tables added: ``self_ok`` (per
     arc, it does not cross its own periodic copies) and ``conflict_mask``
@@ -113,35 +125,22 @@ def tables_for(dims: TorusDims) -> MaskTables:
 
     Crossing is invariant under translation on the torus, so only the arcs
     out of vertex (0, 0) are tested against every arc (``len(LACE_STEPS)``
-    rows of ``arcs_cross`` calls); the row of the arc out of (r, c) by a
-    step is the row of the arc out of (0, 0) by that step moved r rows down
-    and c columns right.
+    rows of ``arcs_cross`` calls); every other arc is one of them moved by
+    a permutation of ``translations(dims)``, and so is its row.
     """
     # plain attributes, not cached properties: a descriptor on the class
     # keeps CPython from specialising the attribute loads in ``_join``,
     # which made the 5x1 column walk about 6% slower
     t = arc_tables(dims)
-    rows, cols = dims
-    steps = len(LACE_STEPS)
-    base = [sum(1 << j for j, b in enumerate(t.arcs) if arcs_cross(a, b, dims))
-            for a in t.arcs[:steps]]
-    t.self_ok = [not row >> s & 1 for s, row in enumerate(base)] * t.n_vertices
-    base = [row & ~(1 << s) for s, row in enumerate(base)]
-    # arc ids run vertex by vertex, ``steps`` bits a vertex and ``width``
-    # bits a row of vertices, so a move right rotates each row's bits and a
-    # move down rotates the whole bitset
-    width = steps * cols
-    every = (1 << width * rows) - 1
-    t.conflict_mask = masks = []
-    for c in range(cols):
-        # the bits of the columns that stay in their row when moved c right
-        stay = sum(((1 << steps * (cols - c)) - 1) << width * r for r in range(rows))
-        masks.extend(((row & stay) << steps * c) | ((row & ~stay) >> steps * (cols - c))
-                     for row in base)
-    # ``masks`` holds row 0; each later row is the one above moved down
-    for i in range(width * (rows - 1)):
-        row = masks[i]
-        masks.append(((row << width) | (row >> width * (rows - 1))) & every)
+    origin = [t.out_arc[0][step] for step in LACE_STEPS]
+    crossed = [[j for j, b in enumerate(t.arcs) if arcs_cross(t.arcs[aid], b, dims)]
+               for aid in origin]
+    t.self_ok, t.conflict_mask = [True] * len(t.arcs), [0] * len(t.arcs)
+    for perm in translations(dims).values():
+        for aid, row in zip(origin, crossed):
+            moved = perm[aid]
+            t.self_ok[moved] = aid not in row
+            t.conflict_mask[moved] = sum(1 << perm[j] for j in row if j != aid)
     return t
 
 

@@ -35,12 +35,13 @@ waiting vertex are computed there, and only a live child costs a call. A
 child is dead when a waiting vertex has no alive candidate into it: at 3x3
 that is 172,752 of the 248,645 nodes.
 
-A column's candidates are the distinct arc sets its lace paths lay down,
-built by one depth-first walk over arc ids from the column's row-0 vertex
-(rooted paths) and from its row n-1 vertex by the double step (skipping
-paths). The walk takes the lace-step rules from ``paths`` and cuts a branch
-at the first arc that ``embedding._join`` rejects, so no path list is built
-and no path with a fault is completed (``_Engine._column_candidates``).
+Column 0's candidates are the distinct arc sets its lace paths lay down,
+built by one depth-first walk over arc ids from vertex (0, 0) (rooted
+paths) and from vertex (n-1, 0) by the double step (skipping paths). It
+takes the lace-step rules from ``paths`` and cuts a branch at the first
+arc that ``embedding._join`` rejects, so no path list is built and no
+path with a fault is completed (``_Engine._column_candidates``). Column
+c's are column 0's moved c columns right (``embedding.translations``).
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -58,12 +59,12 @@ The search tree is partitioned into independent work items by the first
 candidate placed, its lowest. Items share nothing and their leaf sets
 merge commutatively, which makes multi-process runs byte-identical to the
 single-process reference run. The one symmetry rule of the walk breaks the
-column shift at the root: with pruning on, only the column-0 candidates
-start items. Column c's candidates are column 0's moved c columns right,
-in the same order, and faults are invariant under translation, so a
-regular set whose lowest column is c, moved c columns left, is a regular
-set in the same orbit that holds a column-0 candidate; the judge keeps one
-set per orbit, so the classes are those of the whole tree.
+column shift at the root: only the column-0 candidates start items. The
+other columns' candidates are theirs translated, and faults are invariant
+under translation, so a regular set whose lowest column is c, moved c
+columns left, is a regular set in the same orbit that holds a column-0
+candidate; the judge keeps one set per orbit, so the classes are those of
+the whole tree.
 """
 
 import os
@@ -75,7 +76,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .canonical import arc_permutations, canonical_representative, identifier_text
-from .embedding import _NO_ARCS, GroundEmbedding, _Arcs, _join, tables_for
+from .embedding import _NO_ARCS, GroundEmbedding, _Arcs, _join, tables_for, translations
 from .geometry import TorusDims
 from .paths import _lace_paths
 from .validator import check_connected, windings_span_plane
@@ -85,11 +86,9 @@ _BIG = 1 << 62
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search options. Defaults give the reference semantics: pruning on
-    (work items start only at column 0's candidates; ``pruning=False`` walks
-    the whole tree, one item per candidate) and strict connectivity (the
-    cycle windings generate all of Z x Z, so the ground tiled over the
-    plane hangs together as one piece of fabric).
+    """Search options. Defaults give the reference semantics: strict
+    connectivity (the cycle windings generate all of Z x Z, so the ground
+    tiled over the plane hangs together as one piece of fabric).
     ``strict_connectivity=False`` selects the loose model, which asks only
     for one component on the torus with a cycle that wraps it; its lift may
     fall apart into separate strands. ``jobs`` is an upper bound on worker
@@ -97,7 +96,6 @@ class SearchConfig:
 
     dims: TorusDims
     jobs: int = 1
-    pruning: bool = True
     strict_connectivity: bool = True
     node_budget: Optional[int] = None
 
@@ -112,9 +110,9 @@ class SearchResult:
 
 
 class _Candidate:
-    """A set of arcs added as one search move, made from the masks the
-    column walk joined: its arcs and the vertices it adds at least one and
-    two arcs into."""
+    """A set of arcs added as one search move, made from the masks ``_join``
+    gave them: its arcs and the vertices it adds at least one and two arcs
+    into."""
 
     __slots__ = ("arc_ids", "arcs_mask", "in_any", "in_two")
 
@@ -147,18 +145,26 @@ class _Engine:
 
     def __init__(self, dims: TorusDims):
         self.dims = dims
-        self.t = tables_for(dims)
-        columns = [self._column_candidates(c) for c in range(dims.cols)]
-        self.candidates = [cand for column in columns for cand in column]
-        self.n_column0 = len(columns[0])  # they come first
+        self.t = t = tables_for(dims)
+        column0 = self._column_candidates()
+        self.candidates = list(column0)
+        for c in range(1, dims.cols):
+            shift = translations(dims)[0, c]
+            for cand in column0:
+                ids = tuple(shift[aid] for aid in cand.arc_ids)
+                masks, fault = _join(_NO_ARCS, ids, t)
+                assert fault is None  # faults are invariant under translation
+                self.candidates.append(_Candidate(ids, masks))
+        self.n_column0 = len(column0)  # they come first
         self.all_alive = (1 << len(self.candidates)) - 1
         self.arc_keep, self.full_keep = self._keep_masks()
         # per vertex: the candidates that add an arc into it
         self.into = [self.all_alive ^ keep for keep in self.full_keep]
 
-    def _column_candidates(self, col: int) -> list[_Candidate]:
-        """One candidate per distinct arc set a lace path lays down at the
-        column, in path order, skipping sets that conflict with themselves.
+    def _column_candidates(self) -> list[_Candidate]:
+        """Column 0's candidates, which ``__init__`` translates to the other
+        columns: one per distinct arc set a lace path lays down there, in
+        path order, skipping sets that conflict with themselves.
 
         The paths are walked arc by arc (``paths._lace_paths``), and a
         branch is cut at the first arc that cannot join those before it
@@ -170,7 +176,7 @@ class _Engine:
 
         # a walk's state: the vertex it stands at, its arc ids and their masks
         def start(row):
-            return row * cols + col, (), _NO_ARCS
+            return row * cols, (), _NO_ARCS
 
         def extend(state, step):
             vid, ids, masks = state
@@ -377,9 +383,9 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     config.dims.validate()
     start = time.monotonic()
     eng = _engine(config.dims)
-    # pruning starts items only at column 0's candidates (see the module
-    # docstring): every orbit of regular sets has a member that holds one
-    n_items = eng.n_column0 if config.pruning else len(eng.candidates)
+    # items start only at column 0's candidates (see the module docstring):
+    # every orbit of regular sets has a member that holds one
+    n_items = eng.n_column0
     budgets: list[Optional[int]] = [None] * n_items
     if config.node_budget is not None and n_items:
         per, extra = divmod(config.node_budget, n_items)
@@ -417,8 +423,7 @@ class CountCell:
     complete: bool
 
 
-def count_table(max_rows: int, max_cols: int, jobs: int = 1,
-                pruning: bool = True, strict: bool = True,
+def count_table(max_rows: int, max_cols: int, jobs: int = 1, strict: bool = True,
                 node_budget: Optional[int] = None) -> list[list[CountCell]]:
     """Counts for every grid up to max_rows x max_cols. Sub-periodic patterns
     arise naturally on larger grids, so the table is accumulative."""
@@ -427,8 +432,8 @@ def count_table(max_rows: int, max_cols: int, jobs: int = 1,
         row = []
         for m in range(1, max_cols + 1):
             result = enumerate_grounds(SearchConfig(
-                TorusDims(n, m), jobs=jobs, pruning=pruning,
-                strict_connectivity=strict, node_budget=node_budget))
+                TorusDims(n, m), jobs=jobs, strict_connectivity=strict,
+                node_budget=node_budget))
             row.append(CountCell(result.count, result.complete))
         table.append(row)
     return table

@@ -34,11 +34,10 @@ PUBLISHED_TABLE = [[1, 2, 2], [4, 12, 31], [6, 31, 274]]
 _cache: dict = {}
 
 
-def _solutions(rows, cols, **kw):
-    key = (rows, cols, tuple(sorted(kw.items())))
-    if key not in _cache:
-        _cache[key] = enumerate_grounds(SearchConfig(TorusDims(rows, cols), **kw))
-    return _cache[key]
+def _solutions(rows, cols):
+    if (rows, cols) not in _cache:
+        _cache[rows, cols] = enumerate_grounds(SearchConfig(TorusDims(rows, cols)))
+    return _cache[rows, cols]
 
 
 def _line(num, name, ok, detail=""):
@@ -116,14 +115,8 @@ def test_criterion_5_canonical_form_properties():
                           rng.randrange(emb.dims.rows), rng.randrange(emb.dims.cols))
         if canonical_id(moved) != cid:
             violations += 1
-    prune_ok = True
-    for rows, cols in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]:
-        on = [k for k, _ in _solutions(rows, cols, pruning=True).canonical_solutions]
-        off = [k for k, _ in _solutions(rows, cols, pruning=False).canonical_solutions]
-        prune_ok = prune_ok and on == off
-    ok = violations == 0 and prune_ok
-    _line(5, "canonical-form invariance and prune neutrality", ok,
-          f"violations={violations} prune_neutral={prune_ok}")
+    ok = violations == 0
+    _line(5, "canonical-form invariance", ok, f"violations={violations}")
     assert ok
 
 

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from laceground.cli import main
+from laceground.cli import build_parser, main
 from laceground.embedding import deserialize
 from laceground.render import render_svg
 
@@ -134,23 +135,22 @@ def test_enumerate_jobs_byte_identical(tmp_path, capsys):
     assert mismatch == [] and errors == []
 
 
-def test_no_prune_writes_the_same_files(tmp_path, capsys):
-    """The walk from column 0 alone and the whole tree give the same classes
-    and the same files."""
-    dirs = []
-    for extra in ((), ("--no-prune",)):
-        d = tmp_path / ("whole" if extra else "column0")
-        code, out, _ = run(capsys, "enumerate", "--rows", "2", "--cols", "4",
-                           "--jobs", "2", "--out", str(d), *extra)
-        assert code == 0
-        assert out.startswith("solutions=126 ")
-        dirs.append(d)
-    a, b = dirs
-    names = sorted(p.name for p in a.iterdir())
-    assert len(names) == 126
-    assert names == sorted(p.name for p in b.iterdir())
-    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
-    assert mismatch == [] and errors == []
+def test_readme_synopsis_matches_the_parser():
+    """Per subcommand, the options README's command-line block shows are
+    those the parser takes, leaving out --help."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        if line.startswith("laceground "):
+            command = documented.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {opt for action in sub._actions for opt in action.option_strings
+                     if opt.startswith("--") and opt != "--help"}
+              for name, sub in subparsers.choices.items()}
+    assert documented == parsed
 
 
 def test_enumerate_budget_exit_code(capsys):

@@ -20,7 +20,9 @@ from laceground.embedding import (
     new_embedding,
     path_arcs,
     serialize,
+    arc_tables,
     tables_for,
+    translations,
 )
 from laceground.geometry import Arc, TorusDims
 from laceground.paths import generate_lace_paths
@@ -163,6 +165,30 @@ def test_arc_permutations_are_the_symmetries(e):
         assert sorted(perm) == list(range(len(t.arcs)))
         moved = {t.arcs[perm[t.arc_id[a]]] for a in e.arcs}
         assert moved == set(translate(transform(e, name), dr, dc).arcs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(TorusDims, st.integers(1, 4), st.integers(1, 4)), st.data())
+def test_translations_move_arcs_on_the_torus(dims, data):
+    """Translation (dr, dc) moves each arc's origin dr rows down and dc
+    columns right and keeps its step; (0, 0) is the identity, two moves
+    compose mod the periods, and ``translate`` moves a ground's arcs the
+    same way."""
+    rows, cols = dims
+    t = arc_tables(dims)
+    shifts = translations(dims)
+    assert shifts[0, 0] == tuple(range(len(t.arcs)))
+    a, c = (data.draw(st.integers(0, rows - 1)) for _ in range(2))
+    b, d = (data.draw(st.integers(0, cols - 1)) for _ in range(2))
+    first, second = shifts[a, b], shifts[c, d]
+    for arc, moved in zip(t.arcs, first):
+        assert t.arcs[moved] == Arc((arc.row + a) % rows, (arc.col + b) % cols,
+                                    arc.dx, arc.dy)
+    assert tuple(second[i] for i in first) == shifts[(a + c) % rows, (b + d) % cols]
+    ids = data.draw(st.sets(st.integers(0, len(t.arcs) - 1), max_size=12))
+    e = GroundEmbedding(dims, tuple(t.arcs[i] for i in ids))
+    assert translate(e, a, b).arcs == GroundEmbedding(
+        dims, tuple(t.arcs[first[i]] for i in ids)).arcs
 
 
 def _verdicts(e: GroundEmbedding):

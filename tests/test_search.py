@@ -251,8 +251,8 @@ def test_lookahead_keeps_every_regular_leaf(dims):
 
 
 def _leaf_visits(dims):
-    """The arc sets of the regular leaves of the walk without pruning, every
-    candidate starting a work item, one entry per visit."""
+    """The arc sets of the regular leaves of the whole tree, every candidate
+    starting a work item, not only column 0's, one entry per visit."""
     eng = _engine(dims)
     visits = []
     for first in range(len(eng.candidates)):
@@ -272,11 +272,26 @@ REGULAR_SETS = {(2, 2): (94, 66, 58, 12), (2, 3): (886, 484, 376, 31),
 
 @pytest.mark.parametrize("dims", sorted(REGULAR_SETS), ids="{0[0]}x{0[1]}".format)
 def test_walk_reaches_each_regular_candidate_set_once(dims):
-    """Without pruning the walk visits every set of candidates whose union
+    """The whole tree visits every set of candidates whose union
     is regular, and none twice: a branching rule that skipped a completion
     or reached one through two children would change the count."""
     visits = _leaf_visits(TorusDims(*dims))
     assert (len(visits), len(set(visits))) == REGULAR_SETS[dims][:2]
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_column_0_run_matches_the_whole_tree(dims, strict):
+    """A run, whose work items start only at column 0's candidates, gives
+    the classes and files that judging every leaf of the whole tree gives."""
+    dims = TorusDims(*dims)
+    run = dict(enumerate_grounds(
+        SearchConfig(dims, strict_connectivity=strict)).canonical_solutions)
+    whole = _judge(_engine(dims), set(_leaf_visits(dims)), strict)
+    assert sorted(run) == sorted(whole)
+    assert [serialize(run[k]) for k in sorted(run)] == \
+           [serialize(whole[k]) for k in sorted(whole)]
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (1, 5), (2, 4)],
@@ -340,12 +355,14 @@ def _columns_from_paths(dims):
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 4),
-                                  (4, 1), (4, 2), (1, 8)], ids="{0[0]}x{0[1]}".format)
+                                  (4, 1), (4, 2), (1, 8), (2, 5), (3, 4)],
+                         ids="{0[0]}x{0[1]}".format)
 def test_column_walk_matches_path_builder(dims):
-    """The fault-pruned walk gives the same candidates, in the same order, as
-    materialising every path, column after column; the order decides which
-    candidates start the work items and which later candidates a leaf's
-    children keep, so the node counts depend on it."""
+    """The fault-pruned walk of column 0 and its translates give the same
+    candidates, in the same order, as materialising every path, column after
+    column; the order decides which candidates start the work items and
+    which later candidates a leaf's children keep, so the node counts depend
+    on it."""
     dims = TorusDims(*dims)
     got = [c.arc_ids for c in _engine(dims).candidates]
     assert got == [ids for column in _columns_from_paths(dims) for ids in column]
