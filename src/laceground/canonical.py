@@ -11,9 +11,10 @@ symmetry orbit; exactly one member of each orbit attains it.
 
 The symmetries act in one way only: as permutations of arc ids
 (``arc_permutations``), the same ones the search uses to judge one leaf per
-orbit. The search's walk applies none of them; it only starts at column 0
-(see ``search``), which the column translations make exact. An image's
-labels are the label entries of its permuted arcs
+orbit. The search's walk applies none of them; it only starts at column 0,
+at the first candidate of each pair that the column reflection swaps (see
+``search``), which the column translations and that reflection make exact.
+An image's labels are the label entries of its permuted arcs
 (``arc_tables(dims).ends``). On a symmetric ground several symmetries reach
 the least identifier; ties go to the least (transform name, dr, dc), which
 decides where the representative's zeta annotations land. A label holds one

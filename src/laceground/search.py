@@ -33,15 +33,18 @@ A node tests its children in its own loop (``_ItemRunner._branch``): each
 child counts as a node, then its state, its narrowed bitset and its
 waiting vertex are computed there, and only a live child costs a call. A
 child is dead when a waiting vertex has no alive candidate into it: at 3x3
-that is 172,752 of the 248,645 nodes.
+that is 90,359 of the 131,055 nodes.
 
 Column 0's candidates are the distinct arc sets its lace paths lay down,
 built by one depth-first walk over arc ids from vertex (0, 0) (rooted
 paths) and from vertex (n-1, 0) by the double step (skipping paths). It
 takes the lace-step rules from ``paths`` and cuts a branch at the first
 arc that ``embedding._join`` rejects, so no path list is built and no
-path with a fault is completed (``_Engine._column_candidates``). Column
-c's are column 0's moved c columns right (``embedding.translations``).
+path with a fault is completed (``_Engine._column_candidates``). Each
+comes directly before its mirror image under the column reflection through
+column 0 (``h_reflect``), which maps column 0's candidates onto themselves.
+Column c's are column 0's moved c columns right, in the same order
+(``embedding.translations``).
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -59,12 +62,18 @@ The search tree is partitioned into independent work items by the first
 candidate placed, its lowest. Items share nothing and their leaf sets
 merge commutatively, which makes multi-process runs byte-identical to the
 single-process reference run. The one symmetry rule of the walk breaks the
-column shift at the root: only the column-0 candidates start items. The
-other columns' candidates are theirs translated, and faults are invariant
+column shift and the column reflection at the root: items start only at
+the column-0 starts (``_Engine.starts``), the first candidate of each
+mirror pair and the candidates that are their own image. The other
+columns' candidates are column 0's translated, and faults are invariant
 under translation, so a regular set whose lowest column is c, moved c
-columns left, is a regular set in the same orbit that holds a column-0
-candidate; the judge keeps one set per orbit, so the classes are those of
-the whole tree.
+columns left, is a regular set S in the same orbit that holds a column-0
+candidate. Let a be the lowest candidate of S, and b that of its mirror
+image M(S). If a is the second of its pair, M(S) holds a - 1, so b < a;
+and b is a start, for otherwise M(b) = b - 1 would be a candidate of S
+below a. So every orbit has a member whose lowest candidate is a start;
+the judge keeps one set per orbit, so the classes are those of the whole
+tree.
 """
 
 import os
@@ -146,7 +155,7 @@ class _Engine:
     def __init__(self, dims: TorusDims):
         self.dims = dims
         self.t = t = tables_for(dims)
-        column0 = self._column_candidates()
+        column0, self.starts = self._column_candidates()
         self.candidates = list(column0)
         for c in range(1, dims.cols):
             shift = translations(dims)[0, c]
@@ -155,16 +164,20 @@ class _Engine:
                 masks, fault = _join(_NO_ARCS, ids, t)
                 assert fault is None  # faults are invariant under translation
                 self.candidates.append(_Candidate(ids, masks))
-        self.n_column0 = len(column0)  # they come first
         self.all_alive = (1 << len(self.candidates)) - 1
         self.arc_keep, self.full_keep = self._keep_masks()
         # per vertex: the candidates that add an arc into it
         self.into = [self.all_alive ^ keep for keep in self.full_keep]
 
-    def _column_candidates(self) -> list[_Candidate]:
+    def _column_candidates(self) -> tuple[list[_Candidate], list[int]]:
         """Column 0's candidates, which ``__init__`` translates to the other
-        columns: one per distinct arc set a lace path lays down there, in
-        path order, skipping sets that conflict with themselves.
+        columns, and the indices of those that start work items.
+
+        There is one candidate per distinct arc set a lace path lays down
+        there, skipping sets that conflict with themselves. They come in
+        path order, each directly followed by its mirror image (the column
+        reflection ``h_reflect`` maps column 0 onto itself); the starts are
+        the first of each pair and the candidates that are their own image.
 
         The paths are walked arc by arc (``paths._lace_paths``), and a
         branch is cut at the first arc that cannot join those before it
@@ -186,13 +199,25 @@ class _Engine:
                 return None
             return t.head_vid[aid], ids + (aid,), masks
 
-        out = []
-        seen: set[int] = set()
+        by_arcs: dict[int, _Candidate] = {}  # in path order
         for _, (_, ids, masks) in _lace_paths(self.dims.rows, extend, start):
-            if masks.arcs not in seen:
-                seen.add(masks.arcs)
-                out.append(_Candidate(ids, masks))
-        return out
+            if masks.arcs not in by_arcs:
+                by_arcs[masks.arcs] = _Candidate(ids, masks)
+        mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
+        out, starts = [], []
+        placed: set[int] = set()
+        for arcs, cand in by_arcs.items():
+            if arcs in placed:
+                continue  # the image of an earlier candidate
+            image = sum(1 << mirror[aid] for aid in cand.arc_ids)
+            assert image in by_arcs  # the reflection keeps lace steps and faults
+            starts.append(len(out))
+            out.append(cand)
+            placed.add(arcs)
+            if image != arcs:
+                out.append(by_arcs[image])
+                placed.add(image)
+        return out, starts
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
         """``arc_keep`` and ``full_keep``, read off the transposed
@@ -360,7 +385,8 @@ def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbe
 
 def _run_item(args) -> tuple[set[int], int, bool]:
     """One work item: the subtree whose first candidate is ``first``. The
-    all-empty embedding is not a solution, so the items cover the tree."""
+    all-empty embedding is not a solution, so the items started at every
+    candidate would cover the tree."""
     dims, budget, first = args
     runner = _ItemRunner(_engine(dims), budget)
     runner.run(first)
@@ -383,9 +409,9 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     config.dims.validate()
     start = time.monotonic()
     eng = _engine(config.dims)
-    # items start only at column 0's candidates (see the module docstring):
-    # every orbit of regular sets has a member that holds one
-    n_items = eng.n_column0
+    # items start only at the column-0 starts (see the module docstring):
+    # every orbit of regular sets has a member whose lowest candidate is one
+    n_items = len(eng.starts)
     budgets: list[Optional[int]] = [None] * n_items
     if config.node_budget is not None and n_items:
         per, extra = divmod(config.node_budget, n_items)
@@ -394,7 +420,7 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     leaves: set[int] = set()
     nodes = 0
     complete = True
-    job_args = [(config.dims, budgets[k], k) for k in range(n_items)]
+    job_args = [(config.dims, budget, first) for budget, first in zip(budgets, eng.starts)]
     workers = _pool_size(config.jobs, n_items)
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:

@@ -96,7 +96,7 @@ def test_enumerate_writes_solutions(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", "--rows", "1", "--cols", "1",
                        "--out", str(out_dir))
     assert code == 0
-    assert out.strip() == "solutions=1 nodes=3 complete=true"
+    assert out.strip() == "solutions=1 nodes=2 complete=true"
     files = sorted(out_dir.glob("*.gnd"))
     assert len(files) == 1
     # the emitted file verifies clean and is canonical

@@ -40,8 +40,8 @@ SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 1
 
 # sha256 over "name\nfile" of every default-model solution in order (first 16
 # hex digits), and the nodes visited
-GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 251), (2, 3): ("f5837c02a18e0854", 2705),
-          (3, 2): ("376e130448769230", 6570), (1, 5): ("96d48af6994e947f", 486)}
+GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 143), (2, 3): ("f5837c02a18e0854", 1603),
+          (3, 2): ("376e130448769230", 3396), (1, 5): ("96d48af6994e947f", 349)}
 
 
 @pytest.mark.parametrize("dims,expected", sorted(SMALL_COUNTS.items()))
@@ -145,9 +145,9 @@ def test_pool_size_is_bounded(monkeypatch):
 
 def _leaves(dims):
     """The union of the regular leaf arc sets of the default run's work
-    items, those that start at a column-0 candidate."""
+    items, those that start at a column-0 start."""
     leaves = set()
-    for first in range(_engine(dims).n_column0):
+    for first in _engine(dims).starts:
         leaves |= _run_item((dims, None, first))[0]
     return leaves
 
@@ -212,7 +212,7 @@ def test_orbit_judge_matches_per_leaf_judge(dims, strict):
 
 def _walk_without_lookahead(dims):
     """The search tree as it is without the degree lookahead: from each
-    column-0 candidate every node descends, each node's state read off its
+    column-0 start every node descends, each node's state read off its
     embedding. Returns its regular leaf arc sets and its node count."""
     eng = _engine(dims)
     t = tables_for(dims)
@@ -232,14 +232,14 @@ def _walk_without_lookahead(dims):
             if alive >> i & 1:
                 place(e, after_ge2, alive, i)
 
-    for k in range(eng.n_column0):
+    for k in eng.starts:
         place(GroundEmbedding(dims), 0, eng.all_alive, k)
     return leaves, nodes
 
 
-# nodes of the tree without the lookahead, from the column-0 candidates
-TREE_WITHOUT_LOOKAHEAD = {(2, 2): 362, (2, 3): 7307, (3, 2): 9833, (1, 5): 1832,
-                          (4, 1): 1335}
+# nodes of the tree without the lookahead, from the column-0 starts
+TREE_WITHOUT_LOOKAHEAD = {(2, 2): 210, (2, 3): 4322, (3, 2): 5152, (1, 5): 1312,
+                          (4, 1): 671}
 
 
 @pytest.mark.parametrize("dims", sorted(TREE_WITHOUT_LOOKAHEAD), ids="{0[0]}x{0[1]}".format)
@@ -252,7 +252,7 @@ def test_lookahead_keeps_every_regular_leaf(dims):
 
 def _leaf_visits(dims):
     """The arc sets of the regular leaves of the whole tree, every candidate
-    starting a work item, not only column 0's, one entry per visit."""
+    starting a work item, not only the column-0 starts, one entry per visit."""
     eng = _engine(dims)
     visits = []
     for first in range(len(eng.candidates)):
@@ -280,11 +280,12 @@ def test_walk_reaches_each_regular_candidate_set_once(dims):
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
-@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4)],
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (1, 3), (1, 5), (2, 1), (2, 2), (2, 3),
+                                  (2, 4), (3, 2)],
                          ids="{0[0]}x{0[1]}".format)
 def test_column_0_run_matches_the_whole_tree(dims, strict):
-    """A run, whose work items start only at column 0's candidates, gives
-    the classes and files that judging every leaf of the whole tree gives."""
+    """A run, whose work items start only at the column-0 starts, gives the
+    classes and files that judging every leaf of the whole tree gives."""
     dims = TorusDims(*dims)
     run = dict(enumerate_grounds(
         SearchConfig(dims, strict_connectivity=strict)).canonical_solutions)
@@ -297,14 +298,15 @@ def test_column_0_run_matches_the_whole_tree(dims, strict):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (1, 5), (2, 4)],
                          ids="{0[0]}x{0[1]}".format)
 def test_column_0_items_reach_a_translate_of_every_leaf(dims):
-    """The root rule: the work items that start at a column-0 candidate
-    reach only regular leaves of the whole walk, and a column translate of
-    each of its regular leaves."""
+    """The root rule: the work items that start at a column-0 start reach
+    only regular leaves of the whole walk, and for each of its regular
+    leaves a column translate of the leaf or of its mirror image."""
     dims = TorusDims(*dims)
     rooted = _leaves(dims)
     every = set(_leaf_visits(dims))
     assert rooted <= every
-    shifts = [arc_permutations(dims)[("identity", 0, dc)] for dc in range(dims.cols)]
+    shifts = [arc_permutations(dims)[name, 0, dc]
+              for name in ("identity", "h_reflect") for dc in range(dims.cols)]
     for mask in every:
         ids = list(_bits(mask))
         assert any(sum(1 << shift[aid] for aid in ids) in rooted for shift in shifts)
@@ -337,35 +339,63 @@ def test_regular_leaves_are_closed_under_every_symmetry(dims):
 def _columns_from_paths(dims):
     """The column candidates as arc id tuples, built the direct way: every
     lace path mapped to arcs at each column, the faulty ones dropped and the
-    rest deduplicated by arc set, first kept."""
+    rest deduplicated by arc set, first kept; then, in that order, each
+    candidate's mirror image through its column moved directly behind it."""
     t = tables_for(dims)
     paths = generate_lace_paths(dims.rows)
     columns = []
     for col in range(dims.cols):
-        out, seen = [], set()
+        by_arcs = {}
         for path in paths:
             ids = tuple(t.arc_id[a] for a in path_arcs(path, col, dims))
             key = frozenset(ids)
-            if key in seen or _first_fault(ids, t) is not None:
+            if key in by_arcs or _first_fault(ids, t) is not None:
                 continue
-            seen.add(key)
-            out.append(ids)
+            by_arcs[key] = ids
+        # column -col after the reflection, moved back to column col
+        mirror = arc_permutations(dims)["h_reflect", 0, 2 * col % dims.cols]
+        out, placed = [], set()
+        for key, ids in by_arcs.items():
+            if key in placed:
+                continue
+            image = frozenset(mirror[aid] for aid in ids)
+            out += [ids] if image == key else [ids, by_arcs[image]]
+            placed |= {key, image}
         columns.append(out)
     return columns
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 4),
-                                  (4, 1), (4, 2), (1, 8), (2, 5), (3, 4)],
-                         ids="{0[0]}x{0[1]}".format)
+COLUMN_GRIDS = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 4), (4, 1), (4, 2), (1, 8),
+                (2, 5), (3, 4)]
+
+
+@pytest.mark.parametrize("dims", COLUMN_GRIDS, ids="{0[0]}x{0[1]}".format)
 def test_column_walk_matches_path_builder(dims):
     """The fault-pruned walk of column 0 and its translates give the same
     candidates, in the same order, as materialising every path, column after
-    column; the order decides which candidates start the work items and
-    which later candidates a leaf's children keep, so the node counts depend
-    on it."""
+    column, and pairing each with its mirror image; the order decides which
+    candidates start the work items and which later candidates a leaf's
+    children keep, so the node counts depend on it."""
     dims = TorusDims(*dims)
     got = [c.arc_ids for c in _engine(dims).candidates]
     assert got == [ids for column in _columns_from_paths(dims) for ids in column]
+
+
+@pytest.mark.parametrize("dims", COLUMN_GRIDS, ids="{0[0]}x{0[1]}".format)
+def test_column_0_pairs_each_candidate_with_its_mirror(dims):
+    """Column 0's candidates are closed under the column reflection, each
+    one's image is itself or a neighbour, and the work items start at the
+    first of each pair and at the candidates that are their own image."""
+    dims = TorusDims(*dims)
+    eng = _engine(dims)
+    column0 = eng.candidates[:len(eng.candidates) // dims.cols]
+    mirror = arc_permutations(dims)["h_reflect", 0, 0]
+    index = {cand.arcs_mask: k for k, cand in enumerate(column0)}
+    images = [index.get(sum(1 << mirror[aid] for aid in cand.arc_ids))
+              for cand in column0]
+    assert None not in images
+    assert all(abs(image - k) <= 1 for k, image in enumerate(images))
+    assert eng.starts == [k for k, image in enumerate(images) if image in (k, k + 1)]
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (1, 5), (5, 1)], ids="{0[0]}x{0[1]}".format)
