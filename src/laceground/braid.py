@@ -11,8 +11,6 @@ pattern.
 
 from typing import NamedTuple
 
-ACTIONS = frozenset("CTLRp")
-
 
 class BraidWord(NamedTuple):
     generators: tuple[tuple[int, int], ...]  # (strand position, sign)

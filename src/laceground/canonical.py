@@ -10,10 +10,12 @@ row-major order. The canonical identifier is the minimum over the whole
 symmetry orbit; exactly one member of each orbit attains it.
 
 The symmetries act in one way only: as permutations of arc ids
-(``arc_permutations``), the same ones the search uses to judge one leaf per
-orbit. The search's walk applies none of them; it only starts at column 0,
-at the first candidate of each pair that the column reflection swaps (see
-``search``), which the column translations and that reflection make exact.
+(``embedding.arc_permutations``), the same ones the search uses to judge
+one leaf per orbit; ``transform``, ``translate`` and the canonical
+representative all move a ground by one of them (``_move``). The search's
+walk applies none of them; it only starts at column 0, at the first
+candidate of each pair that the column reflection swaps (see ``search``),
+which the column translations and that reflection make exact.
 An image's labels are the label entries of its permuted arcs
 (``arc_tables(dims).ends``). On a symmetric ground several symmetries reach
 the least identifier; ties go to the least (transform name, dr, dc), which
@@ -24,19 +26,12 @@ symmetry changes. The canonical forms refuse it with ValueError.
 """
 
 import hashlib
-from functools import lru_cache
 
-from .embedding import GroundEmbedding, arc_tables, slot_table, translations
-from .geometry import Arc, TorusDims, wrap
-
-TRANSFORMS = ("identity", "h_reflect", "v_reflect", "rot180")
+from .embedding import GroundEmbedding, arc_permutations, arc_tables, slot_table
+from .geometry import TRANSFORM_SIGNS, TRANSFORMS, TorusDims, wrap  # TRANSFORMS re-exported
 
 Label = tuple[int, int, int, int, int, int, int, int]
 EmbeddingId = tuple
-
-# Per-transform sign applied to a vertex's (row, col), modulo the periods.
-_VERTEX_SIGN = {"identity": (1, 1), "h_reflect": (1, -1),
-                "v_reflect": (-1, 1), "rot180": (-1, -1)}
 
 
 def _identifier_of(dims: TorusDims, flat: list[int]) -> EmbeddingId:
@@ -57,66 +52,39 @@ def identifier(e: GroundEmbedding) -> EmbeddingId:
     return _identifier_of(e.dims, slot_table(e)[0])
 
 
-def _transform_arc(a: Arc, name: str, dims: TorusDims) -> Arc:
-    rows, cols = dims
-    if name == "identity":
-        return a
-    if name == "h_reflect":
-        return Arc(a.row, (-a.col) % cols, -a.dx, a.dy)
-    if name == "v_reflect":
-        r, c = wrap(-(a.row + a.dy), a.col + a.dx, dims)
-        return Arc(r, c, -a.dx, a.dy)
-    if name == "rot180":
-        r, c = wrap(-(a.row + a.dy), -(a.col + a.dx), dims)
-        return Arc(r, c, a.dx, a.dy)
-    raise ValueError(f"unknown transform {name!r}")
-
-
-def _transform_vertex(v: tuple[int, int], name: str, dims: TorusDims) -> tuple[int, int]:
-    if name not in _VERTEX_SIGN:
+def _move(e: GroundEmbedding, name: str, dr: int, dc: int) -> GroundEmbedding:
+    """``e`` under transform ``name`` and then moved ``dr`` rows down and
+    ``dc`` columns right: its arcs through ``arc_permutations`` and its zeta
+    annotations with their vertices. Raises ValueError for an unknown
+    transform."""
+    if name not in TRANSFORM_SIGNS:
         raise ValueError(f"unknown transform {name!r}")
-    sr, sc = _VERTEX_SIGN[name]
-    return wrap(sr * v[0], sc * v[1], dims)
+    sr, sc = TRANSFORM_SIGNS[name]
+    dims = e.dims
+    t = arc_tables(dims)
+    perm = arc_permutations(dims)[name, dr % dims.rows, dc % dims.cols]
+    arcs = tuple(t.arcs[perm[t.arc_id[a]]] for a in e.arcs)
+    zeta = tuple((wrap(sr * r + dr, sc * c + dc, dims), actions)
+                 for (r, c), actions in e.zeta)
+    return GroundEmbedding(dims, arcs, zeta)
 
 
 def transform(e: GroundEmbedding, name: str) -> GroundEmbedding:
     """Apply a symmetry. Reflecting rows or rotating reverses every arc;
     the stored steps stay within the step set because rows are mirrored."""
-    arcs = tuple(sorted(_transform_arc(a, name, e.dims) for a in e.arcs))
-    zeta = tuple(sorted(
-        (_transform_vertex(v, name, e.dims), actions) for v, actions in e.zeta))
-    return GroundEmbedding(e.dims, arcs, zeta)
+    return _move(e, name, 0, 0)
 
 
 def translate(e: GroundEmbedding, dr: int, dc: int) -> GroundEmbedding:
     """Move the arcs and zeta ``dr`` rows down and ``dc`` columns right."""
-    t = arc_tables(e.dims)
-    shift = translations(e.dims)[dr % e.dims.rows, dc % e.dims.cols]
-    arcs = tuple(t.arcs[shift[t.arc_id[a]]] for a in e.arcs)
-    zeta = tuple(sorted(
-        (wrap(v[0] + dr, v[1] + dc, e.dims), actions) for v, actions in e.zeta))
-    return GroundEmbedding(e.dims, arcs, zeta)
-
-
-@lru_cache(maxsize=None)
-def arc_permutations(dims: TorusDims) -> dict[tuple[str, int, int], tuple[int, ...]]:
-    """Every symmetry of the grid as a permutation of arc ids (the ids of
-    ``arc_tables(dims)``), keyed by (transform name, dr, dc): entry ``i`` is
-    the id of arc ``i`` under ``translate(transform(e, name), dr, dc)``,
-    composed from one permutation per transform and one of
-    ``translations(dims)``."""
-    t = arc_tables(dims)
-    moved = {name: [t.arc_id[_transform_arc(a, name, dims)] for a in t.arcs]
-             for name in TRANSFORMS}
-    return {(name, dr, dc): tuple(map(shift.__getitem__, moved[name]))
-            for name in TRANSFORMS for (dr, dc), shift in translations(dims).items()}
+    return _move(e, "identity", dr, dc)
 
 
 def _least_image(e: GroundEmbedding):
     """The least (flat labels, (name, dr, dc)) over the orbit of ``e``: the
-    labels of ``translate(transform(e, name), dr, dc)`` in row-major order,
-    entry ``vertex * 8 + slot``. Raises ValueError when two arcs of ``e``
-    share a slot."""
+    labels of ``_move(e, name, dr, dc)`` in row-major order, entry
+    ``vertex * 8 + slot``. Raises ValueError when two arcs of ``e`` share a
+    slot."""
     dims = e.dims
     t = arc_tables(dims)
     ends = t.ends
@@ -148,7 +116,7 @@ def canonical_id(e: GroundEmbedding) -> EmbeddingId:
 def canonical_representative(e: GroundEmbedding) -> tuple[EmbeddingId, GroundEmbedding]:
     """The canonical identifier together with the orbit member attaining it."""
     flat, (name, dr, dc) = _least_image(e)
-    return _identifier_of(e.dims, flat), translate(transform(e, name), dr, dc)
+    return _identifier_of(e.dims, flat), _move(e, name, dr, dc)
 
 
 def identifier_text(eid: EmbeddingId) -> str:

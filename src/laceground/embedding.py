@@ -5,12 +5,13 @@ A ``GroundEmbedding`` is an immutable value: dims, a sorted tuple of arcs,
 and optional per-vertex action annotations.
 
 The arc universe of a grid, the label entries of its arcs and its
-translations, as permutations of arc ids, are built once (``arc_tables``,
-``translations``); whatever moves arcs around the torus reads the latter.
-The geometric conflicts are bitmask tables added to the arc tables on
-first use (``tables_for``): only the arcs out of vertex (0, 0) are tested
-against every arc, 576 crossing tests at 3x3 (2,628 pair by pair), and
-every other arc's row is one of theirs translated. The canonical forms
+symmetries (each transform of ``geometry.TRANSFORM_SIGNS`` followed by a
+translation), as permutations of arc ids, are built once (``arc_tables``,
+``arc_permutations``); whatever moves arcs around the torus reads the
+latter. The geometric conflicts are bitmask tables added to the arc tables
+on first use (``tables_for``): only the arcs out of vertex (0, 0) are
+tested against every arc, 576 crossing tests at 3x3 (2,628 pair by pair),
+and every other arc's row is one of theirs translated. The canonical forms
 read only the arcs and label entries, so they never build the crossing
 tables.
 
@@ -38,6 +39,7 @@ from .geometry import (
     Arc,
     LACE_STEPS,
     LACE_STEP_SET,
+    TRANSFORM_SIGNS,
     TorusDims,
     arc_ends,
     arcs_cross,
@@ -107,14 +109,28 @@ def arc_tables(dims: TorusDims) -> MaskTables:
 
 
 @lru_cache(maxsize=None)
-def translations(dims: TorusDims) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Every translation of the torus as a permutation of arc ids (the ids
-    of ``arc_tables(dims)``), keyed by (dr, dc): entry ``i`` is the id of
-    arc ``i`` moved ``dr`` rows down and ``dc`` columns right."""
+def arc_permutations(dims: TorusDims) -> dict[tuple[str, int, int], tuple[int, ...]]:
+    """Every symmetry of the grid as a permutation of arc ids (the ids of
+    ``arc_tables(dims)``), keyed by (transform name, dr, dc): entry ``i`` is
+    the id of arc ``i`` under transform ``name`` and then moved ``dr`` rows
+    down and ``dc`` columns right. A transform whose signs (sr, sc) flip the
+    rows reverses each arc, so the image starts at the image of the old
+    head; either way its step is (sr * sc * dx, dy)."""
     t = arc_tables(dims)
-    return {(dr, dc): tuple(t.arc_id[Arc(*wrap(a.row + dr, a.col + dc, dims), a.dx, a.dy)]
-                            for a in t.arcs)
-            for dr in range(dims.rows) for dc in range(dims.cols)}
+    rows, cols = dims
+    table = {}
+    for name, (sr, sc) in TRANSFORM_SIGNS.items():
+        # per arc: the origin of its image before the move, and its step
+        images = []
+        for a in t.arcs:
+            r, c = a.head(dims) if sr < 0 else (a.row, a.col)
+            images.append((sr * r, sc * c, (sr * sc * a.dx, a.dy)))
+        for dr in range(rows):
+            for dc in range(cols):
+                table[name, dr, dc] = tuple(
+                    t.out_arc[(r + dr) % rows * cols + (c + dc) % cols][step]
+                    for r, c, step in images)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +142,8 @@ def tables_for(dims: TorusDims) -> MaskTables:
     Crossing is invariant under translation on the torus, so only the arcs
     out of vertex (0, 0) are tested against every arc (``len(LACE_STEPS)``
     rows of ``arcs_cross`` calls); every other arc is one of them moved by
-    a permutation of ``translations(dims)``, and so is its row.
+    a translation, an ``("identity", dr, dc)`` entry of
+    ``arc_permutations(dims)``, and so is its row.
     """
     # plain attributes, not cached properties: a descriptor on the class
     # keeps CPython from specialising the attribute loads in ``_join``,
@@ -136,11 +153,14 @@ def tables_for(dims: TorusDims) -> MaskTables:
     crossed = [[j for j, b in enumerate(t.arcs) if arcs_cross(t.arcs[aid], b, dims)]
                for aid in origin]
     t.self_ok, t.conflict_mask = [True] * len(t.arcs), [0] * len(t.arcs)
-    for perm in translations(dims).values():
-        for aid, row in zip(origin, crossed):
-            moved = perm[aid]
-            t.self_ok[moved] = aid not in row
-            t.conflict_mask[moved] = sum(1 << perm[j] for j in row if j != aid)
+    perms = arc_permutations(dims)
+    for dr in range(dims.rows):
+        for dc in range(dims.cols):
+            perm = perms["identity", dr, dc]
+            for aid, row in zip(origin, crossed):
+                moved = perm[aid]
+                t.self_ok[moved] = aid not in row
+                t.conflict_mask[moved] = sum(1 << perm[j] for j in row if j != aid)
     return t
 
 
@@ -281,11 +301,15 @@ def add_path(
     (``_first_fault``) accepts the arcs of ``e`` followed by the path's, or
     else (None, rejection) naming the first arc that fails; the input
     embedding is untouched either way. So an ``e`` that already holds a
-    fault takes no path.
+    fault takes no path. A start column off the grid, a step outside the
+    lace step set or a height other than the rows raises ValueError.
     """
     dims = e.dims
     if not 0 <= start_col < dims.cols:
         raise ValueError(f"start_col {start_col} out of range for {dims}")
+    for step in path.steps:
+        if step not in LACE_STEP_SET:
+            raise ValueError(f"step {step} not in the lace step set")
     if path.height != dims.rows:
         raise ValueError(f"path height {path.height} != rows {dims.rows}")
     t = tables_for(dims)

@@ -40,6 +40,13 @@ LACE_STEPS = (
 
 LACE_STEP_SET = frozenset(LACE_STEPS)
 
+# The symmetries of the grid besides translation, each as the signs it gives
+# a vertex's (row, col) on the torus. One that flips the rows (v_reflect,
+# rot180) also reverses every arc, so that steps keep pointing downward.
+TRANSFORM_SIGNS = {"identity": (1, 1), "h_reflect": (1, -1),
+                   "v_reflect": (-1, 1), "rot180": (-1, -1)}
+TRANSFORMS = tuple(TRANSFORM_SIGNS)
+
 
 class TorusDims(NamedTuple):
     """Period of the pattern: rows x cols, both at least 1."""

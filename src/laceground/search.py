@@ -42,17 +42,17 @@ takes the lace-step rules from ``paths`` and cuts a branch at the first
 arc that ``embedding._join`` rejects, so no path list is built and no
 path with a fault is completed (``_Engine._column_candidates``). Each
 comes directly before its mirror image under the column reflection through
-column 0 (``h_reflect``), which maps column 0's candidates onto themselves.
-Column c's are column 0's moved c columns right, in the same order
-(``embedding.translations``).
+column 0, ``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which
+maps column 0's candidates onto themselves. Column c's are column 0's
+moved by ``("identity", 0, c)``, c columns right, in the same order.
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
 The run takes the union of those sets and judges it in the calling process
 (``_judge``), one arc set per symmetry orbit: the other members, found
-through the arc-id permutations of ``canonical.arc_permutations``, are
-skipped, since connectivity and the canonical form are the same on the
-whole orbit (after McKay's orderly generation: reject each orbit once).
+through the same arc-id permutations, are skipped, since connectivity and
+the canonical form are the same on the whole orbit (after McKay's orderly
+generation: reject each orbit once).
 The set judged must be connected (by default strictly: the lift to the
 plane is one piece), and survivors are reduced to canonical form and keyed
 by canonical identifier, so duplicate classes collapse and results are
@@ -85,7 +85,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .canonical import arc_permutations, canonical_representative, identifier_text
-from .embedding import _NO_ARCS, GroundEmbedding, _Arcs, _join, tables_for, translations
+from .embedding import _NO_ARCS, GroundEmbedding, _Arcs, _join, tables_for
 from .geometry import TorusDims
 from .paths import _lace_paths
 from .validator import check_connected, windings_span_plane
@@ -158,7 +158,7 @@ class _Engine:
         column0, self.starts = self._column_candidates()
         self.candidates = list(column0)
         for c in range(1, dims.cols):
-            shift = translations(dims)[0, c]
+            shift = arc_permutations(dims)["identity", 0, c]
             for cand in column0:
                 ids = tuple(shift[aid] for aid in cand.arc_ids)
                 masks, fault = _join(_NO_ARCS, ids, t)

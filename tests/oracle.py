@@ -16,8 +16,9 @@ Filter levels:
 that replay the search's moves. The other functions are independent
 references the program's own code is checked against: the lace-path
 invariants (``is_valid_lace_path``), a circuit's longitudinal winding read at
-a cut (``circuit_cut_crossings``), the canonical form computed image by
-image (``canonical_reference``), the crossing tables tested pair by pair
+a cut (``circuit_cut_crossings``), a ground's image under a symmetry worked
+out arc by arc (``image``), the canonical form computed image by image
+(``canonical_reference``), the crossing tables tested pair by pair
 (``crossing_tables_reference``) and the search's keep masks read candidate
 by candidate (``keep_masks_reference``).
 """
@@ -29,8 +30,6 @@ from laceground.canonical import (
     canonical_representative,
     identifier,
     identifier_text,
-    transform,
-    translate,
 )
 from laceground.embedding import GroundEmbedding, arc_tables, tables_for
 from laceground.geometry import LACE_STEP_SET, Arc, TorusDims, arcs_cross
@@ -89,17 +88,47 @@ def circuit_cut_crossings(circuit: list[Arc], cut_col: int, cols: int) -> int:
     return total
 
 
+def image(e: GroundEmbedding, name: str, dr: int, dc: int) -> GroundEmbedding:
+    """``e`` under transform ``name`` and then moved ``dr`` rows down and
+    ``dc`` columns right, worked out arc by arc without any arc-id table.
+
+    A reflection of the rows would turn every arc upward, so v_reflect and
+    rot180 turn each arc around: it starts where its old head lands. Zeta
+    annotations move with their vertices.
+    """
+    rows, cols = e.dims
+    arcs = []
+    for a in e.arcs:
+        if name == "identity":
+            r, c, dx = a.row, a.col, a.dx
+        elif name == "h_reflect":
+            r, c, dx = a.row, -a.col, -a.dx
+        elif name == "v_reflect":
+            r, c, dx = -(a.row + a.dy), a.col + a.dx, -a.dx
+        elif name == "rot180":
+            r, c, dx = -(a.row + a.dy), -(a.col + a.dx), a.dx
+        else:
+            raise ValueError(f"unknown transform {name!r}")
+        arcs.append(Arc((r + dr) % rows, (c + dc) % cols, dx, a.dy))
+    flip_rows = name in ("v_reflect", "rot180")
+    flip_cols = name in ("h_reflect", "rot180")
+    zeta = [((((-r if flip_rows else r) + dr) % rows,
+              ((-c if flip_cols else c) + dc) % cols), actions)
+            for (r, c), actions in e.zeta]
+    return GroundEmbedding(e.dims, tuple(arcs), tuple(zeta))
+
+
 def canonical_reference(e: GroundEmbedding):
     """(identifier, representative) of ``e``'s class, by brute force: the
-    image ``translate(transform(e, name), dr, dc)`` with the least
-    ``(identifier(image), name, dr, dc)``, zeta annotations included."""
+    ``image(e, name, dr, dc)`` with the least ``(identifier(image), name,
+    dr, dc)``, zeta annotations included."""
     rows, cols = e.dims
-    key, image = min(
-        (((identifier(image), name, dr, dc), image)
+    key, least = min(
+        (((identifier(moved), name, dr, dc), moved)
          for name in TRANSFORMS for dr in range(rows) for dc in range(cols)
-         for image in [translate(transform(e, name), dr, dc)]),
+         for moved in [image(e, name, dr, dc)]),
         key=lambda pair: pair[0])
-    return key[0], image
+    return key[0], least
 
 
 def crossing_tables_reference(dims: TorusDims):

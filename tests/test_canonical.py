@@ -42,6 +42,12 @@ def test_v_reflect_of_torchon_is_mirror():
     assert transform(TORCHON_1x1, "v_reflect") == MIRROR_1x1
 
 
+def test_unknown_transform_raises():
+    for e in (new_embedding(TorusDims(3, 3)), TORCHON_1x1):
+        with pytest.raises(ValueError, match="unknown transform 'bogus'"):
+            transform(e, "bogus")
+
+
 def test_translate_wraps():
     e = GroundEmbedding(TorusDims(2, 3), (Arc(0, 1, 1, 1),))
     t = translate(e, 3, 4)

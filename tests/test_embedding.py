@@ -93,6 +93,18 @@ def test_add_path_rejects_an_input_with_a_fault():
     assert rej == ("crossing", (0, 1), Arc(0, 1, -1, 1))
 
 
+def test_add_path_rejects_bad_input_with_value_error():
+    """A start column off the grid, a step outside the lace step set and a
+    height other than the rows are caller errors, not rejections."""
+    e = new_embedding(TorusDims(3, 3))
+    with pytest.raises(ValueError, match="start_col"):
+        add_path(e, LacePath(((0, 1), (0, 1), (0, 1))), 3)
+    with pytest.raises(ValueError, match=r"step \(0, 3\) not in the lace step set"):
+        add_path(e, LacePath(((0, 3),)), 0)
+    with pytest.raises(ValueError, match="path height"):
+        add_path(e, LacePath(((0, 1),)), 0)
+
+
 def test_add_path_duplicate_arc():
     e = new_embedding(TorusDims(2, 1))
     path = LacePath(((0, 1), (0, 1)), False)

@@ -22,13 +22,12 @@ from laceground.embedding import (
     serialize,
     arc_tables,
     tables_for,
-    translations,
 )
 from laceground.geometry import Arc, TorusDims
 from laceground.paths import generate_lace_paths
 from laceground.search import SearchConfig, _engine, enumerate_grounds
 from laceground.validator import full_report
-from oracle import canonical_reference, search_state
+from oracle import canonical_reference, image, search_state
 
 dims_2d = st.builds(TorusDims, st.integers(1, 3), st.integers(1, 3))
 
@@ -154,29 +153,46 @@ def arc_subsets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(arc_subsets())
+@given(st.one_of(arc_subsets(), annotated_embeddings()))
 def test_arc_permutations_are_the_symmetries(e):
-    """Arc-id permutation (name, dr, dc) moves a ground's arcs where
-    ``translate(transform(e, name), dr, dc)`` puts them."""
+    """Arc-id permutation (name, dr, dc) moves a ground's arcs where the
+    table-free ``oracle.image(e, name, dr, dc)`` puts them, and
+    ``translate(transform(e, name), dr, dc)`` is that image, zeta
+    annotations included."""
     t = tables_for(e.dims)
     perms = arc_permutations(e.dims)
     assert len(perms) == len(TRANSFORMS) * e.dims.rows * e.dims.cols
     for (name, dr, dc), perm in perms.items():
-        assert sorted(perm) == list(range(len(t.arcs)))
-        moved = {t.arcs[perm[t.arc_id[a]]] for a in e.arcs}
-        assert moved == set(translate(transform(e, name), dr, dc).arcs)
+        expected = image(e, name, dr, dc)
+        assert {t.arcs[perm[t.arc_id[a]]] for a in e.arcs} == set(expected.arcs)
+        assert translate(transform(e, name), dr, dc) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(TorusDims, st.integers(1, 4), st.integers(1, 4)), st.data())
+def test_arc_permutations_form_a_group(dims, data):
+    """Every entry is a bijection on arc ids, ("identity", 0, 0) is the
+    identity, and any entry followed by any other is an entry."""
+    perms = arc_permutations(dims)
+    ids = list(range(len(arc_tables(dims).arcs)))
+    assert perms["identity", 0, 0] == tuple(ids)
+    for perm in perms.values():
+        assert sorted(perm) == ids
+    first, second = (perms[data.draw(st.sampled_from(sorted(perms)))] for _ in range(2))
+    assert tuple(second[i] for i in first) in set(perms.values())
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.builds(TorusDims, st.integers(1, 4), st.integers(1, 4)), st.data())
 def test_translations_move_arcs_on_the_torus(dims, data):
-    """Translation (dr, dc) moves each arc's origin dr rows down and dc
-    columns right and keeps its step; (0, 0) is the identity, two moves
-    compose mod the periods, and ``translate`` moves a ground's arcs the
-    same way."""
+    """Translation ("identity", dr, dc) of ``arc_permutations`` moves each
+    arc's origin dr rows down and dc columns right and keeps its step;
+    (0, 0) is the identity, two moves compose mod the periods, and
+    ``translate`` moves a ground's arcs the same way."""
     rows, cols = dims
     t = arc_tables(dims)
-    shifts = translations(dims)
+    shifts = {(dr, dc): perm for (name, dr, dc), perm in arc_permutations(dims).items()
+              if name == "identity"}
     assert shifts[0, 0] == tuple(range(len(t.arcs)))
     a, c = (data.draw(st.integers(0, rows - 1)) for _ in range(2))
     b, d = (data.draw(st.integers(0, cols - 1)) for _ in range(2))
