@@ -43,8 +43,14 @@ arc that ``embedding._join`` rejects, so no path list is built and no
 path with a fault is completed (``_Engine._column_candidates``). Each
 comes directly before its mirror image under the column reflection through
 column 0, ``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which
-maps column 0's candidates onto themselves. Column c's are column 0's
-moved by ``("identity", 0, c)``, c columns right, in the same order.
+maps column 0's candidates onto themselves. The walk enters only the paths
+that step only vertically or whose first sideways step goes left; a path
+whose first sideways step goes right is the mirror image of one of those,
+so its candidate is built from the walked one's arc ids mapped through that
+permutation. Steps sort by dx first, so of a path and its image the
+left-turning one comes first, and the pairs come in the order of the whole
+walk. Column c's are column 0's moved by ``("identity", 0, c)``, c columns
+right, in the same order.
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -182,41 +188,56 @@ class _Engine:
         The paths are walked arc by arc (``paths._lace_paths``), and a
         branch is cut at the first arc that cannot join those before it
         (``_join``): every fault is decided by a prefix of the path, so no
-        path with a fault is ever completed.
+        path with a fault is ever completed. A branch is also cut at a step
+        with dx > 0 taken before any sideways step: the paths walked step
+        only vertically or turn left first, and the others' candidates are
+        the walked ones' mirror images, their arc ids mapped through
+        ``arc_permutations(dims)["h_reflect", 0, 0]`` and checked once more
+        by ``_join``. An image the walk met itself keeps the walked
+        candidate.
         """
         t = self.t
         cols = self.dims.cols
 
-        # a walk's state: the vertex it stands at, its arc ids and their masks
+        # a walk's state: the vertex it stands at, whether it has stepped
+        # sideways yet, its arc ids and their masks
         def start(row):
-            return row * cols, (), _NO_ARCS
+            return row * cols, False, (), _NO_ARCS
 
         def extend(state, step):
-            vid, ids, masks = state
+            vid, turned, ids, masks = state
+            dx = step[0]
+            if dx > 0 and not turned:
+                return None  # a right-turning path: the image of a walked one
             aid = t.out_arc[vid][step]
             masks, fault = _join(masks, (aid,), t)
             if fault is not None:
                 return None
-            return t.head_vid[aid], ids + (aid,), masks
+            return t.head_vid[aid], turned or dx != 0, ids + (aid,), masks
 
-        by_arcs: dict[int, _Candidate] = {}  # in path order
-        for _, (_, ids, masks) in _lace_paths(self.dims.rows, extend, start):
-            if masks.arcs not in by_arcs:
-                by_arcs[masks.arcs] = _Candidate(ids, masks)
+        walked: dict[int, _Candidate] = {}  # in path order
+        for _, (_, _, ids, masks) in _lace_paths(self.dims.rows, extend, start):
+            if masks.arcs not in walked:
+                walked[masks.arcs] = _Candidate(ids, masks)
         mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
         out, starts = [], []
-        placed: set[int] = set()
-        for arcs, cand in by_arcs.items():
-            if arcs in placed:
-                continue  # the image of an earlier candidate
-            image = sum(1 << mirror[aid] for aid in cand.arc_ids)
-            assert image in by_arcs  # the reflection keeps lace steps and faults
+        met: set[int] = set()  # walked candidates placed as an image
+        for arcs, cand in walked.items():
+            if arcs in met:
+                continue
             starts.append(len(out))
             out.append(cand)
-            placed.add(arcs)
-            if image != arcs:
-                out.append(by_arcs[image])
-                placed.add(image)
+            image_ids = tuple(mirror[aid] for aid in cand.arc_ids)
+            image = sum(1 << aid for aid in image_ids)
+            if image == arcs:
+                continue
+            if image in walked:
+                met.add(image)
+                out.append(walked[image])
+            else:
+                masks, fault = _join(_NO_ARCS, image_ids, t)
+                assert fault is None  # the reflection keeps lace steps and faults
+                out.append(_Candidate(image_ids, masks))
         return out, starts
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
