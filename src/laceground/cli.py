@@ -8,6 +8,7 @@ import argparse
 import functools
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from .braid import to_braid_word
@@ -127,8 +128,8 @@ def cmd_enumerate(args) -> int:
     if out_dir is not None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / ".write-test").write_text("")
-            (out_dir / ".write-test").unlink()
+            # a fresh unique name, so that no file of the user's is touched
+            tempfile.NamedTemporaryFile(dir=out_dir).close()
         except OSError as exc:
             print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -149,7 +150,7 @@ def cmd_verify(args) -> int:
     emb = _load(args.file)
     if emb is None:
         return EXIT_USAGE
-    report = full_report(emb, strict=args.strict)
+    report = full_report(emb)
     if args.report == "json":
         print(json.dumps(report_to_json(report), indent=2, sort_keys=True))
     else:

@@ -35,22 +35,23 @@ waiting vertex are computed there, and only a live child costs a call. A
 child is dead when a waiting vertex has no alive candidate into it: at 3x3
 that is 90,359 of the 131,055 nodes.
 
-Column 0's candidates are the distinct arc sets its lace paths lay down,
-built by one depth-first walk over arc ids from vertex (0, 0) (rooted
-paths) and from vertex (n-1, 0) by the double step (skipping paths). It
-takes the lace-step rules from ``paths`` and cuts a branch at the first
-arc that ``embedding._join`` rejects, so no path list is built and no
-path with a fault is completed (``_Engine._column_candidates``). Each
-comes directly before its mirror image under the column reflection through
-column 0, ``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which
-maps column 0's candidates onto themselves. The walk enters only the paths
-that step only vertically or whose first sideways step goes left; a path
-whose first sideways step goes right is the mirror image of one of those,
-so its candidate is built from the walked one's arc ids mapped through that
+Column 0's candidates are the arc sets of its fault-free lace paths, one
+per path, built in one streaming depth-first walk over arc ids from vertex
+(0, 0) (rooted paths) and from vertex (n-1, 0) by the double step
+(skipping paths). It takes the lace-step rules from ``paths`` and cuts a
+branch at the first arc that ``embedding._join`` rejects, so no path list
+is built and no path with a fault is completed. Each comes directly before
+its mirror image under the column reflection through column 0,
+``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which maps
+column 0's candidates onto themselves. The walk enters only the paths that
+step only vertically or whose first sideways step goes left; a path whose
+first sideways step goes right is the mirror image of one of those, so its
+candidate is built from the walked one's arc ids mapped through that
 permutation. Steps sort by dx first, so of a path and its image the
 left-turning one comes first, and the pairs come in the order of the whole
-walk. Column c's are column 0's moved by ``("identity", 0, c)``, c columns
-right, in the same order.
+walk. ``_Engine._column_candidates`` proves that distinct paths lay
+distinct arc sets, so no two candidates coincide. Column c's are column
+0's moved by ``("identity", 0, c)``, c columns right, in the same order.
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -179,11 +180,11 @@ class _Engine:
         """Column 0's candidates, which ``__init__`` translates to the other
         columns, and the indices of those that start work items.
 
-        There is one candidate per distinct arc set a lace path lays down
-        there, skipping sets that conflict with themselves. They come in
-        path order, each directly followed by its mirror image (the column
-        reflection ``h_reflect`` maps column 0 onto itself); the starts are
-        the first of each pair and the candidates that are their own image.
+        There is one candidate per lace path there that does not conflict
+        with itself, in path order, each directly followed by its mirror
+        image (the column reflection ``h_reflect`` maps column 0 onto
+        itself) unless it is its own; the starts are the first of each pair
+        and the candidates that are their own image.
 
         The paths are walked arc by arc (``paths._lace_paths``), and a
         branch is cut at the first arc that cannot join those before it
@@ -193,8 +194,25 @@ class _Engine:
         only vertically or turn left first, and the others' candidates are
         the walked ones' mirror images, their arc ids mapped through
         ``arc_permutations(dims)["h_reflect", 0, 0]`` and checked once more
-        by ``_join``. An image the walk met itself keeps the walked
-        candidate.
+        by ``_join``. Two facts leave nothing to look up:
+
+        (i) Distinct fault-free paths lay distinct arc sets. An arc records
+        its step, so it is enough that the arc set fixes the walk order.
+        The set fixes the form, and the form the anchor: a skipping path
+        holds the (0, 2) arc out of (n-1, 0), and a rooted path's unwrapped
+        row climbs monotonically from 0 to n, so it never leaves row n-1 by
+        a double step. The unwrapped rows lie in an interval of length n,
+        so only the anchor's row is met at two unwrapped rows; horizontal
+        steps are never adjacent, so each row takes at most one horizontal
+        arc. A vertex is therefore met twice only at the anchor or across
+        a horizontal self-loop (|dx| = cols), and in both cases the next
+        arc is forced: the first arc must be non-horizontal or the double
+        step, and the loop must come before the walk descends.
+
+        (ii) A candidate is its own image exactly when it never steps
+        sideways, the walk's ``turned`` flag. The reflection negates dx; a
+        turned path's image is a different fault-free lace path, so by (i)
+        it lays a different arc set, one the walk never enters.
         """
         t = self.t
         cols = self.dims.cols
@@ -215,26 +233,13 @@ class _Engine:
                 return None
             return t.head_vid[aid], turned or dx != 0, ids + (aid,), masks
 
-        walked: dict[int, _Candidate] = {}  # in path order
-        for _, (_, _, ids, masks) in _lace_paths(self.dims.rows, extend, start):
-            if masks.arcs not in walked:
-                walked[masks.arcs] = _Candidate(ids, masks)
         mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
         out, starts = [], []
-        met: set[int] = set()  # walked candidates placed as an image
-        for arcs, cand in walked.items():
-            if arcs in met:
-                continue
+        for _, (_, turned, ids, masks) in _lace_paths(self.dims.rows, extend, start):
             starts.append(len(out))
-            out.append(cand)
-            image_ids = tuple(mirror[aid] for aid in cand.arc_ids)
-            image = sum(1 << aid for aid in image_ids)
-            if image == arcs:
-                continue
-            if image in walked:
-                met.add(image)
-                out.append(walked[image])
-            else:
+            out.append(_Candidate(ids, masks))
+            if turned:
+                image_ids = tuple(mirror[aid] for aid in ids)
                 masks, fault = _join(_NO_ARCS, image_ids, t)
                 assert fault is None  # the reflection keeps lace steps and faults
                 out.append(_Candidate(image_ids, masks))
@@ -464,23 +469,16 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     )
 
 
-@dataclass
-class CountCell:
-    count: int
-    complete: bool
-
-
 def count_table(max_rows: int, max_cols: int, jobs: int = 1, strict: bool = True,
-                node_budget: Optional[int] = None) -> list[list[CountCell]]:
-    """Counts for every grid up to max_rows x max_cols. Sub-periodic patterns
+                node_budget: Optional[int] = None) -> list[list[SearchResult]]:
+    """Results for every grid up to max_rows x max_cols. Sub-periodic patterns
     arise naturally on larger grids, so the table is accumulative."""
     table = []
     for n in range(1, max_rows + 1):
         row = []
         for m in range(1, max_cols + 1):
-            result = enumerate_grounds(SearchConfig(
+            row.append(enumerate_grounds(SearchConfig(
                 TorusDims(n, m), jobs=jobs, strict_connectivity=strict,
-                node_budget=node_budget))
-            row.append(CountCell(result.count, result.complete))
+                node_budget=node_budget)))
         table.append(row)
     return table

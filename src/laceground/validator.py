@@ -328,7 +328,7 @@ def _conserved(partition: CircuitPartition) -> CheckResult:
                        "windings: " + ", ".join(str(tuple(w)) for w in partition.windings))
 
 
-def full_report(e: GroundEmbedding, strict: bool = False) -> PropertyReport:
+def full_report(e: GroundEmbedding) -> PropertyReport:
     """Every check, each piece of shared work (the 2-regularity test, the
     winding walk, the circuit partition) done once. The circuits are traced
     only on a conflict-free, 2-regular, rotationally consecutive ground."""

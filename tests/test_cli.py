@@ -107,6 +107,19 @@ def test_enumerate_writes_solutions(tmp_path, capsys):
     assert out.splitlines()[1] == "canonical: true"
 
 
+def test_enumerate_keeps_a_users_write_test_file(tmp_path, capsys):
+    """The check that ``--out`` is writable leaves every file already in
+    the directory as it was, whatever its name."""
+    out_dir = tmp_path / "sols"
+    out_dir.mkdir()
+    (out_dir / ".write-test").write_text("keep me")
+    code, _, _ = run(capsys, "enumerate", "--rows", "1", "--cols", "1",
+                     "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / ".write-test").read_text() == "keep me"
+    assert len(list(out_dir.iterdir())) == 2  # the file and one solution
+
+
 def test_enumerate_output_roundtrip_sweep(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code, _, _ = run(capsys, "enumerate", "--rows", "2", "--cols", "2",

@@ -398,6 +398,26 @@ def test_column_0_pairs_each_candidate_with_its_mirror(dims):
     assert eng.starts == [k for k, image in enumerate(images) if image in (k, k + 1)]
 
 
+@pytest.mark.parametrize("dims", COLUMN_GRIDS, ids="{0[0]}x{0[1]}".format)
+def test_column_0_candidates_are_distinct_and_self_images_never_turn(dims):
+    """The two facts ``_Engine._column_candidates`` proves and builds on:
+    column 0's candidates lay pairwise distinct arc sets, and a candidate is
+    its own mirror image exactly when none of its arcs steps sideways."""
+    dims = TorusDims(*dims)
+    eng = _engine(dims)
+    t = tables_for(dims)
+    column0 = eng.candidates[:len(eng.candidates) // dims.cols]
+    assert len({cand.arcs_mask for cand in column0}) == len(column0)
+    mirror = arc_permutations(dims)["h_reflect", 0, 0]
+    self_images = 0
+    for cand in column0:
+        own_image = sum(1 << mirror[aid] for aid in cand.arc_ids) == cand.arcs_mask
+        assert own_image == all(t.arcs[aid].dx == 0 for aid in cand.arc_ids)
+        self_images += own_image
+    if dims == TorusDims(5, 1):
+        assert self_images == 11
+
+
 def test_column_0_walk_takes_only_left_turning_paths(monkeypatch):
     """Column 0's walk never adds a step with dx > 0 to a prefix without a
     sideways step, so every prefix it enters steps only vertically or turns
