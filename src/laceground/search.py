@@ -1,8 +1,9 @@
 """Backtracking enumeration of ground embeddings.
 
 The search adds lace paths one at a time. Its options form one flat list
-of candidates: those of column 0, then those of column 1, and so on, each
-candidate the arcs of a path rooted at its column. A node is a set of
+of candidates, each the arcs of a path rooted at its column, laid out
+index-major: column 0's candidate k sits at k * cols, directly followed by
+its translates to columns 1 to cols - 1. A node is a set of
 candidates, and its state is three plain values: the placed arcs as a
 bitset, the vertices with at least one arc in and the vertices with two
 arcs in (no degree passes 2). Out-degrees need no value of their own:
@@ -33,7 +34,7 @@ A node tests its children in its own loop (``_ItemRunner._branch``): each
 child counts as a node, then its state, its narrowed bitset and its
 waiting vertex are computed there, and only a live child costs a call. A
 child is dead when a waiting vertex has no alive candidate into it: at 3x3
-that is 90,359 of the 131,055 nodes.
+that is 39,157 of the 55,325 nodes.
 
 Column 0's candidates are the arc sets of its fault-free lace paths, one
 per path, built in one streaming depth-first walk over arc ids from vertex
@@ -50,8 +51,8 @@ candidate is built from the walked one's arc ids mapped through that
 permutation. Steps sort by dx first, so of a path and its image the
 left-turning one comes first, and the pairs come in the order of the whole
 walk. ``_Engine._column_candidates`` proves that distinct paths lay
-distinct arc sets, so no two candidates coincide. Column c's are column
-0's moved by ``("identity", 0, c)``, c columns right, in the same order.
+distinct arc sets, so no two candidates coincide. Column 0's candidate k
+moved by ``("identity", 0, c)``, c columns right, is candidate k * cols + c.
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -70,17 +71,27 @@ candidate placed, its lowest. Items share nothing and their leaf sets
 merge commutatively, which makes multi-process runs byte-identical to the
 single-process reference run. The one symmetry rule of the walk breaks the
 column shift and the column reflection at the root: items start only at
-the column-0 starts (``_Engine.starts``), the first candidate of each
-mirror pair and the candidates that are their own image. The other
-columns' candidates are column 0's translated, and faults are invariant
-under translation, so a regular set whose lowest column is c, moved c
-columns left, is a regular set S in the same orbit that holds a column-0
-candidate. Let a be the lowest candidate of S, and b that of its mirror
-image M(S). If a is the second of its pair, M(S) holds a - 1, so b < a;
-and b is a start, for otherwise M(b) = b - 1 would be a candidate of S
-below a. So every orbit has a member whose lowest candidate is a start;
-the judge keeps one set per orbit, so the classes are those of the whole
-tree.
+k * cols for the column-0 starts k (``_Engine.starts``), the first
+candidate of each mirror pair and the candidates that are their own image.
+An item's root keeps only the candidates above its start, so it takes, in
+every column, only the translates of column-0 candidates k and later.
+Faults are invariant under both moves, so a column shift or ``h_reflect``
+(0, 0) maps a regular candidate set onto a regular candidate set: column
+0's candidate k at column c goes to column c + d under a shift by d, and to
+column -c as k's mirror image under the reflection. Of the orbit of a
+regular set under these moves, take the member S whose lowest candidate
+comes first in the index-major order:
+
+- that candidate is in column 0, at some k = L, for otherwise shifting S
+  so that its column becomes column 0 lowers it;
+- so every candidate of S is a translate of column 0's candidate L or a
+  later one, all of which the item at L * cols keeps;
+- L is a start, for otherwise L is the second of its pair and the mirror
+  image of S holds L - 1 in column 0, lower than S's lowest.
+
+The item at L * cols walks every regular set whose lowest candidate is its
+start, S among them, so every orbit is reached; the judge keeps one set per
+orbit, so the classes are those of the whole tree.
 """
 
 import os
@@ -163,14 +174,19 @@ class _Engine:
         self.dims = dims
         self.t = t = tables_for(dims)
         column0, self.starts = self._column_candidates()
-        self.candidates = list(column0)
-        for c in range(1, dims.cols):
+        cols = dims.cols
+        # index-major: column 0's candidate k at k * cols, then its translates
+        self.candidates = [None] * (len(column0) * cols)
+        self.candidates[::cols] = column0
+        for c in range(1, cols):
             shift = arc_permutations(dims)["identity", 0, c]
+            column = []
             for cand in column0:
                 ids = tuple(shift[aid] for aid in cand.arc_ids)
                 masks, fault = _join(_NO_ARCS, ids, t)
                 assert fault is None  # faults are invariant under translation
-                self.candidates.append(_Candidate(ids, masks))
+                column.append(_Candidate(ids, masks))
+            self.candidates[c::cols] = column
         self.all_alive = (1 << len(self.candidates)) - 1
         self.arc_keep, self.full_keep = self._keep_masks()
         # per vertex: the candidates that add an arc into it
@@ -178,7 +194,8 @@ class _Engine:
 
     def _column_candidates(self) -> tuple[list[_Candidate], list[int]]:
         """Column 0's candidates, which ``__init__`` translates to the other
-        columns, and the indices of those that start work items.
+        columns, and the positions of those that start work items in the
+        index-major layout: k * cols for column 0's candidate k.
 
         There is one candidate per lace path there that does not conflict
         with itself, in path order, each directly followed by its mirror
@@ -236,7 +253,7 @@ class _Engine:
         mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
         out, starts = [], []
         for _, (_, turned, ids, masks) in _lace_paths(self.dims.rows, extend, start):
-            starts.append(len(out))
+            starts.append(len(out) * cols)
             out.append(_Candidate(ids, masks))
             if turned:
                 image_ids = tuple(mirror[aid] for aid in ids)

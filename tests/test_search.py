@@ -39,9 +39,11 @@ from oracle import keep_masks_reference, search_state
 SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
 
 # sha256 over "name\nfile" of every default-model solution in order (first 16
-# hex digits), and the nodes visited
-GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 143), (2, 3): ("f5837c02a18e0854", 1603),
-          (3, 2): ("376e130448769230", 3396), (1, 5): ("96d48af6994e947f", 349)}
+# hex digits), the number of solutions and the nodes visited; the paper does
+# not publish 2x5
+GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 12, 90), (2, 3): ("f5837c02a18e0854", 31, 666),
+          (3, 2): ("376e130448769230", 31, 2144), (1, 5): ("96d48af6994e947f", 4, 201),
+          (2, 5): ("150c2f6bcce83a27", 542, 41962)}
 
 
 @pytest.mark.parametrize("dims,expected", sorted(SMALL_COUNTS.items()))
@@ -118,12 +120,13 @@ GOLDEN_RUNS = [(dims, 1) for dims in sorted(GOLDEN)] + [((2, 3), 2)]
     ids=[f"{r}x{c}" + ("" if jobs == 1 else f"-jobs{jobs}")
          for (r, c), jobs in GOLDEN_RUNS])
 def test_golden_solutions(dims, jobs):
-    """Names, files and node counts of the default model, byte for byte."""
+    """Names, files, counts and node counts of the default model, byte for
+    byte."""
     result = enumerate_grounds(SearchConfig(TorusDims(*dims), jobs=jobs))
     digest = hashlib.sha256()
     for _, emb in result.canonical_solutions:
         digest.update((solution_name(identifier(emb)) + "\n" + serialize(emb)).encode())
-    assert (digest.hexdigest()[:16], result.nodes_visited) == GOLDEN[dims]
+    assert (digest.hexdigest()[:16], result.count, result.nodes_visited) == GOLDEN[dims]
 
 
 def test_pool_size_is_bounded(monkeypatch):
@@ -238,7 +241,7 @@ def _walk_without_lookahead(dims):
 
 
 # nodes of the tree without the lookahead, from the column-0 starts
-TREE_WITHOUT_LOOKAHEAD = {(2, 2): 210, (2, 3): 4322, (3, 2): 5152, (1, 5): 1312,
+TREE_WITHOUT_LOOKAHEAD = {(2, 2): 132, (2, 3): 1825, (3, 2): 3192, (1, 5): 672,
                           (4, 1): 671}
 
 
@@ -281,7 +284,7 @@ def test_walk_reaches_each_regular_candidate_set_once(dims):
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
 @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (1, 3), (1, 5), (2, 1), (2, 2), (2, 3),
-                                  (2, 4), (3, 2)],
+                                  (2, 4), (3, 2), (3, 3), (2, 5)],
                          ids="{0[0]}x{0[1]}".format)
 def test_column_0_run_matches_the_whole_tree(dims, strict):
     """A run, whose work items start only at the column-0 starts, gives the
@@ -371,31 +374,54 @@ COLUMN_GRIDS = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 4), (4, 1), (4, 2), 
 
 @pytest.mark.parametrize("dims", COLUMN_GRIDS, ids="{0[0]}x{0[1]}".format)
 def test_column_walk_matches_path_builder(dims):
-    """The fault-pruned walk of column 0 and its translates give the same
-    candidates, in the same order, as materialising every path, column after
-    column, and pairing each with its mirror image; the order decides which
-    candidates start the work items and which later candidates a leaf's
-    children keep, so the node counts depend on it."""
+    """The fault-pruned walk of column 0 and its translates give each
+    column the same candidates, in the same order, as materialising every
+    path at that column and pairing each with its mirror image; the
+    candidates are laid out index-major, so column c's are every cols-th
+    from c. The order decides which candidates start the work items and
+    which later candidates a node keeps, so the node counts depend on it."""
     dims = TorusDims(*dims)
-    got = [c.arc_ids for c in _engine(dims).candidates]
-    assert got == [ids for column in _columns_from_paths(dims) for ids in column]
+    candidates = _engine(dims).candidates
+    for c, column in enumerate(_columns_from_paths(dims)):
+        assert [cand.arc_ids for cand in candidates[c::dims.cols]] == column
+
+
+@pytest.mark.parametrize("dims", COLUMN_GRIDS, ids="{0[0]}x{0[1]}".format)
+def test_candidates_are_laid_out_index_major(dims):
+    """Candidate k * cols + c is column 0's candidate k moved c columns
+    right, and every work item starts in column 0, at a multiple of cols:
+    so an item's root, which keeps the candidates above its start, keeps in
+    every column the translates of column-0 candidates from the start on."""
+    dims = TorusDims(*dims)
+    eng = _engine(dims)
+    cols = dims.cols
+    shifts = [arc_permutations(dims)["identity", 0, c] for c in range(cols)]
+    for k, cand in enumerate(eng.candidates[::cols]):
+        for c, shift in enumerate(shifts):
+            moved = eng.candidates[k * cols + c]
+            assert moved.arc_ids == tuple(shift[aid] for aid in cand.arc_ids)
+            assert moved.arcs_mask == sum(1 << shift[aid] for aid in cand.arc_ids)
+    assert len(eng.candidates) % cols == 0
+    assert eng.starts and all(first % cols == 0 for first in eng.starts)
 
 
 @pytest.mark.parametrize("dims", COLUMN_GRIDS, ids="{0[0]}x{0[1]}".format)
 def test_column_0_pairs_each_candidate_with_its_mirror(dims):
     """Column 0's candidates are closed under the column reflection, each
     one's image is itself or a neighbour, and the work items start at the
-    first of each pair and at the candidates that are their own image."""
+    first of each pair and at the candidates that are their own image, each
+    at its index-major position k * cols."""
     dims = TorusDims(*dims)
     eng = _engine(dims)
-    column0 = eng.candidates[:len(eng.candidates) // dims.cols]
+    column0 = eng.candidates[::dims.cols]
     mirror = arc_permutations(dims)["h_reflect", 0, 0]
     index = {cand.arcs_mask: k for k, cand in enumerate(column0)}
     images = [index.get(sum(1 << mirror[aid] for aid in cand.arc_ids))
               for cand in column0]
     assert None not in images
     assert all(abs(image - k) <= 1 for k, image in enumerate(images))
-    assert eng.starts == [k for k, image in enumerate(images) if image in (k, k + 1)]
+    assert eng.starts == [k * dims.cols for k, image in enumerate(images)
+                          if image in (k, k + 1)]
 
 
 @pytest.mark.parametrize("dims", COLUMN_GRIDS, ids="{0[0]}x{0[1]}".format)
@@ -406,7 +432,7 @@ def test_column_0_candidates_are_distinct_and_self_images_never_turn(dims):
     dims = TorusDims(*dims)
     eng = _engine(dims)
     t = tables_for(dims)
-    column0 = eng.candidates[:len(eng.candidates) // dims.cols]
+    column0 = eng.candidates[::dims.cols]
     assert len({cand.arcs_mask for cand in column0}) == len(column0)
     mirror = arc_permutations(dims)["h_reflect", 0, 0]
     self_images = 0
