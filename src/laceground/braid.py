@@ -1,7 +1,7 @@
 """Translation of per-vertex action sequences into braid words.
 
-Actions operate on two adjacent thread pairs: pairs i and i+1 hold the four
-strands at positions 2i..2i+3. A cross puts the middle strand over its right
+Actions operate on two adjacent thread pairs, which hold the four strands
+at positions 0..3. A cross puts the middle strand over its right
 neighbour; a twist crosses each pair's strands under. In generator notation a
 positive entry (p, +1) is strand p over p+1, negative is under. Every word
 assembled from these actions keeps positive generators on odd positions and
@@ -20,27 +20,24 @@ class BraidWord(NamedTuple):
         return format_braid_word(self)
 
 
-def to_braid_word(actions: str, pair_index: int = 0) -> BraidWord:
-    """Expand an action string for the pair at ``pair_index``.
+def to_braid_word(actions: str) -> BraidWord:
+    """Expand an action string for the pairs at strands 0..3.
 
-    C -> sigma_{2i+1}; T -> sigma_{2i}^-1 sigma_{2i+2}^-1; L and R twist only
-    the left or right pair; p marks a pin at its place in the word.
+    C -> sigma_1; T -> sigma_0^-1 sigma_2^-1; L and R twist only the left
+    or right pair; p marks a pin at its place in the word.
     """
-    if pair_index < 0:
-        raise ValueError("pair index must be >= 0")
-    i2 = 2 * pair_index
     gens: list[tuple[int, int]] = []
     pins: list[int] = []
     for ch in actions:
         if ch == "C":
-            gens.append((i2 + 1, +1))
+            gens.append((1, +1))
         elif ch == "T":
-            gens.append((i2, -1))
-            gens.append((i2 + 2, -1))
+            gens.append((0, -1))
+            gens.append((2, -1))
         elif ch == "L":
-            gens.append((i2, -1))
+            gens.append((0, -1))
         elif ch == "R":
-            gens.append((i2 + 2, -1))
+            gens.append((2, -1))
         elif ch == "p":
             pins.append(len(gens))
         else:

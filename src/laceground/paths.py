@@ -9,16 +9,16 @@ forms:
   non-horizontal (this anchors the path at that vertex);
 * ``skipping`` - the path begins with the (0, 2) double step taken from row
   n-1, jumping over the row-0 line without placing a vertex on it. The
-  remainder of the sequence is unconstrained at both ends (its first step
-  may be horizontal because the double step precedes it).
+  step after the double step may be horizontal, as after any non-horizontal
+  step.
 
-A sequence beginning with (0, 2) is therefore counted twice, once per
-attachment form; all other sequences appear only rooted. Heights 1..5 yield
-3, 39, 498, 6667 and 91833 paths under this convention.
-"""
+So a skipping path's steps are exactly a rooted path's steps that begin
+with (0, 2): every such sequence is counted twice, once per attachment
+form, and all other sequences appear only rooted. ``_lace_paths`` walks
+both forms in one depth-first walk on this fact. Heights 1..6 yield 3, 39,
+498, 6667, 91833 and 1289040 paths under this convention, of which 0, 1,
+13, 164, 2177 and 29881 are skipping."""
 
-import heapq
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .geometry import LACE_STEPS
@@ -50,92 +50,74 @@ class LacePath(NamedTuple):
         return rows - 1 if self.skipping else 0
 
 
-def _sequences(n: int, first_free: bool, extend=None,
-               state=None) -> Iterator[tuple[tuple[Step, ...], object]]:
-    """DFS over step sequences with net displacement (0, n), in lex order.
+def _lace_paths(n: int, extend=lambda state, step: state,
+                start=lambda row: row) -> Iterator[tuple[LacePath, object]]:
+    """Every lace path of height n with a state grown along its steps,
+    lexicographic by steps, rooted first, in one depth-first walk.
 
-    ``first_free`` lifts the non-horizontal constraint on the first step
-    (used for the tail of skipping paths, where the double step precedes).
-    Emission points are terminal: once dy == n and dx == 0 no continuation
-    can return to a valid endpoint, so each sequence is yielded exactly once.
+    A skipping path's steps are exactly a rooted path's steps that begin
+    with (0, 2): both forms drop n rows and return to dx 0, both are held to
+    the same bound on dx below, and the double step is not horizontal, so
+    the step after it is free in both forms. The walk therefore carries the
+    two forms' states down one tree of step sequences and yields, at each
+    terminal prefix, the rooted path and then its skipping twin: the order
+    of the two forms merged. A prefix is terminal once dy == n and dx == 0,
+    since no continuation can return to a valid endpoint, so each sequence
+    is yielded once per form.
 
-    Each sequence comes with a state grown along its steps: ``extend(state,
-    step)``, called for every step the rules admit, returns the state of the
-    longer prefix, or None to cut the branch there. Without ``extend`` the
-    state stays as given.
+    ``start(row)`` gives the state at the row a form is anchored at: row 0
+    for the rooted form, row n-1 for the skipping form, which is begun only
+    by a first step (0, 2). ``extend(state, step)``, called for every step
+    the rules admit, returns the state of the longer prefix, or None to cut
+    that form there; a branch is cut once both forms are cut. By default a
+    path's state is its anchor row.
     """
-    if n == 0:
-        yield (), state
-        return
-
+    if n < 1:
+        raise ValueError(f"height must be >= 1, got {n}")
     stack: list[Step] = []
-    # one frame per depth: the prefix's net (dx, dy), its state and the
-    # steps not yet tried after it
-    frames = [(0, 0, state, iter(LACE_STEPS))]
+    # one frame per depth: the prefix's net (dx, dy), the rooted and the
+    # skipping form's state (None once cut) and the steps not yet tried
+    frames = [(0, 0, start(0), None, iter(LACE_STEPS))]
     while frames:
-        sdx, sdy, state, untried = frames[-1]
+        sdx, sdy, rooted, skipping, untried = frames[-1]
         for step in untried:
             dx, dy = step
             ndy = sdy + dy
             if ndy > n:
                 continue
-            if dy == 0:
-                if not stack and not first_free:
-                    continue
-                if stack and stack[-1][1] == 0:
-                    continue
+            # the first step is never horizontal, nor are two adjacent steps
+            if dy == 0 and (not stack or stack[-1][1] == 0):
+                continue
             ndx = sdx + dx
             # Each remaining row of descent can correct at most 1 column via a
             # diagonal plus 2 via one interleaved horizontal; one trailing
             # horizontal may follow the last descent.
             if abs(ndx) > 3 * (n - ndy) + 2:
                 continue
-            next_state = state
-            if extend is not None:
-                next_state = extend(state, step)
-                if next_state is None:
-                    continue
+            next_rooted = None if rooted is None else extend(rooted, step)
+            if skipping is not None:
+                next_skipping = extend(skipping, step)
+            elif not stack and step == SKIP_STEP:
+                next_skipping = extend(start(n - 1), step)
+            else:
+                next_skipping = None
+            if next_rooted is None and next_skipping is None:
+                continue
             stack.append(step)
             if ndy == n and ndx == 0:
-                yield tuple(stack), next_state
+                steps = tuple(stack)
+                if next_rooted is not None:
+                    yield LacePath(steps, False), next_rooted
+                if next_skipping is not None:
+                    yield LacePath(steps, True), next_skipping
                 stack.pop()
                 continue
-            frames.append((ndx, ndy, next_state, iter(LACE_STEPS)))
+            frames.append((ndx, ndy, next_rooted, next_skipping, iter(LACE_STEPS)))
             break
         else:
             frames.pop()
             if stack:
                 stack.pop()
-
-
-def _forms(n: int, extend=None, start=None) -> list[Iterator[tuple[LacePath, object]]]:
-    """The lace paths of height n as one walk per attachment form, rooted
-    then skipping, each in lexicographic order of steps, yielding (path,
-    state) pairs.
-
-    With ``extend`` (see ``_sequences``), ``start(row)`` gives the state at
-    the row a path is anchored at, and the skipping form's double step is
-    extended like any other step.
-    """
-    if n < 1:
-        raise ValueError(f"height must be >= 1, got {n}")
-    rooted = _sequences(n, False, extend, start and start(0))
-    forms = [((LacePath(steps, False), state) for steps, state in rooted)]
-    if n >= 2:
-        entry = start and start(n - 1)
-        if extend is not None:
-            entry = extend(entry, SKIP_STEP)
-        if extend is None or entry is not None:
-            tails = _sequences(n - 2, True, extend, entry)
-            forms.append((LacePath((SKIP_STEP,) + tail, True), state)
-                         for tail, state in tails)
-    return forms
-
-
-def _lace_paths(n: int, extend=None, start=None) -> Iterator[tuple[LacePath, object]]:
-    """Every lace path of height n with its state (see ``_forms``), in the
-    order of ``generate_lace_paths``."""
-    return heapq.merge(*_forms(n, extend, start), key=itemgetter(0))
 
 
 def generate_lace_paths(n: int) -> list[LacePath]:
@@ -146,7 +128,7 @@ def generate_lace_paths(n: int) -> list[LacePath]:
 def count_lace_paths(n: int) -> int:
     """Number of lace paths of height n (both attachment forms), counted as
     they are walked, without building the list."""
-    return sum(1 for walk in _forms(n) for _ in walk)
+    return sum(1 for _ in _lace_paths(n))
 
 
 def format_path(path: LacePath) -> str:

@@ -38,10 +38,10 @@ that is 39,157 of the 55,325 nodes.
 
 Column 0's candidates are the arc sets of its fault-free lace paths, one
 per path, built in one streaming depth-first walk over arc ids from vertex
-(0, 0) (rooted paths) and from vertex (n-1, 0) by the double step
-(skipping paths). It takes the lace-step rules from ``paths`` and cuts a
-branch at the first arc that ``embedding._join`` rejects, so no path list
-is built and no path with a fault is completed. Each comes directly before
+(0, 0) (rooted paths) and, down a first double step, from vertex (n-1, 0)
+as well (skipping paths). It takes the lace-step rules from ``paths`` and
+cuts a branch at the first arc that ``embedding._join`` rejects, so no path
+list is built and no path with a fault is completed. Each comes directly before
 its mirror image under the column reflection through column 0,
 ``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which maps
 column 0's candidates onto themselves. The walk enters only the paths that
@@ -172,7 +172,7 @@ class _Engine:
 
     def __init__(self, dims: TorusDims):
         self.dims = dims
-        self.t = t = tables_for(dims)
+        self.t = tables_for(dims)
         column0, self.starts = self._column_candidates()
         cols = dims.cols
         # index-major: column 0's candidate k at k * cols, then its translates
@@ -180,13 +180,7 @@ class _Engine:
         self.candidates[::cols] = column0
         for c in range(1, cols):
             shift = arc_permutations(dims)["identity", 0, c]
-            column = []
-            for cand in column0:
-                ids = tuple(shift[aid] for aid in cand.arc_ids)
-                masks, fault = _join(_NO_ARCS, ids, t)
-                assert fault is None  # faults are invariant under translation
-                column.append(_Candidate(ids, masks))
-            self.candidates[c::cols] = column
+            self.candidates[c::cols] = [self._moved(cand, shift) for cand in column0]
         self.all_alive = (1 << len(self.candidates)) - 1
         self.arc_keep, self.full_keep = self._keep_masks()
         # per vertex: the candidates that add an arc into it
@@ -203,15 +197,18 @@ class _Engine:
         itself) unless it is its own; the starts are the first of each pair
         and the candidates that are their own image.
 
-        The paths are walked arc by arc (``paths._lace_paths``), and a
-        branch is cut at the first arc that cannot join those before it
-        (``_join``): every fault is decided by a prefix of the path, so no
-        path with a fault is ever completed. A branch is also cut at a step
-        with dx > 0 taken before any sideways step: the paths walked step
-        only vertically or turn left first, and the others' candidates are
-        the walked ones' mirror images, their arc ids mapped through
+        The paths are walked arc by arc in one walk of step sequences
+        (``paths._lace_paths``), which carries two walk states down a
+        sequence that begins with the double step: the rooted path's from
+        (0, 0) and the skipping path's from (n-1, 0). A state is cut at the
+        first arc that cannot join those before it (``_join``): every fault
+        is decided by a prefix of the path, so no path with a fault is ever
+        completed. It is also cut at a step with dx > 0 taken before any
+        sideways step: the paths walked step only vertically or turn left
+        first, and the others' candidates are the walked ones' mirror
+        images, their arc ids mapped through
         ``arc_permutations(dims)["h_reflect", 0, 0]`` and checked once more
-        by ``_join``. Two facts leave nothing to look up:
+        by ``_join`` (``_moved``). Two facts leave nothing to look up:
 
         (i) Distinct fault-free paths lay distinct arc sets. An arc records
         its step, so it is enough that the arc set fixes the walk order.
@@ -256,11 +253,17 @@ class _Engine:
             starts.append(len(out) * cols)
             out.append(_Candidate(ids, masks))
             if turned:
-                image_ids = tuple(mirror[aid] for aid in ids)
-                masks, fault = _join(_NO_ARCS, image_ids, t)
-                assert fault is None  # the reflection keeps lace steps and faults
-                out.append(_Candidate(image_ids, masks))
+                out.append(self._moved(out[-1], mirror))
         return out, starts
+
+    def _moved(self, cand: _Candidate, perm: tuple[int, ...]) -> _Candidate:
+        """``cand`` with its arc ids mapped through ``perm``, an entry of
+        ``arc_permutations``: a symmetry keeps lace steps and faults, so the
+        image joins without one."""
+        ids = tuple(perm[aid] for aid in cand.arc_ids)
+        masks, fault = _join(_NO_ARCS, ids, self.t)
+        assert fault is None
+        return _Candidate(ids, masks)
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
         """``arc_keep`` and ``full_keep``, read off the transposed

@@ -7,32 +7,33 @@ from laceground.braid import BraidWord, format_braid_word, is_alternating, to_br
 
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_cross_and_twist_generators(i):
-    assert to_braid_word("C", i).generators == ((2 * i + 1, +1),)
-    assert to_braid_word("T", i).generators == ((2 * i, -1), (2 * i + 2, -1))
+    """Each action expands on its own, so i of them give i copies."""
+    assert to_braid_word("C" * i).generators == ((1, +1),) * i
+    assert to_braid_word("T" * i).generators == ((0, -1), (2, -1)) * i
 
 
 def test_half_twists():
-    assert to_braid_word("L", 1).generators == ((2, -1),)
-    assert to_braid_word("R", 1).generators == ((4, -1),)
+    assert to_braid_word("L").generators == ((0, -1),)
+    assert to_braid_word("R").generators == ((2, -1),)
 
 
 def test_empty_word():
-    word = to_braid_word("", 0)
+    word = to_braid_word("")
     assert word.generators == ()
     assert is_alternating(word)
 
 
 def test_ctpct_expansion():
-    word = to_braid_word("CTpCT", 1)
+    word = to_braid_word("CTpCT")
     assert word.generators == (
-        (3, 1), (2, -1), (4, -1), (3, 1), (2, -1), (4, -1))
+        (1, 1), (0, -1), (2, -1), (1, 1), (0, -1), (2, -1))
     assert word.pins == (3,)
-    assert format_braid_word(word) == "s3 s2^-1 s4^-1 [pin] s3 s2^-1 s4^-1"
+    assert format_braid_word(word) == "s1 s0^-1 s2^-1 [pin] s1 s0^-1 s2^-1"
 
 
 def test_unknown_action():
     with pytest.raises(ValueError):
-        to_braid_word("CX", 0)
+        to_braid_word("CX")
 
 
 def test_alternating_rejects_bad_word():
@@ -45,9 +46,8 @@ def test_random_sequences_always_alternate():
     alphabet = "CTLRp"
     for _ in range(2000):
         actions = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 21)))
-        i = rng.randrange(0, 6)
-        word = to_braid_word(actions, i)
+        word = to_braid_word(actions)
         assert is_alternating(word)
         # strand span stays within the four threads of the interaction
         for pos, _ in word.generators:
-            assert 2 * i <= pos <= 2 * i + 3
+            assert 0 <= pos <= 3

@@ -66,11 +66,13 @@ def test_oversized_grids_rejected_before_any_build(argv, capsys, monkeypatch):
     from laceground import paths, search
     from laceground.embedding import tables_for
 
-    # every path walk, the command line's and the engine's, runs _sequences
+    # every path walk, the command line's and the engine's, runs _lace_paths,
+    # which search imports by name
     def refuse(n, *args):
         raise AssertionError(f"walked the paths of height {n}")
 
-    monkeypatch.setattr(paths, "_sequences", refuse)
+    monkeypatch.setattr(paths, "_lace_paths", refuse)
+    monkeypatch.setattr(search, "_lace_paths", refuse)
     built = tables_for.cache_info().currsize
     engines = search._engine.cache_info().currsize
     code, _, err = run(capsys, *argv)

@@ -1,24 +1,26 @@
-"""The contractible directed cycle check: its cycle budget, and a property
-of arc sets without a shared slot."""
+"""The contractible directed cycle check: a verdict on the largest grounds
+a file can hold, and a property of arc sets without a shared slot."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laceground.embedding import GroundEmbedding, arc_tables, slot_table
-from laceground.geometry import Arc, TorusDims
-from laceground.validator import INCONCLUSIVE, PASS, check_no_contractible_directed_cycles
+from laceground.embedding import MAX_PERIOD, GroundEmbedding, arc_tables, slot_table
+from laceground.geometry import TorusDims
+from laceground.validator import FAIL, PASS, check_no_contractible_directed_cycles
 
-EAST_1 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 1, 0),))
-EAST_1_AND_2 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 1, 0), Arc(0, 0, 2, 0)))
+LARGEST = TorusDims(MAX_PERIOD, MAX_PERIOD)
 
 
-@pytest.mark.parametrize("e,max_cycles,status", [
-    (EAST_1, 1, PASS),
-    (EAST_1_AND_2, 2, PASS),
-    (EAST_1_AND_2, 1, INCONCLUSIVE),
-], ids=["one-cycle-budget-1", "two-cycles-budget-2", "two-cycles-budget-1"])
-def test_inconclusive_only_when_a_cycle_goes_unexamined(e, max_cycles, status):
-    assert check_no_contractible_directed_cycles(e, max_cycles=max_cycles).status == status
+@pytest.mark.parametrize("east_only,status", [(False, FAIL), (True, PASS)],
+                         ids=["every-horizontal-arc", "every-eastward-arc"])
+def test_largest_grounds_get_a_verdict(east_only, status):
+    """An 8x8 ground of every horizontal arc holds a cycle east then west,
+    and one of every eastward arc holds none: each gets its verdict, with
+    every cycle of every row examined in the second."""
+    arcs = tuple(a for a in arc_tables(LARGEST).arcs
+                 if a.dy == 0 and (a.dx > 0 or not east_only))
+    e = GroundEmbedding(LARGEST, arcs)
+    assert check_no_contractible_directed_cycles(e).status == status
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 
 from laceground.geometry import LACE_STEPS
 from laceground.paths import (
+    SKIP_STEP,
     LacePath,
     count_lace_paths,
     format_path,
@@ -82,24 +83,41 @@ def test_deterministic_order():
         assert a == sorted(a, key=lambda p: (p.steps, p.skipping))
 
 
-def _brute_force_count(n):
-    """Enumerate all step sequences up to the length bound and filter by the
-    validity predicate, counting each attachment form separately."""
-    total = 0
+def _brute_force_paths(n):
+    """Every (steps, skipping) pair that the validity predicate accepts, from
+    all step sequences up to the length bound, each attachment form on its
+    own, lexicographic by steps, rooted first."""
+    found = []
     for length in range(1, 2 * n + 1):
         for steps in itertools.product(LACE_STEPS, repeat=length):
             if sum(dy for _, dy in steps) != n:
                 continue
-            if is_valid_lace_path(steps, n):
-                total += 1
-            if n >= 2 and is_valid_lace_path(steps, n, skipping=True):
-                total += 1
-    return total
+            for skipping in (False, True):
+                if is_valid_lace_path(steps, n, skipping=skipping):
+                    found.append((steps, skipping))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_against_brute_force(n):
-    assert count_lace_paths(n) == _brute_force_count(n)
+    """The walk gives the oracle's paths, in the oracle's order."""
+    expected = _brute_force_paths(n)
+    assert [(p.steps, p.skipping) for p in generate_lace_paths(n)] == expected
+    assert count_lace_paths(n) == len(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_skipping_paths_follow_their_rooted_twins(n):
+    """A skipping path's steps are a rooted path's that begin with the
+    double step: each comes directly after that rooted twin, and every
+    rooted path that begins with it has one."""
+    paths = generate_lace_paths(n)
+    for k, path in enumerate(paths):
+        if path.skipping:
+            assert path.steps[0] == SKIP_STEP
+            assert paths[k - 1] == LacePath(path.steps, False)
+        elif path.steps[0] == SKIP_STEP:
+            assert paths[k + 1] == LacePath(path.steps, True)
 
 
 def test_format_path():

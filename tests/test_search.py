@@ -1,4 +1,5 @@
 import hashlib
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -253,16 +254,28 @@ def test_lookahead_keeps_every_regular_leaf(dims):
     assert nodes == TREE_WITHOUT_LOOKAHEAD[dims]
 
 
+@lru_cache(maxsize=None)
 def _leaf_visits(dims):
-    """The arc sets of the regular leaves of the whole tree, every candidate
-    starting a work item, not only the column-0 starts, one entry per visit."""
+    """The arc sets of the regular candidate sets of the whole tree, one
+    entry per visit, walked on their own: every set of candidates that fit
+    together, built in increasing index order with the alive bitset
+    narrowed by ``eng.narrow``, with none of the search's root rule,
+    branching rule or lookahead, so each set is met once."""
     eng = _engine(dims)
     visits = []
-    for first in range(len(eng.candidates)):
-        runner = _ItemRunner(eng, None)
-        runner.leaves = SimpleNamespace(add=visits.append)
-        runner.run(first)
-    return visits
+
+    def walk(arcs, in_ge1, in_ge2, alive):
+        for j in _bits(alive):
+            cand = eng.candidates[j]
+            filled = (in_ge1 & cand.in_any) | cand.in_two
+            child_ge1, child_ge2 = in_ge1 | cand.in_any, in_ge2 | filled
+            if child_ge1 == child_ge2:
+                visits.append(arcs | cand.arcs_mask)
+            walk(arcs | cand.arcs_mask, child_ge1, child_ge2,
+                 eng.narrow(alive & -(2 << j), cand, filled))
+
+    walk(0, 0, 0, eng.all_alive)
+    return tuple(visits)
 
 
 # per grid: the regular candidate sets, their distinct arc sets (a ground may
@@ -275,10 +288,18 @@ REGULAR_SETS = {(2, 2): (94, 66, 58, 12), (2, 3): (886, 484, 376, 31),
 
 @pytest.mark.parametrize("dims", sorted(REGULAR_SETS), ids="{0[0]}x{0[1]}".format)
 def test_walk_reaches_each_regular_candidate_set_once(dims):
-    """The whole tree visits every set of candidates whose union
-    is regular, and none twice: a branching rule that skipped a completion
-    or reached one through two children would change the count."""
-    visits = _leaf_visits(TorusDims(*dims))
+    """The search's whole tree, every candidate starting a work item, visits
+    every set of candidates whose union is regular, and none twice, as the
+    reference walk does: a branching rule that skipped a completion or
+    reached one through two children would change the visits."""
+    dims = TorusDims(*dims)
+    eng = _engine(dims)
+    visits = []
+    for first in range(len(eng.candidates)):
+        runner = _ItemRunner(eng, None)
+        runner.leaves = SimpleNamespace(add=visits.append)
+        runner.run(first)
+    assert sorted(visits) == sorted(_leaf_visits(dims))
     assert (len(visits), len(set(visits))) == REGULAR_SETS[dims][:2]
 
 
