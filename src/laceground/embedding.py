@@ -50,7 +50,7 @@ from .paths import LacePath
 # Largest period a ground file may declare along either side: verifying a
 # file builds the conflict tables of its dims, one bitset over every arc per
 # arc, so their size grows as the square of the number of arcs (512 arcs
-# and about 0.1 s at 8x8).
+# and about 0.05 s at 8x8).
 MAX_PERIOD = 8
 
 
@@ -143,7 +143,9 @@ def tables_for(dims: TorusDims) -> MaskTables:
     out of vertex (0, 0) are tested against every arc (``len(LACE_STEPS)``
     rows of ``arcs_cross`` calls); every other arc is one of them moved by
     a translation, an ``("identity", dr, dc)`` entry of
-    ``arc_permutations(dims)``, and so is its row.
+    ``arc_permutations(dims)``, and so is its row. Given the arc tables and
+    permutations, this takes about 3 ms at 3x3 and 20 ms at 8x8 (Python
+    3.11, one core).
     """
     # plain attributes, not cached properties: a descriptor on the class
     # keeps CPython from specialising the attribute loads in ``_join``,

@@ -4,15 +4,14 @@ Positions live on an n x m grid with row 0 at the top; row indices grow
 downward (the direction the lace is worked) and column indices grow to the
 right. The grid is doubly periodic: opposite edges are identified, so every
 coordinate pair names a point on a torus. All geometry here is exact integer
-arithmetic; nothing in the validity tests touches floating point.
+arithmetic; nothing in the validity tests touches floating point. Whether two
+arcs cross is read off the points of the lattice refined by halves that they
+pass through, counted modulo the periods (``arcs_cross``).
 """
 
 from typing import NamedTuple
 
-# Slot indices around a vertex, clockwise from North.
-N, NE, E, SE, S, SW, W, NW = range(8)
-
-# Unit direction of each slot as (dcol, drow).
+# Unit direction of each slot as (dcol, drow), clockwise from North.
 SLOT_VECTORS = (
     (0, -1),   # N
     (1, -1),   # NE
@@ -134,75 +133,40 @@ def arc_ends(arc: Arc, dims: TorusDims):
             (arc.head(dims), in_slot, length))
 
 
-def _segments_conflict(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1) -> bool:
-    """True if two segments meet anywhere other than at shared endpoints.
-
-    Covers proper crossings, T-junctions (an endpoint of one interior to the
-    other), and collinear overlap longer than a point. Coordinates are
-    Cartesian (x = col, y = row); everything is integer-exact.
-    """
-    d1 = _orient(ax0, ay0, ax1, ay1, bx0, by0)
-    d2 = _orient(ax0, ay0, ax1, ay1, bx1, by1)
-    d3 = _orient(bx0, by0, bx1, by1, ax0, ay0)
-    d4 = _orient(bx0, by0, bx1, by1, ax1, ay1)
-
-    if d1 == d2 == d3 == d4 == 0:
-        # Collinear: conflict iff the 1-D overlap is longer than a point.
-        if ax0 != ax1 or bx0 != bx1:
-            lo = max(min(ax0, ax1), min(bx0, bx1))
-            hi = min(max(ax0, ax1), max(bx0, bx1))
-        else:
-            lo = max(min(ay0, ay1), min(by0, by1))
-            hi = min(max(ay0, ay1), max(by0, by1))
-        return lo < hi
-
-    if ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and \
-       ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0:
-        return True  # proper crossing
-
-    # Endpoint of one strictly interior to the other.
-    if d1 == 0 and _strictly_between(ax0, ay0, ax1, ay1, bx0, by0):
-        return True
-    if d2 == 0 and _strictly_between(ax0, ay0, ax1, ay1, bx1, by1):
-        return True
-    if d3 == 0 and _strictly_between(bx0, by0, bx1, by1, ax0, ay0):
-        return True
-    if d4 == 0 and _strictly_between(bx0, by0, bx1, by1, ax1, ay1):
-        return True
-    return False
-
-
-def _orient(ox, oy, ax, ay, bx, by) -> int:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _strictly_between(x0, y0, x1, y1, px, py) -> bool:
-    # (px,py) is collinear with the segment; is it in its open interior?
-    if (px, py) == (x0, y0) or (px, py) == (x1, y1):
-        return False
-    return min(x0, x1) <= px <= max(x0, x1) and min(y0, y1) <= py <= max(y0, y1)
+def _half_points(a: Arc, dims: TorusDims) -> list[tuple[int, int]]:
+    """The points of an arc whose coordinates are multiples of 1/2, from its
+    origin to its head (3 for a unit step, 5 for a double step), each doubled
+    to integers and reduced modulo the doubled periods as (row, col)."""
+    n = max(abs(a.dx), a.dy)  # 1 for a unit step, 2 for a double step
+    rows2, cols2 = 2 * dims.rows, 2 * dims.cols
+    return [((2 * a.row + k * a.dy // n) % rows2, (2 * a.col + k * a.dx // n) % cols2)
+            for k in range(2 * n + 1)]
 
 
 def arcs_cross(a: Arc, b: Arc, dims: TorusDims) -> bool:
     """True if arcs a and b conflict geometrically on the torus.
 
-    Each arc is a straight segment in the universal cover; b is tested in all
-    translates by (k1*rows, k2*cols) for k1, k2 in -2..2, which suffices since
-    the maximum step extent is 2. Meetings at shared lattice endpoints are
-    fine (that is a vertex); anything else - a proper crossing, a T-junction,
-    or collinear overlap - is a conflict. Identical arcs never conflict with
-    themselves at zero offset, but may with their own translates.
+    Two arcs conflict when they share a half-lattice point (one whose
+    coordinates are multiples of 1/2) that is not an endpoint of both; an arc
+    tested against itself pairs each of its points with the others, never
+    with itself. This is the rule "a proper crossing, a T-junction or a
+    collinear overlap longer than a point conflicts; a shared lattice endpoint
+    is a vertex", because:
+
+    * every lace step lies on a line x = k, y = k, y - x = k or y + x = k
+      with k an integer, and two such lines that are not parallel meet at a
+      half-lattice point, so two steps that cross or touch, other than end
+      to end on one line, meet at a point ``_half_points`` lists for both;
+    * two collinear lattice segments that overlap in more than a point share
+      the midpoint of a unit piece of the overlap, which is not a lattice
+      point and so an endpoint of neither; two that meet in one point meet
+      end to end;
+    * translation by whole periods maps half-lattice points to half-lattice
+      points, so comparing them modulo the periods tests every translate of
+      b at once, whatever origin either arc is written with.
     """
-    ax0, ay0 = a.col, a.row
-    ax1, ay1 = a.col + a.dx, a.row + a.dy
-    for k1 in (-2, -1, 0, 1, 2):
-        for k2 in (-2, -1, 0, 1, 2):
-            if a == b and k1 == 0 and k2 == 0:
-                continue
-            bx0 = b.col + k2 * dims.cols
-            by0 = b.row + k1 * dims.rows
-            bx1 = bx0 + b.dx
-            by1 = by0 + b.dy
-            if _segments_conflict(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1):
-                return True
-    return False
+    pa, pb = _half_points(a, dims), _half_points(b, dims)
+    if a.step == b.step and pa[0] == pb[0]:
+        # only the two endpoints of an arc may coincide with each other
+        return len(set(pa)) < len(pa) - (pa[0] == pa[-1])
+    return not set(pa[1:-1]).isdisjoint(pb) or not set(pb[1:-1]).isdisjoint(pa)

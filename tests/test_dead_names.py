@@ -9,13 +9,17 @@ PACKAGE = Path(laceground.__file__).parent
 
 
 def _defined(tree: ast.Module):
-    """The top-level functions, classes and single-name assignments."""
+    """The top-level functions, classes and names bound by assignments,
+    single names and the names of tuple targets alike."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            yield node.targets[0].id
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                yield target.id
+            elif isinstance(target, ast.Tuple):
+                yield from (elt.id for elt in target.elts if isinstance(elt, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             yield node.target.id
 

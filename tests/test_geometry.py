@@ -150,11 +150,19 @@ def _oracle_cross(a: Arc, b: Arc, dims: TorusDims) -> bool:
     return False
 
 
-def test_cross_matches_rational_oracle_exhaustive():
-    """Every arc pair on a 4x4 torus, implementation vs the rational oracle."""
-    dims = TorusDims(4, 4)
-    arcs = [Arc(r, c, dx, dy)
-            for r in range(4) for c in range(4) for (dx, dy) in LACE_STEPS]
+def _wrapped_arcs(dims: TorusDims):
+    return [Arc(r, c, dx, dy)
+            for r in range(dims.rows) for c in range(dims.cols) for (dx, dy) in LACE_STEPS]
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_cross_matches_rational_oracle_exhaustive(dims):
+    """Every ordered pair of wrapped arcs, implementation vs the rational
+    oracle; on the small periods double steps overlap their own copies and
+    wrap onto their own endpoints."""
+    dims = TorusDims(*dims)
+    arcs = _wrapped_arcs(dims)
     for i, a in enumerate(arcs):
         for b in arcs[i:]:
             expect = _oracle_cross(a, b, dims)
@@ -162,10 +170,27 @@ def test_cross_matches_rational_oracle_exhaustive():
             assert arcs_cross(b, a, dims) == expect, (b, a)
 
 
+@pytest.mark.parametrize("dims", [(r, c) for r in range(1, 4) for c in range(1, 4)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_cross_ignores_how_origins_are_written(dims):
+    """Moving either arc by whole periods, up to 3 each way along both sides,
+    names the same arc on the torus and so never changes the answer."""
+    dims = TorusDims(*dims)
+    arcs = _wrapped_arcs(dims)
+    shifts = [(kr * dims.rows, kc * dims.cols) for kr in range(-3, 4) for kc in range(-3, 4)]
+    for a in arcs:
+        moved_a = [a._replace(row=a.row + dr, col=a.col + dc) for dr, dc in shifts]
+        for b in arcs:
+            expect = arcs_cross(a, b, dims)
+            for dr, dc in shifts:
+                moved_b = b._replace(row=b.row + dr, col=b.col + dc)
+                assert arcs_cross(a, moved_b, dims) == expect, (a, moved_b)
+            for ma in moved_a:
+                assert arcs_cross(ma, b, dims) == expect, (ma, b)
+
+
 def test_cross_symmetric_small_dims():
     for rows, cols in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         dims = TorusDims(rows, cols)
-        arcs = [Arc(r, c, dx, dy)
-                for r in range(rows) for c in range(cols) for (dx, dy) in LACE_STEPS]
-        for a, b in itertools.combinations(arcs, 2):
+        for a, b in itertools.combinations(_wrapped_arcs(dims), 2):
             assert arcs_cross(a, b, dims) == arcs_cross(b, a, dims)
