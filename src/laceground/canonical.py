@@ -126,8 +126,8 @@ def identifier_text(eid: EmbeddingId) -> str:
     return f"{rows}x{cols}|{labels}"
 
 
-def solution_name(eid: EmbeddingId) -> str:
-    """Content-derived file stem for a canonical solution."""
-    digest = hashlib.sha256(identifier_text(eid).encode()).hexdigest()
-    return digest[:16]
+def solution_name(id_text: str) -> str:
+    """Content-derived file stem for a canonical solution, from the
+    ``identifier_text`` of its identifier."""
+    return hashlib.sha256(id_text.encode()).hexdigest()[:16]
 

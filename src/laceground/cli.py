@@ -138,9 +138,10 @@ def cmd_enumerate(args) -> int:
         strict_connectivity=not args.loose, node_budget=args.budget)
     result = enumerate_grounds(config)
     if out_dir is not None:
+        # each solution is keyed by the identifier text of its representative
         for eid_text, emb in result.canonical_solutions:
-            name = solution_name(identifier(emb))
-            (out_dir / f"{name}.gnd").write_text(serialize(emb), encoding="utf-8")
+            (out_dir / f"{solution_name(eid_text)}.gnd").write_text(
+                serialize(emb), encoding="utf-8")
     print(f"solutions={result.count} nodes={result.nodes_visited} "
           f"complete={str(result.complete).lower()}")
     return EXIT_OK if result.complete else EXIT_INCOMPLETE

@@ -357,6 +357,7 @@ def deserialize(text: str) -> GroundEmbedding:
     """
     dims: Optional[TorusDims] = None
     arcs: list[Arc] = []
+    seen_arcs: set[Arc] = set()
     zeta: dict[tuple[int, int], str] = {}
     seen_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -390,7 +391,7 @@ def deserialize(text: str) -> GroundEmbedding:
             if len(fields) != 5:
                 raise GroundFileError(line_no, "arc takes exactly four integers")
             try:
-                r, c, dx, dy = (int(f) for f in fields[1:])
+                r, c, dx, dy = map(int, fields[1:])
             except ValueError:
                 raise GroundFileError(line_no, "arc values must be integers") from None
             if not (0 <= r < dims.rows and 0 <= c < dims.cols):
@@ -398,8 +399,9 @@ def deserialize(text: str) -> GroundEmbedding:
             if (dx, dy) not in LACE_STEP_SET:
                 raise GroundFileError(line_no, f"step ({dx},{dy}) not in the lace step set")
             arc = Arc(r, c, dx, dy)
-            if arc in arcs:
+            if arc in seen_arcs:
                 raise GroundFileError(line_no, f"duplicate arc {tuple(arc)}")
+            seen_arcs.add(arc)
             arcs.append(arc)
         elif fields[0] == "zeta":
             if dims is None:

@@ -4,6 +4,12 @@ Arcs are drawn as arrowed paths between lattice dots, with the fundamental
 domain outlined. Double steps are drawn with a slight bow so the hopped-over
 lattice position stays legible; validity always uses the straight segments,
 the bow is purely cosmetic.
+
+A drawn arc's x coordinates (start, end and bow) depend only on its tile
+column and its y coordinates only on its tile row, and a dot's x only on its
+drawn column and its y only on its drawn row. So each coordinate text is
+formatted once per tile column or tile row (per drawn column or row for the
+dots), and each arc and dot of the tiling is one f-string of those texts.
 """
 
 from .canonical import label_grid
@@ -15,6 +21,22 @@ DOT_R = 3.0
 # Most periods a drawing repeats along either side: the drawing grows as the
 # product of both, so an unbounded request could take any time and memory.
 MAX_REPEATS = 32
+
+
+def _axis_texts(starts, steps, bowed, period: int, tiles: int):
+    """Per tile along one axis, per arc: the text of its start, end and
+    bow control coordinate along that axis (the bow's is empty for an arc
+    drawn straight). The bow moves 0.3 cells off a double step's line."""
+    out = []
+    for tile in range(tiles):
+        texts = []
+        for p0, d, bow in zip(starts, steps, bowed):
+            p0 += tile * period
+            p1 = p0 + d
+            q = f"{MARGIN + ((p0 + p1) / 2 + (0.3 if d == 0 else 0.0)) * CELL}" if bow else ""
+            texts.append((f"{MARGIN + p0 * CELL}", f"{MARGIN + p1 * CELL}", q))
+        out.append(texts)
+    return out
 
 
 def render_svg(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
@@ -29,9 +51,6 @@ def render_svg(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
     width = MARGIN * 2 + cols * rep_c * CELL
     height = MARGIN * 2 + rows * rep_r * CELL
 
-    def px(row_f: float, col_f: float) -> tuple[float, float]:
-        return (MARGIN + col_f * CELL, MARGIN + row_f * CELL)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
@@ -40,51 +59,41 @@ def render_svg(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
         'markerWidth="5" markerHeight="5" orient="auto-start-reverse">'
         '<path d="M 0 0 L 10 5 L 0 10 z" fill="#333"/></marker></defs>',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        # fundamental domain outline
+        f'<rect x="{MARGIN}" y="{MARGIN}" width="{cols * CELL}" height="{rows * CELL}" '
+        'fill="none" stroke="#b0c4de" stroke-width="2" stroke-dasharray="6 4"/>',
     ]
 
-    # fundamental domain outline
-    x0, y0 = px(0, 0)
-    parts.append(
-        f'<rect x="{x0}" y="{y0}" width="{cols * CELL}" height="{rows * CELL}" '
-        'fill="none" stroke="#b0c4de" stroke-width="2" stroke-dasharray="6 4"/>')
-
     # arcs, one instance per tile
-    for tr in range(rep_r):
-        for tc in range(rep_c):
-            for a in e.arcs:
-                r0 = tr * rows + a.row
-                c0 = tc * cols + a.col
-                r1, c1 = r0 + a.dy, c0 + a.dx
-                sx, sy = px(r0, c0)
-                ex, ey = px(r1, c1)
-                if abs(a.dx) == 2 or a.dy == 2:
-                    # bow sideways at the midpoint (display only)
-                    mr = (r0 + r1) / 2 + (0.3 if a.dy == 0 else 0.0)
-                    mc = (c0 + c1) / 2 + (0.3 if a.dx == 0 else 0.0)
-                    qx, qy = px(mr, mc)
-                    d = f'M {sx} {sy} Q {qx} {qy} {ex} {ey}'
-                else:
-                    d = f'M {sx} {sy} L {ex} {ey}'
+    arcs = e.arcs
+    bowed = [abs(a.dx) == 2 or a.dy == 2 for a in arcs]
+    xs_by_tile = _axis_texts([a.col for a in arcs], [a.dx for a in arcs], bowed, cols, rep_c)
+    ys_by_tile = _axis_texts([a.row for a in arcs], [a.dy for a in arcs], bowed, rows, rep_r)
+    for ys in ys_by_tile:
+        for xs in xs_by_tile:
+            for (sx, ex, qx), (sy, ey, qy) in zip(xs, ys):
                 parts.append(
-                    f'<path class="arc" d="{d}" fill="none" stroke="#333" '
-                    'stroke-width="1.6" marker-end="url(#arrow)"/>')
+                    f'<path class="arc" d="M {sx} {sy} Q {qx} {qy} {ex} {ey}" fill="none" '
+                    'stroke="#333" stroke-width="1.6" marker-end="url(#arrow)"/>' if qx else
+                    f'<path class="arc" d="M {sx} {sy} L {ex} {ey}" fill="none" '
+                    'stroke="#333" stroke-width="1.6" marker-end="url(#arrow)"/>')
 
     # lattice dots
     used_vertices = set(e.non_isolated())
+    fills = [["#222" if (r, c) in used_vertices else "#bbb" for c in range(cols)] * rep_c
+             for r in range(rows)]
+    cxs = [f"{MARGIN + c * CELL}" for c in range(cols * rep_c)]
     for r in range(rows * rep_r):
-        for c in range(cols * rep_c):
-            x, y = px(r, c)
-            used = (r % rows, c % cols) in used_vertices
-            fill = "#222" if used else "#bbb"
-            parts.append(f'<circle cx="{x}" cy="{y}" r="{DOT_R}" fill="{fill}"/>')
+        cy = MARGIN + r * CELL
+        for cx, fill in zip(cxs, fills[r % rows]):
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="{DOT_R}" fill="{fill}"/>')
 
     if labels:
         grid = label_grid(e)
-        for v in e.non_isolated():
-            x, y = px(v[0], v[1])
-            lab = ",".join(str(x) for x in grid[v[0]][v[1]])
+        for r, c in e.non_isolated():
+            lab = ",".join(str(x) for x in grid[r][c])
             parts.append(
-                f'<text x="{x + 5}" y="{y - 5}" font-size="8" '
+                f'<text x="{MARGIN + c * CELL + 5}" y="{MARGIN + r * CELL - 5}" font-size="8" '
                 f'fill="#555" font-family="monospace">({lab})</text>')
 
     parts.append("</svg>")

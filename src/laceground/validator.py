@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .embedding import GroundEmbedding, _first_fault, arc_tables, slot_table, tables_for
+from .embedding import (
+    MAX_PERIOD,
+    GroundEmbedding,
+    _first_fault,
+    arc_tables,
+    slot_table,
+    tables_for,
+)
 from .geometry import Arc
 
 PASS, FAIL, BLOCKED = "pass", "fail", "blocked"
@@ -99,36 +106,46 @@ def _fundamental_windings(
     component and the roots both count and name the components. Each vertex
     gets an integer potential (row, col displacement from its root through
     tree arcs); every non-tree arc closes a cycle whose exact displacement
-    is a multiple of the periods.
+    is a multiple of the periods. The walk runs on the ids of
+    ``arc_tables(e.dims)``, whose order is the arcs' order, and on vertex
+    ids ``row * cols + col``, whose order is the vertices'.
     """
     rows, cols = e.dims
-    pot: dict[tuple[int, int], tuple[int, int]] = {}
-    by_vertex: dict[tuple[int, int], list[tuple[Arc, bool]]] = {}
-    for a in e.arcs:
-        by_vertex.setdefault((a.row, a.col), []).append((a, True))
-        by_vertex.setdefault(a.head(e.dims), []).append((a, False))
+    t = arc_tables(e.dims)
+    tails, heads, arcs = t.origin_vid, t.head_vid, t.arcs
+    ids = [t.arc_id[a] for a in e.arcs]
+    pot: dict[int, tuple[int, int]] = {}
+    by_vertex: dict[int, list[tuple[int, bool]]] = {}
+    for aid in ids:
+        by_vertex.setdefault(tails[aid], []).append((aid, True))
+        by_vertex.setdefault(heads[aid], []).append((aid, False))
     roots = []
     windings = []
-    tree: set[Arc] = set()
+    tree: set[int] = set()
     for root in sorted(by_vertex):
         if root in pot:
             continue
-        roots.append(root)
+        roots.append(divmod(root, cols))
         pot[root] = (0, 0)
         frontier = [root]
         while frontier:
             u = frontier.pop()
-            for a, forward in by_vertex[u]:
-                w = a.head(e.dims) if forward else (a.row, a.col)
-                dr, dc = (a.dy, a.dx) if forward else (-a.dy, -a.dx)
+            pr, pc = pot[u]
+            for aid, forward in by_vertex[u]:
+                a = arcs[aid]
+                if forward:
+                    w, dr, dc = heads[aid], a.dy, a.dx
+                else:
+                    w, dr, dc = tails[aid], -a.dy, -a.dx
                 if w not in pot:
-                    pot[w] = (pot[u][0] + dr, pot[u][1] + dc)
-                    tree.add(a)
+                    pot[w] = (pr + dr, pc + dc)
+                    tree.add(aid)
                     frontier.append(w)
-    for a in sorted(set(e.arcs) - tree):
-        o, h = (a.row, a.col), a.head(e.dims)
-        drow = pot[o][0] + a.dy - pot[h][0]
-        dcol = pot[o][1] + a.dx - pot[h][1]
+    for aid in sorted(set(ids) - tree):
+        a = arcs[aid]
+        o, h = pot[tails[aid]], pot[heads[aid]]
+        drow = o[0] + a.dy - h[0]
+        dcol = o[1] + a.dx - h[1]
         assert drow % rows == 0 and dcol % cols == 0
         windings.append(WindingVector(dcol // cols, drow // rows))
     return roots, windings
@@ -267,15 +284,19 @@ def check_no_contractible_directed_cycles(e: GroundEmbedding) -> CheckResult:
     horizontal arcs; it suffices to enumerate simple directed cycles within
     each row's horizontal subgraph and compare exact column displacements.
 
-    The enumeration is small on every ground a file can hold: at most
-    ``embedding.MAX_PERIOD`` (8) columns and no repeated arc, so a vertex
+    The enumeration is kept small: a ground wider than
+    ``embedding.MAX_PERIOD`` (8) columns, the widest a file can declare, is
+    refused with ValueError, and a repeated arc is walked once, so a vertex
     has at most the 4 horizontal arcs out. With all of them present, a
     row's simple directed cycles number 4, 8, 28, 46, 84, 138, 228 and 374
-    at 1 to 8 columns, so a file's rows close at most 8 x 374 = 2,992 of
-    them.
+    at 1 to 8 columns, so a row closes at most 374 of them. The count grows
+    about sevenfold per 4 more columns.
     """
+    if e.dims.cols > MAX_PERIOD:
+        raise ValueError(f"the contractible cycle check takes grounds of at most "
+                         f"{MAX_PERIOD} columns, got {e.dims.cols}")
     by_tail: dict[tuple[int, int], list[Arc]] = {}
-    for a in e.arcs:
+    for a in set(e.arcs):
         if a.dy == 0:
             by_tail.setdefault((a.row, a.col), []).append(a)
     for recs in by_tail.values():

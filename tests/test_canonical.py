@@ -104,5 +104,5 @@ def test_identifier_text_and_name_stable():
     eid = identifier(TORCHON_1x1)
     text = identifier_text(eid)
     assert text == "1x1|0,1,-1,0,0,-1,1,0"
-    assert len(solution_name(eid)) == 16
-    assert solution_name(eid) == solution_name(eid)
+    assert len(solution_name(text)) == 16
+    assert solution_name(text) == solution_name(text)

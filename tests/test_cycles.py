@@ -23,6 +23,25 @@ def test_largest_grounds_get_a_verdict(east_only, status):
     assert check_no_contractible_directed_cycles(e).status == status
 
 
+def test_wider_grounds_are_refused():
+    """A ground built in code may be wider than a file can declare; the
+    cycle count grows about sevenfold per 4 columns, so it is refused."""
+    dims = TorusDims(1, MAX_PERIOD + 1)
+    e = GroundEmbedding(dims, tuple(a for a in arc_tables(dims).arcs
+                                    if a.dy == 0 and a.dx > 0))
+    with pytest.raises(ValueError, match="at most 8 columns, got 9"):
+        check_no_contractible_directed_cycles(e)
+
+
+def test_a_repeated_arc_is_walked_once():
+    """Every eastward arc of a 1x8 ground listed five times: each copy
+    would multiply the paths walked, yet the verdict is that of one copy."""
+    dims = TorusDims(1, MAX_PERIOD)
+    east = tuple(a for a in arc_tables(dims).arcs if a.dy == 0 and a.dx > 0)
+    e = GroundEmbedding(dims, east * 5)
+    assert check_no_contractible_directed_cycles(e).status == PASS
+
+
 @st.composite
 def horizontal_arcs_without_a_shared_slot(draw):
     """Horizontal arcs of a grid up to 4x8, each drawn arc kept only when

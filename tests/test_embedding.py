@@ -4,9 +4,11 @@ import pytest
 
 from laceground import embedding
 from laceground.embedding import (
+    MAX_PERIOD,
     GroundEmbedding,
     GroundFileError,
     add_path,
+    arc_tables,
     deserialize,
     new_embedding,
     serialize,
@@ -208,6 +210,19 @@ def test_deserialize_reports_line_numbers():
     with pytest.raises(GroundFileError) as err:
         deserialize("ground v1\ndims 1 1\n# fine\narc 0 0 3 0\n")
     assert err.value.line_no == 4
+
+
+def test_deserialize_reads_every_arc_of_the_largest_grid():
+    """A file may list all 512 arcs of an 8x8 grid; an arc listed again
+    after them, written another way, is refused at its own line."""
+    dims = TorusDims(MAX_PERIOD, MAX_PERIOD)
+    arcs = arc_tables(dims).arcs
+    text = serialize(GroundEmbedding(dims, arcs))
+    assert deserialize(text).arcs == tuple(arcs)
+    lines = text.splitlines()
+    with pytest.raises(GroundFileError, match=r"duplicate arc \(7, 0, 2, 0\)") as err:
+        deserialize(text + "\n# again\narc  7 0 +2 00\n")
+    assert err.value.line_no == len(lines) + 3
 
 
 def test_deserialize_admits_property_violations():

@@ -125,8 +125,10 @@ def test_golden_solutions(dims, jobs):
     byte."""
     result = enumerate_grounds(SearchConfig(TorusDims(*dims), jobs=jobs))
     digest = hashlib.sha256()
-    for _, emb in result.canonical_solutions:
-        digest.update((solution_name(identifier(emb)) + "\n" + serialize(emb)).encode())
+    for key, emb in result.canonical_solutions:
+        # ``enumerate --out`` names each file from its key
+        assert key == identifier_text(identifier(emb))
+        digest.update((solution_name(key) + "\n" + serialize(emb)).encode())
     assert (digest.hexdigest()[:16], result.count, result.nodes_visited) == GOLDEN[dims]
 
 

@@ -2,8 +2,9 @@
 the report, the canonical forms, the label grid, the drawing and the
 circuit partition, over solutions, their one-arc-removed
 negatives and random arc subsets (crossings, shared slots and wrong degrees
-included)."""
+included), and of the drawing at tilings that are not square."""
 
+import functools
 import hashlib
 import json
 import random
@@ -32,7 +33,16 @@ GOLDEN_DIGESTS = {
     "partition": "c8b80a3e0b23e828",
 }
 
+# the same for the drawing without labels at tilings that are not square,
+# and at the benchmark's tiling, so that swapped tile rows and columns show
+TILING_DIGESTS = {
+    (1, 3): "343472036ac8f842",
+    (3, 1): "9baee7e008a0fc7e",
+    (4, 4): "efb606c5baf730f0",
+}
 
+
+@functools.cache
 def _grounds():
     """The loose 2x2 and 2x3 solutions, each followed by its one-arc-removed
     negatives, then the 2x2 solutions with one step mirrored, then 2,000
@@ -57,7 +67,7 @@ def _grounds():
         dims = TorusDims(rng.randint(1, 3), rng.randint(1, 4))
         arcs = arc_tables(dims).arcs
         out.append(GroundEmbedding(dims, tuple(rng.sample(arcs, rng.randint(0, min(12, len(arcs)))))))
-    return out
+    return tuple(out)
 
 
 def _or_error(f, *args):
@@ -90,6 +100,14 @@ def _digests():
 
 def test_golden_digests():
     assert _digests() == GOLDEN_DIGESTS
+
+
+@pytest.mark.parametrize("repeats", sorted(TILING_DIGESTS), ids="{0[0]}x{0[1]}".format)
+def test_tiled_drawings(repeats):
+    digest = hashlib.sha256()
+    for e in _grounds():
+        digest.update(render_svg(e, repeats).encode())
+    assert digest.hexdigest()[:16] == TILING_DIGESTS[repeats]
 
 
 def test_slot_table_of_a_one_by_one_ground():
