@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     report = full_report(emb)
     if args.report == "json":
-        print(json.dumps(report_to_json(report), indent=2, sort_keys=True))
+        print(json.dumps(report_to_json(report), sort_keys=True))
     else:
         print(report_to_text(report), end="")
     if args.braid:

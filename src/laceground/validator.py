@@ -73,15 +73,22 @@ class PropertyReport:
 
 
 def check_two_regular(e: GroundEmbedding) -> CheckResult:
+    """Every vertex with an arc has two arcs in and two out. The degrees are
+    counted on the row-major vertex ids of ``arc_tables(e.dims)``, so the
+    witness is the lowest failing vertex."""
     if not e.arcs:
         return CheckResult(FAIL, None, "no arcs")
-    degs: dict[tuple[int, int], list[int]] = {}
+    t = arc_tables(e.dims)
+    ins = [0] * t.n_vertices
+    outs = [0] * t.n_vertices
     for a in e.arcs:
-        degs.setdefault((a.row, a.col), [0, 0])[1] += 1
-        degs.setdefault(a.head(e.dims), [0, 0])[0] += 1
-    for v, (ins, outs) in sorted(degs.items()):
-        if ins != 2 or outs != 2:
-            return CheckResult(FAIL, v, f"vertex {v} is {ins}-in/{outs}-out")
+        aid = t.arc_id[a]
+        outs[t.origin_vid[aid]] += 1
+        ins[t.head_vid[aid]] += 1
+    for vid, (n_in, n_out) in enumerate(zip(ins, outs)):
+        if (n_in or n_out) and (n_in != 2 or n_out != 2):
+            v = divmod(vid, e.dims.cols)
+            return CheckResult(FAIL, v, f"vertex {v} is {n_in}-in/{n_out}-out")
     return CheckResult(PASS)
 
 
@@ -198,8 +205,8 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
     return False
 
 
-def _rotationally_consecutive(e: GroundEmbedding,
-                              two_regular: CheckResult) -> CheckResult:
+def _rotationally_consecutive(e: GroundEmbedding, two_regular: CheckResult,
+                              shared: list[tuple[int, int]]) -> CheckResult:
     """The two arcs in, and the two arcs out, of each vertex sit next to
     each other round it.
 
@@ -209,13 +216,13 @@ def _rotationally_consecutive(e: GroundEmbedding,
     the arcs out on the closed lower half, from E through S to W. The halves
     meet only at their ends, so no slot of the lower half lies strictly
     between two slots of the upper half, and both arcs out lie on the same
-    side of the two arcs in: they cannot alternate.
+    side of the two arcs in: they cannot alternate. ``shared`` is the third
+    part of ``slot_table(e)``.
     """
     if not two_regular.ok:
         return CheckResult(BLOCKED, two_regular.witness, "requires 2-regularity")
     # two arcs in one slot have no order around the vertex: a label shows
     # the later in arc order, which a translation changes
-    shared = slot_table(e)[2]
     if shared:
         v = divmod(min(shared)[0] // 8, e.dims.cols)
         return CheckResult(BLOCKED, v, "requires an embedding without slot conflicts")
@@ -233,10 +240,9 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
     outgoing arc is unique. Diagnostic callers may hand in sub-regular
     embeddings (single in/out pairs walk fine).
     """
-    t = arc_tables(e.dims)
     labels, owner, shared = slot_table(e)
     clashes = {entry // 8 for entry, _ in shared}
-    for vid in range(t.n_vertices):
+    for vid in range(e.dims.rows * e.dims.cols):
         v = divmod(vid, e.dims.cols)
         if vid in clashes:
             # two arcs in one slot would pair two arrivals with one exit,
@@ -247,6 +253,14 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
         if ins != outs or ins > 2:
             raise ValueError(
                 f"cannot partition: vertex {v} has {ins} incoming, {outs} outgoing arcs")
+    return _trace_circuits(e, labels, owner)
+
+
+def _trace_circuits(e: GroundEmbedding, labels: list[int],
+                    owner: list[Optional[int]]) -> CircuitPartition:
+    """``partition_circuits`` on the labels and owners of ``slot_table(e)``,
+    without its test that the walk can close."""
+    t = arc_tables(e.dims)
 
     def paired_out(aid: int) -> int:
         # the arc out of the head of ``aid`` by a taken slot next to its own
@@ -348,15 +362,23 @@ def _conserved(partition: CircuitPartition) -> CheckResult:
 
 
 def full_report(e: GroundEmbedding) -> PropertyReport:
-    """Every check, each piece of shared work (the 2-regularity test, the
-    winding walk, the circuit partition) done once. The circuits are traced
-    only on a conflict-free, 2-regular, rotationally consecutive ground."""
+    """Every check, each piece of shared work done once: the 2-regularity
+    test (which the rotational check reads), the winding walk (both
+    connectivity checks), the slot table (the rotational check reads its
+    shared slots, the circuit walk its labels and owners) and the circuit
+    partition (the conservation check).
+
+    The circuits are traced only on a conflict-free, 2-regular, rotationally
+    consecutive ground, so the walk skips ``partition_circuits``'s test:
+    every vertex with an arc then has two arcs in and two out, and the
+    rotational check passed only because no slot holds two arcs."""
     two_regular = check_two_regular(e)
     embedded = check_embedded(e)
     walk = _fundamental_windings(e)
     connected = _connected(*walk, strict=False)
     strict_connected = _connected(*walk, strict=True)
-    rot = _rotationally_consecutive(e, two_regular)
+    labels, owner, shared = slot_table(e)
+    rot = _rotationally_consecutive(e, two_regular, shared)
     nocontract = check_no_contractible_directed_cycles(e)
     partition = None
     if not (two_regular.ok and rot.ok):
@@ -365,7 +387,7 @@ def full_report(e: GroundEmbedding) -> PropertyReport:
     elif not embedded.ok:
         conserved = CheckResult(BLOCKED, None, "requires an embedding without conflicts")
     else:
-        partition = partition_circuits(e)
+        partition = _trace_circuits(e, labels, owner)
         conserved = _conserved(partition)
     return PropertyReport(two_regular, embedded, connected, strict_connected, rot,
                           nocontract, conserved, partition)

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +18,9 @@ from laceground.canonical import (
     transform,
     translate,
 )
-from laceground.embedding import GroundEmbedding, arc_tables, new_embedding
+from laceground.embedding import GroundEmbedding, new_embedding
 from laceground.geometry import Arc, TorusDims
 from laceground.search import SearchConfig, enumerate_grounds
-from oracle import canonical_reference
 
 TORCHON_1x1 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, -1, 1), Arc(0, 0, 1, 0)))
 MIRROR_1x1 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 1, 1), Arc(0, 0, -1, 0)))
@@ -81,11 +85,26 @@ def test_shared_slot_has_no_canonical_form():
 
 
 def test_canonical_form_builds_no_crossing_table():
-    dims = TorusDims(3, 7)  # tables no other test builds
-    e = GroundEmbedding(dims, (Arc(0, 3, 0, 1), Arc(1, 3, 1, 1), Arc(2, 4, -1, 1)))
-    assert canonical_representative(e) == canonical_reference(e)
-    assert "conflict_mask" not in vars(arc_tables(dims))
-    assert "self_ok" not in vars(arc_tables(dims))
+    """In a fresh interpreter, since other tests build the crossing tables
+    of every grid up to 8x8 in this one."""
+    code = textwrap.dedent("""
+        from laceground.canonical import canonical_representative
+        from laceground.embedding import GroundEmbedding, arc_tables
+        from laceground.geometry import Arc, TorusDims
+        from oracle import canonical_reference
+
+        dims = TorusDims(3, 7)
+        e = GroundEmbedding(dims, (Arc(0, 3, 0, 1), Arc(1, 3, 1, 1), Arc(2, 4, -1, 1)))
+        assert canonical_representative(e) == canonical_reference(e)
+        assert "conflict_mask" not in vars(arc_tables(dims))
+        assert "self_ok" not in vars(arc_tables(dims))
+    """)
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join((str(tests.parent / "src"), str(tests)))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_canonical_invariance_over_solutions():

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from laceground.braid import to_braid_word
 from laceground.cli import build_parser, main
 from laceground.embedding import deserialize
 from laceground.render import render_svg
+from laceground.validator import full_report, report_to_json
 
 GOOD_1x1 = "ground v1\ndims 1 1\narc 0 0 -1 1\narc 0 0 1 0\n"
 DRIFT_1x1 = "ground v1\ndims 1 1\narc 0 0 1 1\narc 0 0 -1 0\nzeta 0 0 CTpCT\n"
@@ -219,6 +221,22 @@ def test_verify_json_report(tmp_path, capsys):
     assert doc["version"] == 1
     assert doc["two_regular"]["status"] == "pass"
     assert doc["circuits"][0]["winding"] == [0, 1]
+
+
+@pytest.mark.parametrize("text, code", [(GOOD_1x1, 0), (CROSSED_1x1, 1)],
+                         ids=["pass", "crossed"])
+def test_verify_json_report_is_one_line(text, code, tmp_path, capsys):
+    """The report is one line with sorted keys, and any braid lines follow
+    it."""
+    f = tmp_path / "g.gnd"
+    f.write_text(text)
+    line = json.dumps(report_to_json(full_report(deserialize(text))), sort_keys=True) + "\n"
+    assert run(capsys, "verify", str(f), "--report", "json") == (code, line, "")
+
+    f.write_text(text + "zeta 0 0 CTpCT\n")
+    braid = f"braid (0,0) CTpCT: {to_braid_word('CTpCT')}\n"
+    assert run(capsys, "verify", str(f), "--report", "json", "--braid") == (
+        code, line + braid, "")
 
 
 def test_verify_rejects_crossing_arcs(tmp_path, capsys):

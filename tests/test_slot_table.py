@@ -17,6 +17,11 @@ from laceground.geometry import Arc, TorusDims
 from laceground.render import render_svg
 from laceground.search import SearchConfig, enumerate_grounds
 from laceground.validator import (
+    check_connected,
+    check_embedded,
+    check_no_contractible_directed_cycles,
+    check_thread_conservation,
+    check_two_regular,
     full_report,
     partition_circuits,
     report_to_json,
@@ -100,6 +105,26 @@ def _digests():
 
 def test_golden_digests():
     assert _digests() == GOLDEN_DIGESTS
+
+
+def test_report_matches_the_public_checks():
+    """``full_report`` shares one slot table, winding walk and 2-regularity
+    test among its checks and traces circuits without the test
+    ``partition_circuits`` makes first; each part of the report still equals
+    the public check run on its own."""
+    traced = 0
+    for e in _grounds():
+        report = full_report(e)
+        assert report.two_regular == check_two_regular(e)
+        assert report.embedded == check_embedded(e)
+        assert report.connected == check_connected(e)
+        assert report.strict_connected == check_connected(e, strict=True)
+        assert report.no_contractible_directed_cycle == check_no_contractible_directed_cycles(e)
+        if report.partition is not None:
+            traced += 1
+            assert report.partition == partition_circuits(e)
+            assert report.conserved == check_thread_conservation(e)
+    assert 0 < traced < len(_grounds())
 
 
 @pytest.mark.parametrize("repeats", sorted(TILING_DIGESTS), ids="{0[0]}x{0[1]}".format)
