@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--out", type=Path, default=None, help="directory for .gnd solution files")
     p.add_argument("--loose", action="store_true", help=_LOOSE_HELP)
-    p.add_argument("--budget", type=_positive, default=None, help="node budget")
+    p.add_argument("--budget", type=_positive, default=None,
+                   help="stop the run at this many nodes; a budgeted run walks in one process")
 
     p = sub.add_parser("verify", help="check the fundamental properties of a ground file")
     p.add_argument("file", type=Path)
@@ -89,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cols", type=_at_most(MAX_PERIOD), required=True)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--loose", action="store_true", help=_LOOSE_HELP)
-    p.add_argument("--budget", type=_positive, default=None)
+    p.add_argument("--budget", type=_positive, default=None,
+                   help="stop each cell's run at this many nodes, walking in one process")
     p.add_argument("--format", choices=("pretty", "tsv"), default="pretty")
 
     return parser

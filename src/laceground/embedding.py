@@ -428,4 +428,4 @@ def deserialize(text: str) -> GroundEmbedding:
         raise GroundFileError(1, "empty file; expected 'ground v1' header")
     if dims is None:
         raise GroundFileError(1, "missing dims line")
-    return GroundEmbedding(dims, tuple(sorted(arcs)), tuple(sorted(zeta.items())))
+    return GroundEmbedding(dims, tuple(arcs), tuple(zeta.items()))

@@ -95,9 +95,7 @@ orbit, so the classes are those of the whole tree.
 """
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -119,7 +117,10 @@ class SearchConfig:
     ``strict_connectivity=False`` selects the loose model, which asks only
     for one component on the torus with a cycle that wraps it; its lift may
     fall apart into separate strands. ``jobs`` is an upper bound on worker
-    processes (see ``_pool_size``)."""
+    processes (see ``_pool_size``). ``node_budget`` caps the nodes the whole
+    run visits; a budgeted run walks its items in one process, in order,
+    whatever ``jobs`` is, and is complete exactly when its tree has at most
+    that many nodes."""
 
     dims: TorusDims
     jobs: int = 1
@@ -132,7 +133,6 @@ class SearchResult:
     canonical_solutions: list[tuple[str, GroundEmbedding]]  # sorted by id text
     count: int
     nodes_visited: int
-    wall_time: float
     complete: bool
 
 
@@ -380,9 +380,9 @@ class _ItemRunner:
         while children:
             low = children & -children
             children ^= low
-            self.nodes += 1
-            if self.nodes > self.budget:
+            if self.nodes == self.budget:
                 raise _Budget()
+            self.nodes += 1
             j = low.bit_length() - 1
             cand = candidates[j]
             filled = (in_ge1 & cand.in_any) | cand.in_two
@@ -429,14 +429,14 @@ def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbe
     return found
 
 
-def _run_item(args) -> tuple[set[int], int, bool]:
-    """One work item: the subtree whose first candidate is ``first``. The
-    all-empty embedding is not a solution, so the items started at every
-    candidate would cover the tree."""
-    dims, budget, first = args
-    runner = _ItemRunner(_engine(dims), budget)
+def _run_item(args) -> tuple[set[int], int]:
+    """One work item of an unbudgeted pool run: the leaves and nodes of the
+    subtree whose first candidate is ``first``. The all-empty embedding is not
+    a solution, so the items started at every candidate would cover the tree."""
+    dims, first = args
+    runner = _ItemRunner(_engine(dims), None)
     runner.run(first)
-    return runner.leaves, runner.nodes, runner.complete
+    return runner.leaves, runner.nodes
 
 
 def _pool_size(jobs: int, n_items: int) -> int:
@@ -453,30 +453,27 @@ def _pool_size(jobs: int, n_items: int) -> int:
 def enumerate_grounds(config: SearchConfig) -> SearchResult:
     """Run the full search and return canonical solutions."""
     config.dims.validate()
-    start = time.monotonic()
     eng = _engine(config.dims)
     # items start only at the column-0 starts (see the module docstring):
     # every orbit of regular sets has a member whose lowest candidate is one
-    n_items = len(eng.starts)
-    budgets: list[Optional[int]] = [None] * n_items
-    if config.node_budget is not None and n_items:
-        per, extra = divmod(config.node_budget, n_items)
-        budgets = [per + (1 if k < extra else 0) for k in range(n_items)]
-
-    leaves: set[int] = set()
-    nodes = 0
-    complete = True
-    job_args = [(config.dims, budget, first) for budget, first in zip(budgets, eng.starts)]
-    workers = _pool_size(config.jobs, n_items)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        results = (pool.map(_run_item, job_args,
-                            chunksize=max(1, n_items // (workers * 8)))
-                   if pool else map(_run_item, job_args))
-        for item_leaves, n, comp in results:
-            leaves |= item_leaves
-            nodes += n
-            complete = complete and comp
+    workers = (1 if config.node_budget is not None
+               else _pool_size(config.jobs, len(eng.starts)))
+    if workers == 1:
+        # one counter caps the whole run: the walk stops at its first _Budget
+        runner = _ItemRunner(eng, config.node_budget)
+        for first in eng.starts:
+            runner.run(first)
+            if not runner.complete:
+                break
+        leaves, nodes, complete = runner.leaves, runner.nodes, runner.complete
+    else:
+        leaves, nodes, complete = set(), 0, True
+        items = [(config.dims, first) for first in eng.starts]
+        chunk = max(1, len(items) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for item_leaves, n in pool.map(_run_item, items, chunksize=chunk):
+                leaves |= item_leaves
+                nodes += n
 
     found = _judge(eng, leaves, config.strict_connectivity)
     solutions = sorted(found.items())
@@ -484,7 +481,6 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
         canonical_solutions=solutions,
         count=len(solutions),
         nodes_visited=nodes,
-        wall_time=time.monotonic() - start,
         complete=complete,
     )
 
@@ -492,7 +488,8 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
 def count_table(max_rows: int, max_cols: int, jobs: int = 1, strict: bool = True,
                 node_budget: Optional[int] = None) -> list[list[SearchResult]]:
     """Results for every grid up to max_rows x max_cols. Sub-periodic patterns
-    arise naturally on larger grids, so the table is accumulative."""
+    arise naturally on larger grids, so the table is accumulative.
+    ``node_budget`` caps each cell's run on its own."""
     table = []
     for n in range(1, max_rows + 1):
         row = []

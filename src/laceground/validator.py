@@ -317,7 +317,6 @@ def check_no_contractible_directed_cycles(e: GroundEmbedding) -> CheckResult:
         recs.sort()
 
     vertices = sorted(by_tail)
-    order = {v: i for i, v in enumerate(vertices)}
 
     def dfs(start, v, disp, path, on_path):
         for a in by_tail.get(v, ()):
@@ -326,7 +325,7 @@ def check_no_contractible_directed_cycles(e: GroundEmbedding) -> CheckResult:
                 if disp + a.dx == 0:
                     return path + [a]
                 continue
-            if h in on_path or order.get(h, -1) < order[start]:
+            if h in on_path or h < start:
                 continue
             on_path.add(h)
             found = dfs(start, h, disp + a.dx, path + [a], on_path)

@@ -1,4 +1,5 @@
-"""Every top-level name the package defines is used somewhere in it."""
+"""Every top-level name the package defines is used somewhere in it, and
+every name a module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,29 @@ def test_every_top_level_name_is_used():
             for name in _defined(tree)
             if name not in used and not (name.startswith("__") and name.endswith("__"))]
     assert not dead, f"defined but never used: {dead}"
+
+
+# names a module imports only for others to import from it: the package's
+# exports in ``__init__``, and the transform names tests take from canonical
+REEXPORTED = {("canonical", "TRANSFORMS")}
+
+
+def _imported(tree: ast.Module):
+    """The names a module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}:{name}" for name in _imported(tree)
+                   if name not in loaded and (path.stem, name) not in REEXPORTED]
+    assert not unused, f"imported but never used: {unused}"

@@ -78,10 +78,11 @@ def test_budget_flags_incomplete():
     capped = enumerate_grounds(SearchConfig(TorusDims(2, 2), node_budget=10))
     assert not capped.complete
     assert capped.count <= full.count
-    # and the budget split is scheduling-independent
+    # a budgeted run walks in one process, so --jobs changes nothing
     capped2 = enumerate_grounds(SearchConfig(TorusDims(2, 2), node_budget=10, jobs=2))
     assert [k for k, _ in capped.canonical_solutions] == \
            [k for k, _ in capped2.canonical_solutions]
+    assert capped.nodes_visited == capped2.nodes_visited
 
 
 def test_strict_connectivity_subset():
@@ -124,12 +125,29 @@ def test_golden_solutions(dims, jobs):
     """Names, files, counts and node counts of the default model, byte for
     byte."""
     result = enumerate_grounds(SearchConfig(TorusDims(*dims), jobs=jobs))
+    assert _golden_key(result) == GOLDEN[dims]
+
+
+def _golden_key(result):
     digest = hashlib.sha256()
     for key, emb in result.canonical_solutions:
         # ``enumerate --out`` names each file from its key
         assert key == identifier_text(identifier(emb))
         digest.update((solution_name(key) + "\n" + serialize(emb)).encode())
-    assert (digest.hexdigest()[:16], result.count, result.nodes_visited) == GOLDEN[dims]
+    return digest.hexdigest()[:16], result.count, result.nodes_visited
+
+
+@pytest.mark.parametrize("dims", sorted(GOLDEN), ids=[f"{r}x{c}" for r, c in sorted(GOLDEN)])
+def test_budget_caps_the_whole_run(dims):
+    """A budget of the tree's node count completes the run with the golden
+    solutions; one node less stops it exactly at the budget."""
+    nodes = GOLDEN[dims][2]
+    exact = enumerate_grounds(SearchConfig(TorusDims(*dims), node_budget=nodes))
+    assert exact.complete
+    assert _golden_key(exact) == GOLDEN[dims]
+    short = enumerate_grounds(SearchConfig(TorusDims(*dims), node_budget=nodes - 1))
+    assert not short.complete
+    assert short.nodes_visited == nodes - 1
 
 
 def test_pool_size_is_bounded(monkeypatch):
@@ -154,7 +172,7 @@ def _leaves(dims):
     items, those that start at a column-0 start."""
     leaves = set()
     for first in _engine(dims).starts:
-        leaves |= _run_item((dims, None, first))[0]
+        leaves |= _run_item((dims, first))[0]
     return leaves
 
 
