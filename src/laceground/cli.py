@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 property failure, 2 usage or parse error,
 import argparse
 import functools
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +48,18 @@ def _at_most(limit: int):
     return parse
 
 
+def _tiling(value: str) -> tuple[int, int]:
+    """A tiling ROWSxCOLS of digits only, each side from 1 to
+    ``MAX_REPEATS``, checked while parsing, so a bad tiling is refused
+    before the ground file is read."""
+    m = re.fullmatch(r"([0-9]+)x([0-9]+)", value, re.IGNORECASE)
+    if m is None or not all(1 <= int(side) <= MAX_REPEATS for side in m.groups()):
+        raise argparse.ArgumentTypeError(
+            f"expected ROWSxCOLS of digits, e.g. 4x4, at most {MAX_REPEATS}x{MAX_REPEATS}, "
+            f"got {value!r}")
+    return int(m[1]), int(m[2])
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process."""
@@ -80,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render a ground file as a tiled SVG diagram")
     p.add_argument("file", type=Path)
-    p.add_argument("--repeats", default="1x1", help=f"tiling as ROWSxCOLS, e.g. 4x4, "
-                   f"at most {MAX_REPEATS}x{MAX_REPEATS}")
+    p.add_argument("--repeats", type=_tiling, default="1x1",
+                   help=f"tiling as ROWSxCOLS, e.g. 4x4, at most {MAX_REPEATS}x{MAX_REPEATS}")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--labels", action="store_true")
 
@@ -183,15 +196,7 @@ def cmd_render(args) -> int:
     emb = _load(args.file)
     if emb is None:
         return EXIT_USAGE
-    try:
-        rep_r, rep_c = (int(part) for part in args.repeats.lower().split("x"))
-        if not (1 <= rep_r <= MAX_REPEATS and 1 <= rep_c <= MAX_REPEATS):
-            raise ValueError
-    except ValueError:
-        print(f"error: bad --repeats {args.repeats!r}; expected e.g. 4x4, "
-              f"at most {MAX_REPEATS}x{MAX_REPEATS}", file=sys.stderr)
-        return EXIT_USAGE
-    svg = render_svg(emb, (rep_r, rep_c), labels=args.labels)
+    svg = render_svg(emb, args.repeats, labels=args.labels)
     try:
         args.out.write_text(svg, encoding="utf-8")
     except OSError as exc:

@@ -6,10 +6,11 @@ lattice position stays legible; validity always uses the straight segments,
 the bow is purely cosmetic.
 
 A drawn arc's x coordinates (start, end and bow) depend only on its tile
-column and its y coordinates only on its tile row, and a dot's x only on its
-drawn column and its y only on its drawn row. So each coordinate text is
-formatted once per tile column or tile row (per drawn column or row for the
-dots), and each arc and dot of the tiling is one f-string of those texts.
+column and its y coordinates only on its tile row. So each lattice position
+along an axis is formatted once per drawing, and each arc of the tiling is
+one f-string of those texts. A drawn row of dots differs from the
+fundamental row it repeats only in its y text, so each fundamental row is
+cut once into the pieces around that text, and each drawn row is one join.
 """
 
 from .canonical import label_grid
@@ -26,15 +27,26 @@ MAX_REPEATS = 32
 def _axis_texts(starts, steps, bowed, period: int, tiles: int):
     """Per tile along one axis, per arc: the text of its start, end and
     bow control coordinate along that axis (the bow's is empty for an arc
-    drawn straight). The bow moves 0.3 cells off a double step's line."""
+    drawn straight). The bow moves 0.3 cells off a double step's line.
+
+    The arcs reach the positions -2 to ``period * tiles + 1``; each one's
+    text is formatted once, and read from the end of the list for -2 and
+    -1. A double step's bow sits on the midpoint of its line: an integral
+    float, printed as the midpoint's text plus ".0"."""
+    at = [f"{MARGIN + p * CELL}" for p in (*range(period * tiles + 2), -2, -1)]
+    off_line = {}
     out = []
-    for tile in range(tiles):
+    for shift in range(0, period * tiles, period):
         texts = []
         for p0, d, bow in zip(starts, steps, bowed):
-            p0 += tile * period
-            p1 = p0 + d
-            q = f"{MARGIN + ((p0 + p1) / 2 + (0.3 if d == 0 else 0.0)) * CELL}" if bow else ""
-            texts.append((f"{MARGIN + p0 * CELL}", f"{MARGIN + p1 * CELL}", q))
+            p0 += shift
+            if not bow:
+                q = ""
+            elif d:
+                q = at[p0 + d // 2] + ".0"
+            elif (q := off_line.get(p0)) is None:
+                q = off_line[p0] = f"{MARGIN + (p0 + 0.3) * CELL}"
+            texts.append((at[p0], at[p0 + d], q))
         out.append(texts)
     return out
 
@@ -78,19 +90,23 @@ def render_svg(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
                     f'<path class="arc" d="M {sx} {sy} L {ex} {ey}" fill="none" '
                     'stroke="#333" stroke-width="1.6" marker-end="url(#arrow)"/>')
 
-    # lattice dots
-    used_vertices = set(e.non_isolated())
-    fills = [["#222" if (r, c) in used_vertices else "#bbb" for c in range(cols)] * rep_c
-             for r in range(rows)]
-    cxs = [f"{MARGIN + c * CELL}" for c in range(cols * rep_c)]
+    # lattice dots, each drawn row one join of its fundamental row's pieces
+    # around the row's y text
+    used_vertices = e.non_isolated()
+    used = set(used_vertices)
+    heads = [f'<circle cx="{MARGIN + c * CELL}" cy="' for c in range(cols * rep_c)]
+    rows_pieces = []
+    for r in range(rows):
+        tails = [f'" r="{DOT_R}" fill="{"#222" if (r, c) in used else "#bbb"}"/>'
+                 for c in range(cols)] * rep_c
+        rows_pieces.append([heads[0], *[tail + "\n" + head for tail, head in zip(tails, heads[1:])],
+                            tails[-1]])
     for r in range(rows * rep_r):
-        cy = MARGIN + r * CELL
-        for cx, fill in zip(cxs, fills[r % rows]):
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="{DOT_R}" fill="{fill}"/>')
+        parts.append(f"{MARGIN + r * CELL}".join(rows_pieces[r % rows]))
 
     if labels:
         grid = label_grid(e)
-        for r, c in e.non_isolated():
+        for r, c in used_vertices:
             lab = ",".join(str(x) for x in grid[r][c])
             parts.append(
                 f'<text x="{MARGIN + c * CELL + 5}" y="{MARGIN + r * CELL - 5}" font-size="8" '

@@ -20,7 +20,8 @@ a cut (``circuit_cut_crossings``), a ground's image under a symmetry worked
 out arc by arc (``image``), the canonical form computed image by image
 (``canonical_reference``), the crossing tables tested pair by pair
 (``crossing_tables_reference``) and the search's keep masks read candidate
-by candidate (``keep_masks_reference``).
+by candidate (``keep_masks_reference``) and the drawing made one f-string per
+arc and per dot (``render_reference``).
 """
 
 from collections import Counter
@@ -30,9 +31,11 @@ from laceground.canonical import (
     canonical_representative,
     identifier,
     identifier_text,
+    label_grid,
 )
 from laceground.embedding import GroundEmbedding, arc_tables, tables_for
 from laceground.geometry import LACE_STEP_SET, Arc, TorusDims, arcs_cross
+from laceground.render import CELL, DOT_R, MARGIN, MAX_REPEATS
 from laceground.validator import _fundamental_windings, check_two_regular, full_report
 
 
@@ -173,6 +176,84 @@ def keep_masks_reference(eng):
             full_rows[v][byte] |= bit
     return ([eng.all_alive ^ int.from_bytes(r, "little") for r in arc_rows],
             [eng.all_alive ^ int.from_bytes(r, "little") for r in full_rows])
+
+
+def _axis_texts(starts, steps, bowed, period: int, tiles: int):
+    """Per tile along one axis, per arc: the text of its start, end and
+    bow control coordinate along that axis (the bow's is empty for an arc
+    drawn straight). The bow moves 0.3 cells off a double step's line."""
+    out = []
+    for tile in range(tiles):
+        texts = []
+        for p0, d, bow in zip(starts, steps, bowed):
+            p0 += tile * period
+            p1 = p0 + d
+            q = f"{MARGIN + ((p0 + p1) / 2 + (0.3 if d == 0 else 0.0)) * CELL}" if bow else ""
+            texts.append((f"{MARGIN + p0 * CELL}", f"{MARGIN + p1 * CELL}", q))
+        out.append(texts)
+    return out
+
+
+def render_reference(e: GroundEmbedding, repeats: tuple[int, int] = (1, 1),
+                     labels: bool = False) -> str:
+    """The drawing ``render.render_svg`` makes, one f-string per arc and per
+    dot: the embedding tiled ``repeats`` = (down, across) times, each
+    between 1 and ``MAX_REPEATS``."""
+    rep_r, rep_c = repeats
+    if not (1 <= rep_r <= MAX_REPEATS and 1 <= rep_c <= MAX_REPEATS):
+        raise ValueError(
+            f"repeats must be between 1x1 and {MAX_REPEATS}x{MAX_REPEATS}")
+    rows, cols = e.dims
+    width = MARGIN * 2 + cols * rep_c * CELL
+    height = MARGIN * 2 + rows * rep_r * CELL
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
+        'markerWidth="5" markerHeight="5" orient="auto-start-reverse">'
+        '<path d="M 0 0 L 10 5 L 0 10 z" fill="#333"/></marker></defs>',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        # fundamental domain outline
+        f'<rect x="{MARGIN}" y="{MARGIN}" width="{cols * CELL}" height="{rows * CELL}" '
+        'fill="none" stroke="#b0c4de" stroke-width="2" stroke-dasharray="6 4"/>',
+    ]
+
+    # arcs, one instance per tile
+    arcs = e.arcs
+    bowed = [abs(a.dx) == 2 or a.dy == 2 for a in arcs]
+    xs_by_tile = _axis_texts([a.col for a in arcs], [a.dx for a in arcs], bowed, cols, rep_c)
+    ys_by_tile = _axis_texts([a.row for a in arcs], [a.dy for a in arcs], bowed, rows, rep_r)
+    for ys in ys_by_tile:
+        for xs in xs_by_tile:
+            for (sx, ex, qx), (sy, ey, qy) in zip(xs, ys):
+                parts.append(
+                    f'<path class="arc" d="M {sx} {sy} Q {qx} {qy} {ex} {ey}" fill="none" '
+                    'stroke="#333" stroke-width="1.6" marker-end="url(#arrow)"/>' if qx else
+                    f'<path class="arc" d="M {sx} {sy} L {ex} {ey}" fill="none" '
+                    'stroke="#333" stroke-width="1.6" marker-end="url(#arrow)"/>')
+
+    # lattice dots
+    used_vertices = set(e.non_isolated())
+    fills = [["#222" if (r, c) in used_vertices else "#bbb" for c in range(cols)] * rep_c
+             for r in range(rows)]
+    cxs = [f"{MARGIN + c * CELL}" for c in range(cols * rep_c)]
+    for r in range(rows * rep_r):
+        cy = MARGIN + r * CELL
+        for cx, fill in zip(cxs, fills[r % rows]):
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="{DOT_R}" fill="{fill}"/>')
+
+    if labels:
+        grid = label_grid(e)
+        for r, c in e.non_isolated():
+            lab = ",".join(str(x) for x in grid[r][c])
+            parts.append(
+                f'<text x="{MARGIN + c * CELL + 5}" y="{MARGIN + r * CELL - 5}" font-size="8" '
+                f'fill="#555" font-family="monospace">({lab})</text>')
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _bits(mask: int):

@@ -379,6 +379,19 @@ def test_render_bad_repeats(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("repeats", ["1_0x2", "+3x2", "4x4x4", "x4", " 4x4", "4x-4"])
+def test_render_refuses_a_malformed_tiling_before_reading(repeats, tmp_path, capsys):
+    """Only digits, an x and digits make a tiling: int()'s underscores,
+    signs and spaces are refused while parsing, before the (here missing)
+    ground file would be read."""
+    out = tmp_path / "x.svg"
+    code, _, err = run(capsys, "render", str(tmp_path / "missing.gnd"), "--repeats", repeats,
+                       "--out", str(out))
+    assert code == 2
+    assert "at most 32x32" in err and "cannot read" not in err
+    assert not out.exists()
+
+
 def test_render_repeats_capped(tmp_path, capsys):
     src = tmp_path / "g.gnd"
     src.write_text(GOOD_1x1)

@@ -25,9 +25,10 @@ from laceground.embedding import (
 )
 from laceground.geometry import Arc, TorusDims
 from laceground.paths import generate_lace_paths
+from laceground.render import MAX_REPEATS, render_svg
 from laceground.search import SearchConfig, _engine, enumerate_grounds
 from laceground.validator import full_report
-from oracle import canonical_reference, image, search_state
+from oracle import canonical_reference, image, render_reference, search_state
 
 dims_2d = st.builds(TorusDims, st.integers(1, 3), st.integers(1, 3))
 
@@ -145,10 +146,10 @@ SOLUTIONS_2x2 = [emb for _, emb in enumerate_grounds(
 
 
 @st.composite
-def arc_subsets(draw):
+def arc_subsets(draw, dims=dims_2d, max_size=10):
     """Any set of arcs of a grid: crossings, shared slots and wrong degrees."""
-    dims = draw(dims_2d)
-    arcs = draw(st.sets(st.sampled_from(tables_for(dims).arcs), max_size=10))
+    dims = draw(dims)
+    arcs = draw(st.sets(st.sampled_from(tables_for(dims).arcs), max_size=max_size))
     return GroundEmbedding(dims, tuple(arcs))
 
 
@@ -231,3 +232,28 @@ def test_full_report_is_symmetry_invariant(e):
         for dr in range(e.dims.rows):
             for dc in range(e.dims.cols):
                 assert _verdicts(translate(moved, dr, dc)) == verdicts
+
+
+@st.composite
+def tilings(draw):
+    """(down, across), each from 1 to ``MAX_REPEATS``, of at most 64 tiles,
+    so that 1x32 and 32x1 are reached and one drawing stays small."""
+    down = draw(st.integers(1, MAX_REPEATS))
+    across = draw(st.integers(1, min(MAX_REPEATS, 64 // down)))
+    return (down, across) if draw(st.booleans()) else (across, down)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(arc_subsets(st.builds(TorusDims, st.integers(1, 8), st.integers(1, 8)), 40),
+                 st.sampled_from(SOLUTIONS_2x2)),
+       tilings(), st.booleans())
+@example(GroundEmbedding(TorusDims(3, 2)), (1, 32), False)
+@example(GroundEmbedding(TorusDims(1, 1)), (32, 1), True)
+@example(GroundEmbedding(TorusDims(8, 8), (Arc(7, 0, -2, 0), Arc(7, 7, 2, 0), Arc(7, 7, 0, 2))),
+         (32, 2), True)
+def test_drawing_matches_the_reference(e, repeats, labels):
+    """The drawing built from per-axis position texts and one join per row
+    of dots is the one drawn arc by arc and dot by dot, byte for byte: at
+    either end of the tiling's positions, around double steps that bow off
+    the lattice and with shared slots, labels on and off."""
+    assert render_svg(e, repeats, labels) == render_reference(e, repeats, labels)

@@ -39,11 +39,15 @@ GOLDEN_DIGESTS = {
 }
 
 # the same for the drawing without labels at tilings that are not square,
-# and at the benchmark's tiling, so that swapped tile rows and columns show
+# at the benchmark's tiling and at the longest strips, so that swapped tile
+# rows and columns and the ends of the position texts show
 TILING_DIGESTS = {
     (1, 3): "343472036ac8f842",
+    (1, 32): "05e0910c324a3415",
     (3, 1): "9baee7e008a0fc7e",
     (4, 4): "efb606c5baf730f0",
+    (5, 7): "1e67d23ce29561f4",
+    (32, 1): "c5bf1594a007a6d3",
 }
 
 
