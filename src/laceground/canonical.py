@@ -23,6 +23,19 @@ decides where the representative's zeta annotations land. A label holds one
 arc per slot, so a ground in which two arcs share a slot has no well-defined
 identifier: which arc a label shows would depend on arc order, which a
 symmetry changes. The canonical forms refuse it with ValueError.
+
+The orbit minimum is found without labelling every image (``_least_image``).
+Each of the four transforms is labelled once, untranslated. A translation
+keeps every arc in its slots and only moves the vertices, so the image under
+(name, dr, dc) has that labelling's vertex-label grid rotated: rows cycled
+by r0 = -dr and each row by c0 = -dc, vertex (r0, c0) first. An identifier
+is compared label by label from vertex (0, 0), so a rotation that starts at
+a label larger than the least vertex label of the four labellings loses to
+one that starts at a least label; only those are built and compared. Among
+images with equal labels the least (name, dr, dc) still wins, as every
+image that could tie is among them. This is the least-rotation idea of
+Booth, "Lexicographically least circular substrings" (Inf. Proc. Letters
+10, 1980), on a two-dimensional grid.
 """
 
 import hashlib
@@ -34,9 +47,14 @@ Label = tuple[int, int, int, int, int, int, int, int]
 EmbeddingId = tuple
 
 
-def _identifier_of(dims: TorusDims, flat: list[int]) -> EmbeddingId:
-    return (dims.rows, dims.cols) + tuple(
-        tuple(flat[i:i + 8]) for i in range(0, len(flat), 8))
+def _identifier_of(dims: TorusDims, labels) -> EmbeddingId:
+    return (dims.rows, dims.cols) + tuple(labels)
+
+
+def _vertex_labels(flat: list[int]):
+    """The 8-entry labels of flat labels (entry ``vertex * 8 + slot``), in
+    vertex order."""
+    return zip(*[iter(flat)] * 8)
 
 
 def label_grid(e: GroundEmbedding) -> list[list[Label]]:
@@ -49,7 +67,7 @@ def label_grid(e: GroundEmbedding) -> list[list[Label]]:
 
 def identifier(e: GroundEmbedding) -> EmbeddingId:
     """Dims followed by row-major vertex labels; totally ordered as a tuple."""
-    return _identifier_of(e.dims, slot_table(e)[0])
+    return _identifier_of(e.dims, _vertex_labels(slot_table(e)[0]))
 
 
 def _move(e: GroundEmbedding, name: str, dr: int, dc: int) -> GroundEmbedding:
@@ -81,31 +99,50 @@ def translate(e: GroundEmbedding, dr: int, dc: int) -> GroundEmbedding:
 
 
 def _least_image(e: GroundEmbedding):
-    """The least (flat labels, (name, dr, dc)) over the orbit of ``e``: the
-    labels of ``_move(e, name, dr, dc)`` in row-major order, entry
-    ``vertex * 8 + slot``. Raises ValueError when two arcs of ``e`` share a
-    slot."""
+    """The least (vertex labels, (name, dr, dc)) over the orbit of ``e``:
+    the row-major labels of ``_move(e, name, dr, dc)``, compared as
+    ``identifier`` compares them. Raises ValueError when two arcs of ``e``
+    share a slot."""
     dims = e.dims
+    rows, cols = dims
     t = arc_tables(dims)
     ends = t.ends
-    _, owner, shared = slot_table(e)
-    if shared:
-        entry, aid = shared[0]
-        raise ValueError(
-            f"arcs {tuple(t.arcs[owner[entry]])} and {tuple(t.arcs[aid])} share "
-            f"slot {entry % 8} of vertex {divmod(entry // 8, dims.cols)}")
     ids = [t.arc_id[a] for a in e.arcs]
-    size = len(owner)
-
-    def labels(perm):
+    size = 8 * t.n_vertices
+    perms = arc_permutations(dims)
+    labelled = []
+    for name in TRANSFORM_SIGNS:
+        perm = perms[name, 0, 0]
         flat = [0] * size
         for aid in ids:
             (o, o_len), (h, h_len) = ends[perm[aid]]
             flat[o] = o_len
             flat[h] = h_len
-        return flat
-
-    return min((labels(perm), key) for key, perm in arc_permutations(dims).items())
+        labelled.append((name, list(_vertex_labels(flat))))
+    # a symmetry maps slots one to one, so an image has as many taken slots
+    # as ``e``: two per arc unless two arcs share one
+    if flat.count(0) != size - 2 * len(ids):
+        _, owner, shared = slot_table(e)
+        entry, aid = shared[0]
+        raise ValueError(
+            f"arcs {tuple(t.arcs[owner[entry]])} and {tuple(t.arcs[aid])} share "
+            f"slot {entry % 8} of vertex {divmod(entry // 8, cols)}")
+    least = min(min(labels) for _, labels in labelled)
+    row_starts = list(range(0, t.n_vertices, cols))
+    best = None
+    for name, labels in labelled:
+        v = -1
+        for _ in range(labels.count(least)):
+            v = labels.index(least, v + 1)
+            r0, c0 = divmod(v, cols)
+            image = []
+            for i in row_starts[r0:] + row_starts[:r0]:
+                image += labels[i + c0:i + cols]
+                image += labels[i:i + c0]
+            pick = image, (name, -r0 % rows, -c0 % cols)
+            if best is None or pick < best:
+                best = pick
+    return best
 
 
 def canonical_id(e: GroundEmbedding) -> EmbeddingId:
@@ -115,8 +152,8 @@ def canonical_id(e: GroundEmbedding) -> EmbeddingId:
 
 def canonical_representative(e: GroundEmbedding) -> tuple[EmbeddingId, GroundEmbedding]:
     """The canonical identifier together with the orbit member attaining it."""
-    flat, (name, dr, dc) = _least_image(e)
-    return _identifier_of(e.dims, flat), _move(e, name, dr, dc)
+    labels, (name, dr, dc) = _least_image(e)
+    return _identifier_of(e.dims, labels), _move(e, name, dr, dc)
 
 
 def identifier_text(eid: EmbeddingId) -> str:

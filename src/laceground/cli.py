@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from .braid import to_braid_word
-from .canonical import canonical_representative, identifier, identifier_text, solution_name
+from .canonical import canonical_representative, identifier_text, solution_name
 from .embedding import MAX_PERIOD, GroundFileError, deserialize, serialize
 from .geometry import TorusDims
 from .paths import MAX_PATH_HEIGHT, count_lace_paths, format_path, generate_lace_paths
@@ -30,10 +30,20 @@ _LOOSE_HELP = ("require connectivity on the torus only; the planar lift may "
                "fall apart into separate strands")
 
 
+def _shown(value: str) -> str:
+    """``value`` quoted for an error message, cut after 20 characters."""
+    if len(value) <= 20:
+        return repr(value)
+    return f"{value[:20]!r}... ({len(value)} characters)"
+
+
 def _positive(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:  # not an integer, or more digits than int() reads
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_shown(value)}") from None
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {_shown(value)}")
     return n
 
 
@@ -43,7 +53,7 @@ def _at_most(limit: int):
     def parse(value: str) -> int:
         n = _positive(value)
         if n > limit:
-            raise argparse.ArgumentTypeError(f"must be <= {limit}, got {n}")
+            raise argparse.ArgumentTypeError(f"must be <= {limit}, got {_shown(value)}")
         return n
     return parse
 
@@ -53,11 +63,15 @@ def _tiling(value: str) -> tuple[int, int]:
     ``MAX_REPEATS``, checked while parsing, so a bad tiling is refused
     before the ground file is read."""
     m = re.fullmatch(r"([0-9]+)x([0-9]+)", value, re.IGNORECASE)
-    if m is None or not all(1 <= int(side) <= MAX_REPEATS for side in m.groups()):
+    try:
+        sides = (int(m[1]), int(m[2])) if m else ()
+    except ValueError:  # more digits than int() reads
+        sides = ()
+    if not sides or not all(1 <= side <= MAX_REPEATS for side in sides):
         raise argparse.ArgumentTypeError(
             f"expected ROWSxCOLS of digits, e.g. 4x4, at most {MAX_REPEATS}x{MAX_REPEATS}, "
-            f"got {value!r}")
-    return int(m[1]), int(m[2])
+            f"got {_shown(value)}")
+    return sides
 
 
 @functools.cache
@@ -183,12 +197,13 @@ def cmd_canon(args) -> int:
     if emb is None:
         return EXIT_USAGE
     try:
-        eid, _rep = canonical_representative(emb)
+        eid, rep = canonical_representative(emb)
     except ValueError as exc:  # two arcs share a slot
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAIL
     print(identifier_text(eid))
-    print(f"canonical: {'true' if identifier(emb) == eid else 'false'}")
+    # no two arcs share a slot, so equal arc sets are equal labels
+    print(f"canonical: {'true' if rep.arcs == emb.arcs else 'false'}")
     return EXIT_OK
 
 

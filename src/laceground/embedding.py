@@ -247,7 +247,9 @@ class GroundEmbedding:
     zeta: tuple[tuple[tuple[int, int], str], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(sorted(Arc(*a) for a in self.arcs)))
+        # most callers hand over ``arc_tables`` arcs, which need no new Arc
+        arcs = [a if type(a) is Arc else Arc(*a) for a in self.arcs]
+        object.__setattr__(self, "arcs", tuple(sorted(arcs)))
         object.__setattr__(self, "zeta", tuple(sorted(self.zeta)))
 
     def non_isolated(self) -> list[tuple[int, int]]:
@@ -394,8 +396,8 @@ def deserialize(text: str) -> GroundEmbedding:
                 r, c, dx, dy = map(int, fields[1:])
             except ValueError:
                 raise GroundFileError(line_no, "arc values must be integers") from None
-            if not (0 <= r < dims.rows and 0 <= c < dims.cols):
-                raise GroundFileError(line_no, f"origin ({r},{c}) out of range for {dims.rows}x{dims.cols}")
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise GroundFileError(line_no, f"origin ({r},{c}) out of range for {rows}x{cols}")
             if (dx, dy) not in LACE_STEP_SET:
                 raise GroundFileError(line_no, f"step ({dx},{dy}) not in the lace step set")
             arc = Arc(r, c, dx, dy)
@@ -412,7 +414,7 @@ def deserialize(text: str) -> GroundEmbedding:
                 r, c = int(fields[1]), int(fields[2])
             except ValueError:
                 raise GroundFileError(line_no, "zeta coordinates must be integers") from None
-            if not (0 <= r < dims.rows and 0 <= c < dims.cols):
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise GroundFileError(line_no, f"vertex ({r},{c}) out of range")
             actions = fields[3]
             bad = set(actions) - ZETA_ALPHABET

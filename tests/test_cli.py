@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from laceground.braid import to_braid_word
+from laceground.canonical import TRANSFORMS, canonical_id, identifier, transform, translate
 from laceground.cli import build_parser, main
-from laceground.embedding import deserialize
+from laceground.embedding import deserialize, serialize, slot_table
 from laceground.render import render_svg
 from laceground.validator import full_report, report_to_json
+from test_slot_table import _grounds
 
 GOOD_1x1 = "ground v1\ndims 1 1\narc 0 0 -1 1\narc 0 0 1 0\n"
 DRIFT_1x1 = "ground v1\ndims 1 1\narc 0 0 1 1\narc 0 0 -1 0\nzeta 0 0 CTpCT\n"
@@ -32,6 +34,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+
+
+def _canonical_line(capsys, path, e):
+    """What ``canon`` prints on its second line for ``e`` written to ``path``."""
+    path.write_text(serialize(e))
+    code, out, _ = run(capsys, "canon", str(path))
+    assert code == 0
+    return out.splitlines()[1]
+
+
+def test_canonical_line_is_its_definition(tmp_path, capsys):
+    """``canonical: true`` exactly when the ground's identifier is its
+    canonical identifier: over the slot-table grounds without a shared
+    slot, and over each corpus file under each transform (translated by an
+    offset that changes from file to file)."""
+    path = tmp_path / "g.gnd"
+    grounds = [e for e in _grounds() if not slot_table(e)[2]]
+    for k, f in enumerate(sorted(CORPUS.rglob("*.gnd"))):
+        e = deserialize(f.read_text())
+        grounds.extend(translate(transform(e, name), k, k + 1) for name in TRANSFORMS)
+    seen = set()
+    for e in grounds:
+        expected = identifier(e) == canonical_id(e)
+        assert _canonical_line(capsys, path, e) == f"canonical: {str(expected).lower()}"
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_paths_count(capsys):
@@ -82,6 +113,27 @@ def test_oversized_grids_rejected_before_any_build(argv, capsys, monkeypatch):
     assert "must be <=" in err
     assert tables_for.cache_info().currsize == built
     assert search._engine.cache_info().currsize == engines
+
+
+LONG = "1" * 5000  # past int()'s 4,300-digit limit
+LONG_VALUES = [
+    ("enumerate", "--rows", LONG, "--cols", "1"),
+    ("enumerate", "--rows", "2", "--cols", "2", "--jobs", LONG),
+    ("enumerate", "--rows", "2", "--cols", "2", "--budget", LONG),
+    ("render", "/nonexistent.gnd", "--out", "/nonexistent.svg", "--repeats", f"{LONG}x1"),
+]
+
+
+@pytest.mark.parametrize("argv", LONG_VALUES, ids=["rows", "jobs", "budget", "repeats"])
+def test_values_past_the_digit_limit_are_refused_in_short(argv, capsys):
+    """A value int() cannot read gets the option's own message, which quotes
+    only the start of the value."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid" not in err
+    assert "'11111111111111111111'... (500" in err
+    assert len(err) < 1000
 
 
 def test_largest_grids_still_parse():

@@ -206,6 +206,36 @@ def test_deserialize_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_constructor_makes_arcs_only_of_what_is_not_one():
+    """Plain 4-tuples become ``Arc``s, ``Arc``s are kept as they are, and a
+    mix of both comes out sorted; either way the grounds are equal."""
+    dims = TorusDims(2, 3)
+    arcs = (Arc(1, 2, -1, 1), Arc(0, 1, 1, 0), Arc(0, 0, 0, 2))
+    plain = GroundEmbedding(dims, tuple(tuple(a) for a in arcs))
+    kept = GroundEmbedding(dims, arcs)
+    mixed = GroundEmbedding(dims, (arcs[0], tuple(arcs[1]), arcs[2]))
+    assert all(type(a) is Arc for e in (plain, kept, mixed) for a in e.arcs)
+    assert kept.arcs == tuple(sorted(arcs))
+    assert all(any(a is b for b in arcs) for a in kept.arcs)
+    assert mixed.arcs[2] is arcs[0] and mixed.arcs[0] is arcs[2]
+    assert plain == kept == mixed
+    assert hash(plain) == hash(kept) == hash(mixed)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ground v1\ndims 2 3\narc 2 0 0 1\n", "line 3: origin (2,0) out of range for 2x3"),
+    ("ground v1\ndims 2 3\narc 0 3 0 1\n", "line 3: origin (0,3) out of range for 2x3"),
+    ("ground v1\ndims 2 3\narc 0 0 -1 -1\n", "line 3: step (-1,-1) not in the lace step set"),
+    ("ground v1\ndims 2 3\narc 0 1 1 0\narc 00 +1 1 0\n", "line 4: duplicate arc (0, 1, 1, 0)"),
+    ("ground v1\ndims 2 3\nzeta 2 0 CT\n", "line 3: vertex (2,0) out of range"),
+    ("ground v1\ndims 2 3\nzeta 0 -1 CT\n", "line 3: vertex (0,-1) out of range"),
+])
+def test_deserialize_error_text(text, message):
+    with pytest.raises(GroundFileError) as err:
+        deserialize(text)
+    assert str(err.value) == message
+
+
 def test_deserialize_reports_line_numbers():
     with pytest.raises(GroundFileError) as err:
         deserialize("ground v1\ndims 1 1\n# fine\narc 0 0 3 0\n")

@@ -120,11 +120,50 @@ def annotated_embeddings(draw):
     return GroundEmbedding(e.dims, e.arcs, tuple(zeta.items()))
 
 
-@settings(max_examples=60, deadline=None)
-@given(annotated_embeddings())
+# grids past 3x3, where rows and columns of the label grid differ in length
+wide_dims = st.sampled_from([TorusDims(2, 4), TorusDims(4, 2), TorusDims(5, 1),
+                             TorusDims(1, 8), TorusDims(4, 4)])
+
+
+@st.composite
+def slot_free_embeddings(draw, dims):
+    """Random arcs of a grid, each kept when its slots are still free, so
+    crossings and wrong degrees stay but no two arcs share a slot, with
+    action strings on some vertices."""
+    d = draw(dims)
+    t = arc_tables(d)
+    taken, arcs = 0, []
+    for aid in draw(st.lists(st.integers(0, len(t.arcs) - 1), max_size=2 * t.n_vertices)):
+        if not taken & t.slot_mask[aid]:
+            taken |= t.slot_mask[aid]
+            arcs.append(t.arcs[aid])
+    vertices = [(r, c) for r in range(d.rows) for c in range(d.cols)]
+    zeta = draw(st.dictionaries(st.sampled_from(vertices), zeta_strings, max_size=3))
+    return GroundEmbedding(d, tuple(arcs), tuple(zeta.items()))
+
+
+def _everywhere(dims, *steps):
+    """The arcs of ``steps`` out of every vertex of the grid."""
+    return tuple(Arc(r, c, dx, dy) for r in range(dims.rows) for c in range(dims.cols)
+                 for dx, dy in steps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(annotated_embeddings() | slot_free_embeddings(wide_dims))
 # every image ties: the least (transform name, dr, dc), h_reflect with no
 # translation, moves the zeta to (0, 2)
 @example(GroundEmbedding(TorusDims(2, 3), zeta=(((0, 1), "CT"),)))
+# the same label at every vertex, under every transform: all 32 images
+# tie, and the key alone (h_reflect before identity) places the zeta
+@example(GroundEmbedding(TorusDims(2, 4), _everywhere(TorusDims(2, 4), (-1, 1), (1, 1)),
+                         (((1, 1), "CT"),)))
+# all 36 images of the empty ground tie
+@example(GroundEmbedding(TorusDims(3, 3)))
+# loops down columns 0 and 2: the least label is an empty vertex of column
+# 1 or 3, and only the key (dc = 1 before dc = 3) decides where the zeta
+# lands
+@example(GroundEmbedding(TorusDims(2, 4), _everywhere(TorusDims(2, 4), (0, 1))[::2],
+                         (((0, 0), "CT"),)))
 def test_canonical_representative_is_the_least_image(e):
     """Identifier, arcs and zeta of the representative are those of the
     brute-force least image."""
