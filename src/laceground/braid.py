@@ -57,9 +57,16 @@ def is_alternating(word: BraidWord) -> bool:
 
 def format_braid_word(word: BraidWord) -> str:
     """Readable rendering, e.g. 's1 s0^-1 s2^-1 [pin]'."""
+    # the pins before each generator and at the end, counted in one pass;
+    # a pin outside 0..len(generators) is not shown
+    n = len(word.generators)
+    pins = [0] * (n + 1)
+    for k in word.pins:
+        if 0 <= k <= n:
+            pins[k] += 1
     parts: list[str] = []
     for k, (pos, sign) in enumerate(word.generators):
-        parts.extend(["[pin]"] * word.pins.count(k))
+        parts.extend(["[pin]"] * pins[k])
         parts.append(f"s{pos}" if sign > 0 else f"s{pos}^-1")
-    parts.extend(["[pin]"] * word.pins.count(len(word.generators)))
+    parts.extend(["[pin]"] * pins[n])
     return " ".join(parts) if parts else "(empty)"

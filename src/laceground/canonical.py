@@ -122,10 +122,10 @@ def _least_image(e: GroundEmbedding):
     # a symmetry maps slots one to one, so an image has as many taken slots
     # as ``e``: two per arc unless two arcs share one
     if flat.count(0) != size - 2 * len(ids):
-        _, owner, shared = slot_table(e)
-        entry, aid = shared[0]
+        entry, aid = slot_table(e)[1][0]
+        first = next(i for i in ids if entry in (ends[i][0][0], ends[i][1][0]))
         raise ValueError(
-            f"arcs {tuple(t.arcs[owner[entry]])} and {tuple(t.arcs[aid])} share "
+            f"arcs {tuple(t.arcs[first])} and {tuple(t.arcs[aid])} share "
             f"slot {entry % 8} of vertex {divmod(entry // 8, cols)}")
     least = min(min(labels) for _, labels in labelled)
     row_starts = list(range(0, t.n_vertices, cols))

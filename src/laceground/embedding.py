@@ -16,7 +16,7 @@ read only the arcs and label entries, so they never build the crossing
 tables.
 
 ``slot_table`` reads a ground's one slot table from those label entries:
-its vertex labels, the arc in each slot and the slots a second arc takes.
+its vertex labels and the slots a second arc takes.
 
 The rules by which an arc cannot join a sequence of arcs (a repeat, a
 conflict with its own periodic copies, a taken slot, a crossing, a third
@@ -261,23 +261,19 @@ class GroundEmbedding:
 
 
 def slot_table(e: GroundEmbedding):
-    """The flat signed labels of a ground (entry ``vertex * 8 + slot``), the
-    id of the first arc in each entry (else None), and each (entry, arc id)
-    where a later arc takes a taken entry, in arc order; a label holds the
-    last arc's length."""
+    """The flat signed labels of a ground (entry ``vertex * 8 + slot``) and
+    each (entry, arc id) where a later arc takes a taken entry, in arc
+    order; a label holds the last arc's length."""
     t = arc_tables(e.dims)
     labels = [0] * (8 * t.n_vertices)
-    owner = [None] * len(labels)
     shared = []
     for a in e.arcs:
         aid = t.arc_id[a]
         for entry, length in t.ends[aid]:
-            if owner[entry] is None:
-                owner[entry] = aid
-            else:
+            if labels[entry]:
                 shared.append((entry, aid))
             labels[entry] = length
-    return labels, owner, shared
+    return labels, shared
 
 
 def new_embedding(dims: TorusDims) -> GroundEmbedding:

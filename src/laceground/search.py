@@ -182,9 +182,9 @@ class _Engine:
             shift = arc_permutations(dims)["identity", 0, c]
             self.candidates[c::cols] = [self._moved(cand, shift) for cand in column0]
         self.all_alive = (1 << len(self.candidates)) - 1
-        self.arc_keep, self.full_keep = self._keep_masks()
         # per vertex: the candidates that add an arc into it
-        self.into = [self.all_alive ^ keep for keep in self.full_keep]
+        self.arc_keep, self.into = self._keep_masks()
+        self.full_keep = [self.all_alive ^ into for into in self.into]
 
     def _column_candidates(self) -> tuple[list[_Candidate], list[int]]:
         """Column 0's candidates, which ``__init__`` translates to the other
@@ -266,11 +266,11 @@ class _Engine:
         return _Candidate(ids, masks)
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
-        """``arc_keep`` and ``full_keep``, read off the transposed
-        candidates: per arc, the candidates that hold it, and per vertex,
-        those that add one arc or two arcs into it. A candidate is dead to
-        arc ``a`` when it holds ``a``, an arc ``a`` crosses or an arc that
-        shares a slot with ``a``, or adds two arcs into the head of ``a``."""
+        """``arc_keep`` and ``into``, read off the transposed candidates:
+        per arc, the candidates that hold it, and per vertex, those that add
+        one arc or two arcs into it. A candidate is dead to arc ``a`` when
+        it holds ``a``, an arc ``a`` crosses or an arc that shares a slot
+        with ``a``, or adds two arcs into the head of ``a``."""
         t = self.t
         # the transposed bit matrices, filled bytewise
         size = (len(self.candidates) + 7) // 8
@@ -299,7 +299,7 @@ class _Engine:
             for b in _bits(t.conflict_mask[aid] | in_entry[o] | in_entry[h]):
                 dead |= holders[b]
             arc_keep.append(everything ^ dead)
-        return arc_keep, [everything ^ int.from_bytes(r, "little") for r in into_rows]
+        return arc_keep, [int.from_bytes(r, "little") for r in into_rows]
 
     def narrow(self, alive: int, cand: _Candidate, filled: int) -> int:
         """``alive`` narrowed to the candidates that still fit once ``cand``

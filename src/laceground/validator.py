@@ -107,13 +107,14 @@ def _fundamental_windings(
     e: GroundEmbedding,
 ) -> tuple[list[tuple[int, int]], list[WindingVector]]:
     """One walk over every undirected component: the root of each, and the
-    winding vectors of the fundamental cycles of a spanning forest.
+    winding vectors of the fundamental cycles of a spanning forest that
+    wrap the torus, in arc order.
 
     Roots are taken in vertex order, so each is the smallest vertex of its
     component and the roots both count and name the components. Each vertex
     gets an integer potential (row, col displacement from its root through
-    tree arcs); every non-tree arc closes a cycle whose exact displacement
-    is a multiple of the periods. The walk runs on the ids of
+    tree arcs); every arc closes a cycle whose exact displacement is a
+    multiple of the periods, zero for a tree arc. The walk runs on the ids of
     ``arc_tables(e.dims)``, whose order is the arcs' order, and on vertex
     ids ``row * cols + col``, whose order is the vertices'.
     """
@@ -127,8 +128,6 @@ def _fundamental_windings(
         by_vertex.setdefault(tails[aid], []).append((aid, True))
         by_vertex.setdefault(heads[aid], []).append((aid, False))
     roots = []
-    windings = []
-    tree: set[int] = set()
     for root in sorted(by_vertex):
         if root in pot:
             continue
@@ -146,15 +145,16 @@ def _fundamental_windings(
                     w, dr, dc = tails[aid], -a.dy, -a.dx
                 if w not in pot:
                     pot[w] = (pr + dr, pc + dc)
-                    tree.add(aid)
                     frontier.append(w)
-    for aid in sorted(set(ids) - tree):
+    windings = []
+    for aid in sorted(set(ids)):
         a = arcs[aid]
         o, h = pot[tails[aid]], pot[heads[aid]]
         drow = o[0] + a.dy - h[0]
         dcol = o[1] + a.dx - h[1]
         assert drow % rows == 0 and dcol % cols == 0
-        windings.append(WindingVector(dcol // cols, drow // rows))
+        if drow or dcol:
+            windings.append(WindingVector(dcol // cols, drow // rows))
     return roots, windings
 
 
@@ -173,14 +173,14 @@ def _connected(roots: list[tuple[int, int]], windings: list[WindingVector],
     if len(roots) > 1:
         return CheckResult(FAIL, roots,
                            f"{len(roots)} components, e.g. {roots[0]} and {roots[1]}")
-    if not any(w != (0, 0) for w in windings):
+    if not windings:
         return CheckResult(FAIL, None, "connected but no non-contractible cycle")
     if not strict:
         return CheckResult(PASS)
     if _winding_lattice_full(windings):
         return CheckResult(PASS)
     return CheckResult(
-        FAIL, [tuple(w) for w in windings if w != (0, 0)],
+        FAIL, [tuple(w) for w in windings],
         "cycle windings do not generate Z x Z; planar lift is disconnected")
 
 
@@ -195,10 +195,9 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
     """Subgroup of Z^2 generated by the vectors equals Z^2 iff the gcd of all
     2x2 minors is 1 (Smith normal form argument, exact integers)."""
     g = 0
-    vecs = [w for w in windings if w != (0, 0)]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            det = vecs[i][0] * vecs[j][1] - vecs[i][1] * vecs[j][0]
+    for i in range(len(windings)):
+        for j in range(i + 1, len(windings)):
+            det = windings[i][0] * windings[j][1] - windings[i][1] * windings[j][0]
             g = gcd(g, abs(det))
             if g == 1:
                 return True
@@ -216,7 +215,7 @@ def _rotationally_consecutive(e: GroundEmbedding, two_regular: CheckResult,
     the arcs out on the closed lower half, from E through S to W. The halves
     meet only at their ends, so no slot of the lower half lies strictly
     between two slots of the upper half, and both arcs out lie on the same
-    side of the two arcs in: they cannot alternate. ``shared`` is the third
+    side of the two arcs in: they cannot alternate. ``shared`` is the second
     part of ``slot_table(e)``.
     """
     if not two_regular.ok:
@@ -232,62 +231,60 @@ def _rotationally_consecutive(e: GroundEmbedding, two_regular: CheckResult,
 def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
     """Partition all arcs into non-transverse directed circuits.
 
-    From each unused arc, repeatedly leave by the outgoing arc rotationally
-    adjacent to the arrival slot, closing when the walk returns to the start
-    arc. Every vertex needs as many incoming as outgoing arcs, each in a
-    slot of its own; then the arcs in, and the arcs out, are rotationally
-    consecutive (see ``_rotationally_consecutive``), so the adjacent
-    outgoing arc is unique. Diagnostic callers may hand in sub-regular
-    embeddings (single in/out pairs walk fine).
+    Each circuit leaves every vertex by the arc out rotationally adjacent to
+    the arc in by which it arrived. An arc arrives by slot W, NW, N, NE or E
+    and leaves by E, SE, S, SW or W (see ``_rotationally_consecutive``), so
+    once no slot holds two arcs, the arcs round a 2-in/2-out vertex run
+    clockwise from W: the westmost arc in, the eastmost arc in, the
+    eastmost arc out, the westmost arc out. The eastmost arc in is next to
+    the eastmost arc out and the westmost arc in to the westmost arc out,
+    so sorting each side from W to E pairs them. Every vertex needs as many
+    arcs in as out, at most two, each in a slot of its own, else
+    ValueError names the first vertex that fails; diagnostic callers may
+    hand in sub-regular embeddings (a single in/out pair is its own pair).
     """
-    labels, owner, shared = slot_table(e)
-    clashes = {entry // 8 for entry, _ in shared}
-    for vid in range(e.dims.rows * e.dims.cols):
-        v = divmod(vid, e.dims.cols)
-        if vid in clashes:
-            # two arcs in one slot would pair two arrivals with one exit,
-            # and the walk would never close
-            raise ValueError(f"cannot partition: vertex {v} has two arcs in one slot")
-        ins = sum(x > 0 for x in labels[8 * vid:8 * vid + 8])
-        outs = sum(x < 0 for x in labels[8 * vid:8 * vid + 8])
-        if ins != outs or ins > 2:
-            raise ValueError(
-                f"cannot partition: vertex {v} has {ins} incoming, {outs} outgoing arcs")
-    return _trace_circuits(e, labels, owner)
-
-
-def _trace_circuits(e: GroundEmbedding, labels: list[int],
-                    owner: list[Optional[int]]) -> CircuitPartition:
-    """``partition_circuits`` on the labels and owners of ``slot_table(e)``,
-    without its test that the walk can close."""
     t = arc_tables(e.dims)
-
-    def paired_out(aid: int) -> int:
-        # the arc out of the head of ``aid`` by a taken slot next to its own
-        entry = t.ends[aid][1][0]
-        taken = [k for k in range(entry - entry % 8, entry - entry % 8 + 8) if labels[k]]
-        i = taken.index(entry)
-        for j in (i + 1, i - 1):
-            if labels[taken[j % len(taken)]] < 0:
-                return owner[taken[j % len(taken)]]
-        raise AssertionError(f"no outgoing arc next to entry {entry}")
-
+    cols = e.dims.cols
+    ends, slot_mask = t.ends, t.slot_mask
+    ids = [t.arc_id[a] for a in e.arcs]
+    # per vertex: (place from W, arc id) of its arcs in and of its arcs out
+    ins: dict[int, list[tuple[int, int]]] = {}
+    outs: dict[int, list[tuple[int, int]]] = {}
+    taken = clashes = 0
+    for aid in ids:
+        clashes |= taken & slot_mask[aid]
+        taken |= slot_mask[aid]
+        (o, _), (h, _) = ends[aid]
+        outs.setdefault(o >> 3, []).append(((6 - o) % 8, aid))
+        ins.setdefault(h >> 3, []).append(((h - 6) % 8, aid))
+    after = {}
+    for vid in sorted(ins.keys() | outs.keys()):
+        arcs_in, arcs_out = ins.get(vid, ()), outs.get(vid, ())
+        if clashes >> 8 * vid & 0xFF:
+            # two arcs in one slot have no order round the vertex, so no
+            # pairing of them is the rotational one
+            raise ValueError(
+                f"cannot partition: vertex {divmod(vid, cols)} has two arcs in one slot")
+        if len(arcs_in) != len(arcs_out) or len(arcs_in) > 2:
+            raise ValueError(
+                f"cannot partition: vertex {divmod(vid, cols)} has {len(arcs_in)} "
+                f"incoming, {len(arcs_out)} outgoing arcs")
+        for (_, a), (_, b) in zip(sorted(arcs_in), sorted(arcs_out)):
+            after[a] = b
     circuits: list[list[Arc]] = []
     windings: list[WindingVector] = []
-    used: set[int] = set()
-    for start in (t.arc_id[a] for a in e.arcs):
-        if start in used:
-            continue
-        ids = [start]
-        while (nxt := paired_out(ids[-1])) != start:
-            ids.append(nxt)
-        used.update(ids)
-        circuit = [t.arcs[aid] for aid in ids]
-        sdx = sum(a.dx for a in circuit)
-        sdy = sum(a.dy for a in circuit)
-        assert sdx % e.dims.cols == 0 and sdy % e.dims.rows == 0
-        circuits.append(circuit)
-        windings.append(WindingVector(sdx // e.dims.cols, sdy // e.dims.rows))
+    for start in ids:
+        if start not in after:
+            continue  # on a circuit traced already
+        circuit = [start]
+        while (nxt := after.pop(circuit[-1])) != start:
+            circuit.append(nxt)
+        arcs = [t.arcs[aid] for aid in circuit]
+        sdx = sum(a.dx for a in arcs)
+        sdy = sum(a.dy for a in arcs)
+        assert sdx % cols == 0 and sdy % e.dims.rows == 0
+        circuits.append(arcs)
+        windings.append(WindingVector(sdx // cols, sdy // e.dims.rows))
     return CircuitPartition(circuits, windings)
 
 
@@ -363,21 +360,17 @@ def _conserved(partition: CircuitPartition) -> CheckResult:
 def full_report(e: GroundEmbedding) -> PropertyReport:
     """Every check, each piece of shared work done once: the 2-regularity
     test (which the rotational check reads), the winding walk (both
-    connectivity checks), the slot table (the rotational check reads its
-    shared slots, the circuit walk its labels and owners) and the circuit
-    partition (the conservation check).
-
-    The circuits are traced only on a conflict-free, 2-regular, rotationally
-    consecutive ground, so the walk skips ``partition_circuits``'s test:
-    every vertex with an arc then has two arcs in and two out, and the
-    rotational check passed only because no slot holds two arcs."""
+    connectivity checks) and the circuit partition (the conservation
+    check). The rotational check reads the shared slots of
+    ``slot_table(e)``. The circuits are traced by ``partition_circuits``
+    only on a conflict-free, 2-regular, rotationally consecutive ground,
+    where it cannot fail."""
     two_regular = check_two_regular(e)
     embedded = check_embedded(e)
     walk = _fundamental_windings(e)
     connected = _connected(*walk, strict=False)
     strict_connected = _connected(*walk, strict=True)
-    labels, owner, shared = slot_table(e)
-    rot = _rotationally_consecutive(e, two_regular, shared)
+    rot = _rotationally_consecutive(e, two_regular, slot_table(e)[1])
     nocontract = check_no_contractible_directed_cycles(e)
     partition = None
     if not (two_regular.ok and rot.ok):
@@ -386,7 +379,7 @@ def full_report(e: GroundEmbedding) -> PropertyReport:
     elif not embedded.ok:
         conserved = CheckResult(BLOCKED, None, "requires an embedding without conflicts")
     else:
-        partition = _trace_circuits(e, labels, owner)
+        partition = partition_circuits(e)
         conserved = _conserved(partition)
     return PropertyReport(two_regular, embedded, connected, strict_connected, rot,
                           nocontract, conserved, partition)

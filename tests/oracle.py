@@ -19,9 +19,10 @@ invariants (``is_valid_lace_path``), a circuit's longitudinal winding read at
 a cut (``circuit_cut_crossings``), a ground's image under a symmetry worked
 out arc by arc (``image``), the canonical form computed image by image
 (``canonical_reference``), the crossing tables tested pair by pair
-(``crossing_tables_reference``) and the search's keep masks read candidate
-by candidate (``keep_masks_reference``) and the drawing made one f-string per
-arc and per dot (``render_reference``).
+(``crossing_tables_reference``), the search's keep masks read candidate
+by candidate (``keep_masks_reference``), the circuits traced slot by slot
+(``circuits_reference``) and the drawing made one f-string per arc and per
+dot (``render_reference``).
 """
 
 from collections import Counter
@@ -176,6 +177,61 @@ def keep_masks_reference(eng):
             full_rows[v][byte] |= bit
     return ([eng.all_alive ^ int.from_bytes(r, "little") for r in arc_rows],
             [eng.all_alive ^ int.from_bytes(r, "little") for r in full_rows])
+
+
+def circuits_reference(e: GroundEmbedding):
+    """``(circuits, windings)`` of ``e`` by the adjacent-slot walk, or the
+    ``ValueError`` of ``validator.partition_circuits``: from each unused
+    arc, leave every vertex by the arc out in the taken slot next to the
+    arrival slot round it, clockwise first, until the walk is back at its
+    first arc. The labels and the first arc in each slot are gathered here,
+    and every vertex is tested first, in vertex order: no slot holds two
+    arcs, and there are as many arcs in as out, at most two."""
+    t = arc_tables(e.dims)
+    rows, cols = e.dims
+    labels = [0] * (8 * t.n_vertices)
+    owner = [None] * len(labels)
+    clashes = set()
+    for a in e.arcs:
+        aid = t.arc_id[a]
+        for entry, length in t.ends[aid]:
+            if owner[entry] is None:
+                owner[entry] = aid
+            else:
+                clashes.add(entry // 8)
+            labels[entry] = length
+    for vid in range(t.n_vertices):
+        v = divmod(vid, cols)
+        if vid in clashes:
+            raise ValueError(f"cannot partition: vertex {v} has two arcs in one slot")
+        ins = sum(x > 0 for x in labels[8 * vid:8 * vid + 8])
+        outs = sum(x < 0 for x in labels[8 * vid:8 * vid + 8])
+        if ins != outs or ins > 2:
+            raise ValueError(
+                f"cannot partition: vertex {v} has {ins} incoming, {outs} outgoing arcs")
+
+    def paired_out(aid):
+        entry = t.ends[aid][1][0]
+        taken = [k for k in range(entry - entry % 8, entry - entry % 8 + 8) if labels[k]]
+        i = taken.index(entry)
+        for j in (i + 1, i - 1):
+            if labels[taken[j % len(taken)]] < 0:
+                return owner[taken[j % len(taken)]]
+        raise AssertionError(f"no outgoing arc next to entry {entry}")
+
+    circuits, windings, used = [], [], set()
+    for start in (t.arc_id[a] for a in e.arcs):
+        if start in used:
+            continue
+        ids = [start]
+        while (nxt := paired_out(ids[-1])) != start:
+            ids.append(nxt)
+        used.update(ids)
+        circuit = [t.arcs[aid] for aid in ids]
+        circuits.append(circuit)
+        windings.append((sum(a.dx for a in circuit) // cols,
+                         sum(a.dy for a in circuit) // rows))
+    return circuits, windings
 
 
 def _axis_texts(starts, steps, bowed, period: int, tiles: int):

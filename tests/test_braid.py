@@ -51,3 +51,25 @@ def test_random_sequences_always_alternate():
         # strand span stays within the four threads of the interaction
         for pos, _ in word.generators:
             assert 0 <= pos <= 3
+
+
+def test_a_long_word_is_formatted_in_one_pass():
+    """The pins are counted once per word, not once per generator, so a
+    word of 40,000 generators each followed by a pin formats at once."""
+    word = to_braid_word("Cp" * 40000)
+    assert format_braid_word(word) == " ".join(["s1", "[pin]"] * 40000)
+
+
+@pytest.mark.parametrize("generators, pins, text", [
+    (((1, 1), (0, -1)), (2, 0, 0, 1), "[pin] [pin] s1 [pin] s0^-1 [pin]"),  # unsorted, repeated
+    (((1, 1), (0, -1)), (-1, 3, 100), "s1 s0^-1"),                        # out of range
+    (((1, 1), (0, -1)), (1, -2, 1, 2, 7, 2), "s1 [pin] [pin] s0^-1 [pin] [pin]"),
+    ((), (), "(empty)"),
+    ((), (1, -1), "(empty)"),
+    ((), (0, 0), "[pin] [pin]"),
+])
+def test_odd_pin_tuples(generators, pins, text):
+    """A pin is shown once per time it is listed, before the generator at
+    its index (or at the end for ``len(generators)``), in generator order;
+    an index outside that range is not shown."""
+    assert format_braid_word(BraidWord(generators, pins)) == text

@@ -50,7 +50,7 @@ def horizontal_arcs_without_a_shared_slot(draw):
     horizontal = [a for a in arc_tables(dims).arcs if a.dy == 0]
     arcs = ()
     for a in draw(st.lists(st.sampled_from(horizontal), max_size=16)):
-        if not slot_table(GroundEmbedding(dims, arcs + (a,)))[2]:
+        if not slot_table(GroundEmbedding(dims, arcs + (a,)))[1]:
             arcs += (a,)
     return GroundEmbedding(dims, arcs)
 

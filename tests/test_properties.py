@@ -23,12 +23,18 @@ from laceground.embedding import (
     arc_tables,
     tables_for,
 )
-from laceground.geometry import Arc, TorusDims
+from laceground.geometry import LACE_STEPS, Arc, TorusDims
 from laceground.paths import generate_lace_paths
 from laceground.render import MAX_REPEATS, render_svg
 from laceground.search import SearchConfig, _engine, enumerate_grounds
-from laceground.validator import full_report
-from oracle import canonical_reference, image, render_reference, search_state
+from laceground.validator import full_report, partition_circuits
+from oracle import (
+    canonical_reference,
+    circuits_reference,
+    image,
+    render_reference,
+    search_state,
+)
 
 dims_2d = st.builds(TorusDims, st.integers(1, 3), st.integers(1, 3))
 
@@ -296,3 +302,79 @@ def test_drawing_matches_the_reference(e, repeats, labels):
     either end of the tiling's positions, around double steps that bow off
     the lattice and with shared slots, labels on and off."""
     assert render_svg(e, repeats, labels) == render_reference(e, repeats, labels)
+
+
+# grids up to 8x8, and one-row and one-column grids, where vertical and
+# horizontal arcs are self-loops
+grids = st.one_of(st.builds(TorusDims, st.integers(1, 8), st.integers(1, 8)),
+                  st.integers(1, 8).flatmap(
+                      lambda n: st.sampled_from([TorusDims(1, n), TorusDims(n, 1)])))
+
+
+@st.composite
+def balanced_grounds(draw, dims=grids):
+    """Directed cycles of a grid, each the loop that a walk of random steps
+    closes first, kept when its slots are still free and no vertex of it
+    has two arcs in yet: every vertex has as many arcs in as out, at most
+    two, each in a slot of its own, and crossings stay."""
+    d = draw(dims)
+    t = arc_tables(d)
+    taken, once, twice, arcs = 0, 0, 0, []
+    for _ in range(draw(st.integers(0, 6))):
+        vid = draw(st.integers(0, t.n_vertices - 1))
+        walk, seen = [], {vid: 0}
+        while True:
+            aid = t.out_arc[vid][draw(st.sampled_from(LACE_STEPS))]
+            walk.append(aid)
+            vid = t.head_vid[aid]
+            if vid in seen:
+                break
+            seen[vid] = len(walk)
+        loop = walk[seen[vid]:]
+        through = sum(1 << t.head_vid[aid] for aid in loop)
+        slots = taken
+        for aid in loop:
+            if slots & t.slot_mask[aid]:
+                break
+            slots |= t.slot_mask[aid]
+        else:
+            if not through & twice:
+                taken, twice, once = slots, twice | through & once, once | through
+                arcs += [t.arcs[aid] for aid in loop]
+    return GroundEmbedding(d, tuple(arcs))
+
+
+def _circuits_or_error(e: GroundEmbedding):
+    try:
+        partition = partition_circuits(e)
+    except ValueError as err:
+        return str(err)
+    return partition.circuits, partition.windings
+
+
+def _reference_or_error(e: GroundEmbedding):
+    try:
+        return circuits_reference(e)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(balanced_grounds(), arc_subsets(grids, 40), st.sampled_from(SOLUTIONS_2x2)))
+# a repeated arc shares both its slots with itself
+@example(GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 1, 0), Arc(0, 0, 1, 0))))
+@example(GroundEmbedding(SOLUTIONS_2x2[0].dims,
+                         SOLUTIONS_2x2[0].arcs + SOLUTIONS_2x2[0].arcs[-1:]))
+# horizontal and vertical self-loops, each its own circuit
+@example(GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 1, 0), Arc(0, 0, 0, 1))))
+@example(GroundEmbedding(TorusDims(4, 1), _everywhere(TorusDims(4, 1), (-1, 0), (0, 1))))
+@example(GroundEmbedding(TorusDims(1, 6), _everywhere(TorusDims(1, 6), (0, 2), (2, 0))))
+# a shared slot at (0, 1) after a wrong degree at (0, 0), and a shared
+# slot before the wrong degree it makes at the same vertex
+@example(GroundEmbedding(TorusDims(1, 2), (Arc(0, 0, 1, 0), Arc(0, 1, 0, 1), Arc(0, 1, 0, 2))))
+@example(GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, 0, 1), Arc(0, 0, 0, 2), Arc(0, 0, 1, 0))))
+def test_circuits_match_the_slot_by_slot_walk(e):
+    """Pairing each vertex's arcs in and out from W to E traces the
+    circuits, windings and faults of the walk that finds each next arc in
+    the slot next to the arrival."""
+    assert _circuits_or_error(e) == _reference_or_error(e)

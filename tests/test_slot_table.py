@@ -112,10 +112,9 @@ def test_golden_digests():
 
 
 def test_report_matches_the_public_checks():
-    """``full_report`` shares one slot table, winding walk and 2-regularity
-    test among its checks and traces circuits without the test
-    ``partition_circuits`` makes first; each part of the report still equals
-    the public check run on its own."""
+    """``full_report`` shares one winding walk and 2-regularity test among
+    its checks; each part of the report still equals the public check run
+    on its own."""
     traced = 0
     for e in _grounds():
         report = full_report(e)
@@ -141,17 +140,16 @@ def test_tiled_drawings(repeats):
 
 def test_slot_table_of_a_one_by_one_ground():
     """A 1x1 ground with two arcs in its east slot: the labels hold the
-    later arc's length, the owner the earlier arc, and the clash is listed
-    once, with the arc that found the slot taken."""
+    later arc's length, and the clash is listed once, with the arc that
+    found the slot taken."""
     dims = TorusDims(1, 1)
     t = arc_tables(dims)
     e = GroundEmbedding(dims, (Arc(0, 0, 1, 0), Arc(0, 0, 2, 0)))
-    labels, owner, shared = slot_table(e)
-    one, two = t.arc_id[Arc(0, 0, 1, 0)], t.arc_id[Arc(0, 0, 2, 0)]
+    labels, shared = slot_table(e)
+    two = t.arc_id[Arc(0, 0, 2, 0)]
     assert labels == [0, 0, -2, 0, 0, 0, 2, 0]
-    assert owner == [None, None, one, None, None, None, one, None]
     assert shared == [(2, two), (6, two)]
-    assert slot_table(GroundEmbedding(dims, (Arc(0, 0, 1, 0),)))[2] == []
+    assert slot_table(GroundEmbedding(dims, (Arc(0, 0, 1, 0),)))[1] == []
 
 
 def test_a_repeated_arc_takes_its_slots_twice():
@@ -159,6 +157,6 @@ def test_a_repeated_arc_takes_its_slots_twice():
     and the canonical forms refuse it as they refuse any shared slot."""
     arc = Arc(0, 0, 1, 0)
     e = GroundEmbedding(TorusDims(1, 1), (arc, arc))
-    assert [entry for entry, _ in slot_table(e)[2]] == [2, 6]
+    assert [entry for entry, _ in slot_table(e)[1]] == [2, 6]
     with pytest.raises(ValueError, match="share slot 2 of vertex"):
         canonical_representative(e)
