@@ -25,7 +25,8 @@ identifier: which arc a label shows would depend on arc order, which a
 symmetry changes. The canonical forms refuse it with ValueError.
 
 The orbit minimum is found without labelling every image (``_least_image``).
-Each of the four transforms is labelled once, untranslated. A translation
+Each of the four transforms is labelled once, untranslated, the identity by
+the ground's own ``GroundEmbedding.slot_table``. A translation
 keeps every arc in its slots and only moves the vertices, so the image under
 (name, dr, dc) has that labelling's vertex-label grid rotated: rows cycled
 by r0 = -dr and each row by c0 = -dc, vertex (r0, c0) first. An identifier
@@ -40,7 +41,7 @@ Booth, "Lexicographically least circular substrings" (Inf. Proc. Letters
 
 import hashlib
 
-from .embedding import GroundEmbedding, arc_permutations, arc_tables, slot_table
+from .embedding import GroundEmbedding, arc_permutations, arc_tables
 from .geometry import TRANSFORM_SIGNS, TRANSFORMS, TorusDims, wrap  # TRANSFORMS re-exported
 
 Label = tuple[int, int, int, int, int, int, int, int]
@@ -51,15 +52,15 @@ def _identifier_of(dims: TorusDims, labels) -> EmbeddingId:
     return (dims.rows, dims.cols) + tuple(labels)
 
 
-def _vertex_labels(flat: list[int]):
+def _vertex_labels(flat):
     """The 8-entry labels of flat labels (entry ``vertex * 8 + slot``), in
     vertex order."""
     return zip(*[iter(flat)] * 8)
 
 
 def label_grid(e: GroundEmbedding) -> list[list[Label]]:
-    """The label of vertex (r, c) at ``[r][c]``: its entries of
-    ``slot_table(e)``'s flat labels."""
+    """The label of vertex (r, c) at ``[r][c]``: its entries of the flat
+    labels of ``e.slot_table``."""
     labels = identifier(e)[2:]
     cols = e.dims.cols
     return [list(labels[i:i + cols]) for i in range(0, len(labels), cols)]
@@ -67,7 +68,7 @@ def label_grid(e: GroundEmbedding) -> list[list[Label]]:
 
 def identifier(e: GroundEmbedding) -> EmbeddingId:
     """Dims followed by row-major vertex labels; totally ordered as a tuple."""
-    return _identifier_of(e.dims, _vertex_labels(slot_table(e)[0]))
+    return _identifier_of(e.dims, _vertex_labels(e.slot_table.labels))
 
 
 def _move(e: GroundEmbedding, name: str, dr: int, dc: int) -> GroundEmbedding:
@@ -81,7 +82,7 @@ def _move(e: GroundEmbedding, name: str, dr: int, dc: int) -> GroundEmbedding:
     dims = e.dims
     t = arc_tables(dims)
     perm = arc_permutations(dims)[name, dr % dims.rows, dc % dims.cols]
-    arcs = tuple(t.arcs[perm[t.arc_id[a]]] for a in e.arcs)
+    arcs = tuple(t.arcs[perm[aid]] for aid in e.slot_table.ids)
     zeta = tuple((wrap(sr * r + dr, sc * c + dc, dims), actions)
                  for (r, c), actions in e.zeta)
     return GroundEmbedding(dims, arcs, zeta)
@@ -107,26 +108,23 @@ def _least_image(e: GroundEmbedding):
     rows, cols = dims
     t = arc_tables(dims)
     ends = t.ends
-    ids = [t.arc_id[a] for a in e.arcs]
-    size = 8 * t.n_vertices
+    ids, labels, shared = e.slot_table
+    if shared:
+        entry, aid = shared[0]
+        first = next(i for i in ids if entry in (ends[i][0][0], ends[i][1][0]))
+        raise ValueError(
+            f"arcs {tuple(t.arcs[first])} and {tuple(t.arcs[aid])} share "
+            f"slot {entry % 8} of vertex {divmod(entry // 8, cols)}")
     perms = arc_permutations(dims)
-    labelled = []
-    for name in TRANSFORM_SIGNS:
+    labelled = [("identity", list(_vertex_labels(labels)))]
+    for name in TRANSFORMS[1:]:
         perm = perms[name, 0, 0]
-        flat = [0] * size
+        flat = [0] * len(labels)
         for aid in ids:
             (o, o_len), (h, h_len) = ends[perm[aid]]
             flat[o] = o_len
             flat[h] = h_len
         labelled.append((name, list(_vertex_labels(flat))))
-    # a symmetry maps slots one to one, so an image has as many taken slots
-    # as ``e``: two per arc unless two arcs share one
-    if flat.count(0) != size - 2 * len(ids):
-        entry, aid = slot_table(e)[1][0]
-        first = next(i for i in ids if entry in (ends[i][0][0], ends[i][1][0]))
-        raise ValueError(
-            f"arcs {tuple(t.arcs[first])} and {tuple(t.arcs[aid])} share "
-            f"slot {entry % 8} of vertex {divmod(entry // 8, cols)}")
     least = min(min(labels) for _, labels in labelled)
     row_starts = list(range(0, t.n_vertices, cols))
     best = None

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .braid import to_braid_word
 from .canonical import canonical_representative, identifier_text, solution_name
-from .embedding import MAX_PERIOD, GroundFileError, deserialize, serialize
+from .embedding import MAX_FILE_BYTES, MAX_PERIOD, GroundFileError, deserialize, serialize
 from .geometry import TorusDims
 from .paths import MAX_PATH_HEIGHT, count_lace_paths, format_path, generate_lace_paths
 from .render import MAX_REPEATS, render_svg
@@ -125,10 +125,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: Path):
+    """The ground in a file of at most ``MAX_FILE_BYTES`` bytes, or None
+    after an error message."""
     try:
-        return deserialize(path.read_text(encoding="utf-8"))
+        with path.open("rb") as f:
+            # 64 KiB at a time: one read of up to the cap allocates the
+            # whole cap, a cost every small file would pay
+            data = f.read(1 << 16)
+            while len(data) <= MAX_FILE_BYTES and (more := f.read(1 << 16)):
+                data += more
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    if len(data) > MAX_FILE_BYTES:
+        print(f"error: {path}: file larger than {MAX_FILE_BYTES} bytes", file=sys.stderr)
+        return None
+    try:
+        return deserialize(data.decode("utf-8"))
     except (UnicodeDecodeError, GroundFileError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
     return None

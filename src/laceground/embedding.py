@@ -15,8 +15,8 @@ and every other arc's row is one of theirs translated. The canonical forms
 read only the arcs and label entries, so they never build the crossing
 tables.
 
-``slot_table`` reads a ground's one slot table from those label entries:
-its vertex labels and the slots a second arc takes.
+``GroundEmbedding.slot_table`` reads a ground against those entries once:
+its arc ids, vertex labels and the slots a second arc takes.
 
 The rules by which an arc cannot join a sequence of arcs (a repeat, a
 conflict with its own periodic copies, a taken slot, a crossing, a third
@@ -32,7 +32,7 @@ argument.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -53,6 +53,12 @@ from .paths import LacePath
 # and about 0.05 s at 8x8).
 MAX_PERIOD = 8
 
+# Largest ground file, in bytes, the command line reads: a file is read
+# whole before it is parsed, so an endless one (/dev/zero) would take every
+# byte of memory. Every arc of an 8x8 grid takes 6 KB; the rest is room for
+# zeta lines, such as one of a million actions.
+MAX_FILE_BYTES = 1 << 20
+
 
 class Rejection(NamedTuple):
     """Why an arc could not join the arcs before it."""
@@ -63,6 +69,14 @@ class Rejection(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.kind} at vertex {self.vertex} on arc {tuple(self.arc)}"
+
+
+class SlotTable(NamedTuple):
+    """A ground read against its grid's label entries (``GroundEmbedding.slot_table``)."""
+
+    ids: tuple[int, ...]                  # arc ids of ``arc_tables(dims)``, in arc order
+    labels: tuple[int, ...]               # flat signed labels, entry ``vertex * 8 + slot``
+    shared: tuple[tuple[int, int], ...]   # (entry, arc id) where an arc finds the entry taken
 
 
 class MaskTables:
@@ -259,21 +273,20 @@ class GroundEmbedding:
             seen.add(a.head(self.dims))
         return sorted(seen)
 
-
-def slot_table(e: GroundEmbedding):
-    """The flat signed labels of a ground (entry ``vertex * 8 + slot``) and
-    each (entry, arc id) where a later arc takes a taken entry, in arc
-    order; a label holds the last arc's length."""
-    t = arc_tables(e.dims)
-    labels = [0] * (8 * t.n_vertices)
-    shared = []
-    for a in e.arcs:
-        aid = t.arc_id[a]
-        for entry, length in t.ends[aid]:
-            if labels[entry]:
-                shared.append((entry, aid))
-            labels[entry] = length
-    return labels, shared
+    @cached_property
+    def slot_table(self) -> SlotTable:
+        """The arcs read against the grid once; a label holds the last arc's
+        length. No field, so eq, hash and repr ignore it; shared, so immutable."""
+        t = arc_tables(self.dims)
+        ids = tuple(map(t.arc_id.__getitem__, self.arcs))
+        labels = [0] * (8 * t.n_vertices)
+        shared = []
+        for aid in ids:
+            for entry, length in t.ends[aid]:
+                if labels[entry]:
+                    shared.append((entry, aid))
+                labels[entry] = length
+        return SlotTable(ids, tuple(labels), tuple(shared))
 
 
 def new_embedding(dims: TorusDims) -> GroundEmbedding:
@@ -333,6 +346,14 @@ class GroundFileError(ValueError):
         self.line_no = line_no
 
 
+def _ascii_int(field: str) -> int:
+    """int() of ASCII digits after an optional sign: ValueError for the
+    underscores and non-ASCII digits int() also reads."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"not an ASCII decimal integer: {field!r}")
+    return int(field)
+
+
 def serialize(e: GroundEmbedding) -> str:
     """Canonical text form: header, dims, arcs in row-major origin order,
     then zeta annotations."""
@@ -347,11 +368,12 @@ def serialize(e: GroundEmbedding) -> str:
 def deserialize(text: str) -> GroundEmbedding:
     """Parse a ground file.
 
-    Structural faults (bad syntax, steps outside the step set, out-of-range
-    coordinates, duplicate arcs, a period above ``MAX_PERIOD``) raise
-    GroundFileError with the offending line. Property violations - wrong degrees, slot conflicts, crossings,
-    disconnection - are representable and admitted so the verifier can report
-    on them.
+    Structural faults (bad syntax, an integer other than ASCII digits after
+    an optional sign, steps outside the step set, out-of-range coordinates,
+    duplicate arcs, a period above ``MAX_PERIOD``) raise GroundFileError
+    with the offending line. Property violations - wrong degrees, slot
+    conflicts, crossings, disconnection - are representable and admitted so
+    the verifier can report on them.
     """
     dims: Optional[TorusDims] = None
     arcs: list[Arc] = []
@@ -374,7 +396,7 @@ def deserialize(text: str) -> GroundEmbedding:
             if len(fields) != 3:
                 raise GroundFileError(line_no, "dims takes exactly two integers")
             try:
-                rows, cols = int(fields[1]), int(fields[2])
+                rows, cols = _ascii_int(fields[1]), _ascii_int(fields[2])
             except ValueError:
                 raise GroundFileError(line_no, "dims values must be integers") from None
             if rows < 1 or cols < 1:
@@ -389,7 +411,7 @@ def deserialize(text: str) -> GroundEmbedding:
             if len(fields) != 5:
                 raise GroundFileError(line_no, "arc takes exactly four integers")
             try:
-                r, c, dx, dy = map(int, fields[1:])
+                r, c, dx, dy = map(_ascii_int, fields[1:])
             except ValueError:
                 raise GroundFileError(line_no, "arc values must be integers") from None
             if not (0 <= r < rows and 0 <= c < cols):
@@ -407,7 +429,7 @@ def deserialize(text: str) -> GroundEmbedding:
             if len(fields) != 4:
                 raise GroundFileError(line_no, "zeta takes row, col and an action string")
             try:
-                r, c = int(fields[1]), int(fields[2])
+                r, c = _ascii_int(fields[1]), _ascii_int(fields[2])
             except ValueError:
                 raise GroundFileError(line_no, "zeta coordinates must be integers") from None
             if not (0 <= r < rows and 0 <= c < cols):

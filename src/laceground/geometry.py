@@ -125,8 +125,8 @@ def arc_ends(arc: Arc, dims: TorusDims):
 
     The length is negative at the origin and positive at the head, as a
     vertex label records outgoing and incoming arcs. The search's masks and
-    the one slot table of a ground (``embedding.slot_table``) are read from
-    these two records.
+    the one slot table of a ground (``GroundEmbedding.slot_table``) are read
+    from these two records.
     """
     out_slot, in_slot, length = _STEP_ENDS[arc.dx, arc.dy]
     return (((arc.row, arc.col), out_slot, -length),

@@ -451,8 +451,11 @@ def _pool_size(jobs: int, n_items: int) -> int:
 
 
 def enumerate_grounds(config: SearchConfig) -> SearchResult:
-    """Run the full search and return canonical solutions."""
+    """Run the full search and return canonical solutions. Raises
+    ValueError for dims below 1x1 or a negative node budget."""
     config.dims.validate()
+    if config.node_budget is not None and config.node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {config.node_budget}")
     eng = _engine(config.dims)
     # items start only at the column-0 starts (see the module docstring):
     # every orbit of regular sets has a member whose lowest candidate is one

@@ -18,7 +18,6 @@ from .embedding import (
     GroundEmbedding,
     _first_fault,
     arc_tables,
-    slot_table,
     tables_for,
 )
 from .geometry import Arc
@@ -81,8 +80,7 @@ def check_two_regular(e: GroundEmbedding) -> CheckResult:
     t = arc_tables(e.dims)
     ins = [0] * t.n_vertices
     outs = [0] * t.n_vertices
-    for a in e.arcs:
-        aid = t.arc_id[a]
+    for aid in e.slot_table.ids:
         outs[t.origin_vid[aid]] += 1
         ins[t.head_vid[aid]] += 1
     for vid, (n_in, n_out) in enumerate(zip(ins, outs)):
@@ -97,7 +95,7 @@ def check_embedded(e: GroundEmbedding) -> CheckResult:
     periodic copies, no two share a slot at a vertex, and no two cross.
     Read from the conflict masks the search uses."""
     t = tables_for(e.dims)
-    fault = _first_fault([t.arc_id[a] for a in e.arcs], t, degree=False)
+    fault = _first_fault(e.slot_table.ids, t, degree=False)
     if fault is None:
         return CheckResult(PASS)
     return CheckResult(FAIL, fault.vertex, str(fault))
@@ -121,7 +119,7 @@ def _fundamental_windings(
     rows, cols = e.dims
     t = arc_tables(e.dims)
     tails, heads, arcs = t.origin_vid, t.head_vid, t.arcs
-    ids = [t.arc_id[a] for a in e.arcs]
+    ids = e.slot_table.ids
     pot: dict[int, tuple[int, int]] = {}
     by_vertex: dict[int, list[tuple[int, bool]]] = {}
     for aid in ids:
@@ -204,8 +202,7 @@ def _winding_lattice_full(windings: list[WindingVector]) -> bool:
     return False
 
 
-def _rotationally_consecutive(e: GroundEmbedding, two_regular: CheckResult,
-                              shared: list[tuple[int, int]]) -> CheckResult:
+def _rotationally_consecutive(e: GroundEmbedding, two_regular: CheckResult) -> CheckResult:
     """The two arcs in, and the two arcs out, of each vertex sit next to
     each other round it.
 
@@ -215,13 +212,13 @@ def _rotationally_consecutive(e: GroundEmbedding, two_regular: CheckResult,
     the arcs out on the closed lower half, from E through S to W. The halves
     meet only at their ends, so no slot of the lower half lies strictly
     between two slots of the upper half, and both arcs out lie on the same
-    side of the two arcs in: they cannot alternate. ``shared`` is the second
-    part of ``slot_table(e)``.
+    side of the two arcs in: they cannot alternate.
     """
     if not two_regular.ok:
         return CheckResult(BLOCKED, two_regular.witness, "requires 2-regularity")
     # two arcs in one slot have no order around the vertex: a label shows
     # the later in arc order, which a translation changes
+    shared = e.slot_table.shared
     if shared:
         v = divmod(min(shared)[0] // 8, e.dims.cols)
         return CheckResult(BLOCKED, v, "requires an embedding without slot conflicts")
@@ -245,22 +242,20 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
     """
     t = arc_tables(e.dims)
     cols = e.dims.cols
-    ends, slot_mask = t.ends, t.slot_mask
-    ids = [t.arc_id[a] for a in e.arcs]
+    ends = t.ends
+    ids, _, shared = e.slot_table
+    clashed = {entry >> 3 for entry, _ in shared}
     # per vertex: (place from W, arc id) of its arcs in and of its arcs out
     ins: dict[int, list[tuple[int, int]]] = {}
     outs: dict[int, list[tuple[int, int]]] = {}
-    taken = clashes = 0
     for aid in ids:
-        clashes |= taken & slot_mask[aid]
-        taken |= slot_mask[aid]
         (o, _), (h, _) = ends[aid]
         outs.setdefault(o >> 3, []).append(((6 - o) % 8, aid))
         ins.setdefault(h >> 3, []).append(((h - 6) % 8, aid))
     after = {}
     for vid in sorted(ins.keys() | outs.keys()):
         arcs_in, arcs_out = ins.get(vid, ()), outs.get(vid, ())
-        if clashes >> 8 * vid & 0xFF:
+        if vid in clashed:
             # two arcs in one slot have no order round the vertex, so no
             # pairing of them is the rotational one
             raise ValueError(
@@ -361,16 +356,15 @@ def full_report(e: GroundEmbedding) -> PropertyReport:
     """Every check, each piece of shared work done once: the 2-regularity
     test (which the rotational check reads), the winding walk (both
     connectivity checks) and the circuit partition (the conservation
-    check). The rotational check reads the shared slots of
-    ``slot_table(e)``. The circuits are traced by ``partition_circuits``
-    only on a conflict-free, 2-regular, rotationally consecutive ground,
-    where it cannot fail."""
+    check). Each reads the ground through its one ``e.slot_table``. The
+    circuits are traced by ``partition_circuits`` only on a conflict-free,
+    2-regular, rotationally consecutive ground, where it cannot fail."""
     two_regular = check_two_regular(e)
     embedded = check_embedded(e)
     walk = _fundamental_windings(e)
     connected = _connected(*walk, strict=False)
     strict_connected = _connected(*walk, strict=True)
-    rot = _rotationally_consecutive(e, two_regular, slot_table(e)[1])
+    rot = _rotationally_consecutive(e, two_regular)
     nocontract = check_no_contractible_directed_cycles(e)
     partition = None
     if not (two_regular.ok and rot.ok):

@@ -21,8 +21,9 @@ out arc by arc (``image``), the canonical form computed image by image
 (``canonical_reference``), the crossing tables tested pair by pair
 (``crossing_tables_reference``), the search's keep masks read candidate
 by candidate (``keep_masks_reference``), the circuits traced slot by slot
-(``circuits_reference``) and the drawing made one f-string per arc and per
-dot (``render_reference``).
+(``circuits_reference``), a ground's slot table read arc end by arc end
+(``slot_table_reference``) and the drawing made one f-string per arc and
+per dot (``render_reference``).
 """
 
 from collections import Counter
@@ -35,7 +36,7 @@ from laceground.canonical import (
     label_grid,
 )
 from laceground.embedding import GroundEmbedding, arc_tables, tables_for
-from laceground.geometry import LACE_STEP_SET, Arc, TorusDims, arcs_cross
+from laceground.geometry import LACE_STEP_SET, Arc, TorusDims, arc_ends, arcs_cross
 from laceground.render import CELL, DOT_R, MARGIN, MAX_REPEATS
 from laceground.validator import _fundamental_windings, check_two_regular, full_report
 
@@ -177,6 +178,26 @@ def keep_masks_reference(eng):
             full_rows[v][byte] |= bit
     return ([eng.all_alive ^ int.from_bytes(r, "little") for r in arc_rows],
             [eng.all_alive ^ int.from_bytes(r, "little") for r in full_rows])
+
+
+def slot_table_reference(e: GroundEmbedding):
+    """``e.slot_table`` worked out from ``arc_ends``: each arc's place in
+    the grid's arc list, in arc order; each slot's label as the last arc to
+    write it left it; and (entry, arc id) for each slot an arc finds
+    written, in arc order."""
+    universe = arc_tables(e.dims).arcs
+    rows, cols = e.dims
+    ids, labels, shared, written = [], [0] * (8 * rows * cols), [], set()
+    for a in e.arcs:
+        aid = universe.index(a)
+        ids.append(aid)
+        for (r, c), slot, length in arc_ends(a, e.dims):
+            entry = (r * cols + c) * 8 + slot
+            if entry in written:
+                shared.append((entry, aid))
+            written.add(entry)
+            labels[entry] = length
+    return tuple(ids), tuple(labels), tuple(shared)
 
 
 def circuits_reference(e: GroundEmbedding):

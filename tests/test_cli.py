@@ -10,7 +10,7 @@ import pytest
 from laceground.braid import to_braid_word
 from laceground.canonical import TRANSFORMS, canonical_id, identifier, transform, translate
 from laceground.cli import build_parser, main
-from laceground.embedding import deserialize, serialize, slot_table
+from laceground.embedding import MAX_FILE_BYTES, deserialize, serialize
 from laceground.render import render_svg
 from laceground.validator import full_report, report_to_json
 from test_slot_table import _grounds
@@ -53,7 +53,7 @@ def test_canonical_line_is_its_definition(tmp_path, capsys):
     slot, and over each corpus file under each transform (translated by an
     offset that changes from file to file)."""
     path = tmp_path / "g.gnd"
-    grounds = [e for e in _grounds() if not slot_table(e)[1]]
+    grounds = [e for e in _grounds() if not e.slot_table.shared]
     for k, f in enumerate(sorted(CORPUS.rglob("*.gnd"))):
         e = deserialize(f.read_text())
         grounds.extend(translate(transform(e, name), k, k + 1) for name in TRANSFORMS)
@@ -369,6 +369,21 @@ def test_non_utf8_file_is_a_parse_error(command, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {f}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "canon", "render"])
+def test_a_file_past_the_read_cap_is_refused(command, tmp_path, capsys):
+    """A ground file of ``MAX_FILE_BYTES`` bytes is read; one byte more is
+    refused before it is parsed, and no more of the file is read."""
+    f = tmp_path / "big.gnd"
+    extra = ["--out", str(tmp_path / "out.svg")] if command == "render" else []
+    comment = "#" * (MAX_FILE_BYTES - len(GOOD_1x1) - 1) + "\n"
+    f.write_text(GOOD_1x1 + comment)
+    assert f.stat().st_size == MAX_FILE_BYTES
+    assert run(capsys, command, str(f), *extra)[0] == 0
+    f.write_text(GOOD_1x1 + "#" + comment)
+    assert run(capsys, command, str(f), *extra) == (
+        2, "", f"error: {f}: file larger than {MAX_FILE_BYTES} bytes\n")
 
 
 def test_verify_missing_file(capsys):

@@ -4,7 +4,7 @@ a file can hold, and a property of arc sets without a shared slot."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laceground.embedding import MAX_PERIOD, GroundEmbedding, arc_tables, slot_table
+from laceground.embedding import MAX_PERIOD, GroundEmbedding, arc_tables
 from laceground.geometry import TorusDims
 from laceground.validator import FAIL, PASS, check_no_contractible_directed_cycles
 
@@ -50,7 +50,7 @@ def horizontal_arcs_without_a_shared_slot(draw):
     horizontal = [a for a in arc_tables(dims).arcs if a.dy == 0]
     arcs = ()
     for a in draw(st.lists(st.sampled_from(horizontal), max_size=16)):
-        if not slot_table(GroundEmbedding(dims, arcs + (a,)))[1]:
+        if not GroundEmbedding(dims, arcs + (a,)).slot_table.shared:
             arcs += (a,)
     return GroundEmbedding(dims, arcs)
 

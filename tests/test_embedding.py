@@ -12,7 +12,6 @@ from laceground.embedding import (
     deserialize,
     new_embedding,
     serialize,
-    slot_table,
     tables_for,
 )
 from laceground.geometry import LACE_STEPS, Arc, TorusDims
@@ -78,7 +77,7 @@ def test_add_path_one_by_one():
     e = new_embedding(TorusDims(1, 1))
     e2, rej = add_path(e, NE_W_PATH, 0)
     assert rej is None
-    labels = slot_table(e2)[0]
+    labels = e2.slot_table.labels
     # two incoming (NE, W), two outgoing (SW, E)
     assert labels[1] > 0 and labels[6] > 0
     assert labels[5] < 0 and labels[2] < 0
@@ -234,6 +233,34 @@ def test_deserialize_error_text(text, message):
     with pytest.raises(GroundFileError) as err:
         deserialize(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ground v1\ndims +2 0_2\n", "line 2: dims values must be integers"),
+    ("ground v1\ndims 1_0 1\n", "line 2: dims values must be integers"),
+    ("ground v1\ndims \uff12 2\n", "line 2: dims values must be integers"),
+    ("ground v1\ndims 1 1\narc \u0661 0 +1 0\n", "line 3: arc values must be integers"),
+    ("ground v1\ndims 2 2\narc 0 0 \u0967 0\n", "line 3: arc values must be integers"),
+    ("ground v1\ndims 1 1\n\narc 0 0 -1_0 1\n", "line 4: arc values must be integers"),
+    ("# \u00e9\nground v1\ndims 1 1\nzeta \U0001d7ce 0 CT\n",
+     "line 4: zeta coordinates must be integers"),
+    ("ground v1\ndims 1 1\nzeta 0_0 0 CT\n", "line 3: zeta coordinates must be integers"),
+], ids=["underscore-and-plus", "underscore", "fullwidth", "arabic-indic", "devanagari",
+        "signed-underscore", "math-digit", "zeta-underscore"])
+def test_deserialize_reads_only_ascii_integers(text, message):
+    """int() also reads underscores and digits of other scripts; a ground
+    file's integers are ASCII digits after an optional sign."""
+    with pytest.raises(GroundFileError) as err:
+        deserialize(text)
+    assert str(err.value) == message
+
+
+def test_comments_may_hold_any_text():
+    """Underscores and other scripts' digits in comments leave the integers
+    as they are, a plus sign included."""
+    text = "# \u0661_1\nground v1\ndims 1 1  # \uff12\narc 0 0 -1 +1\narc 0 0 +1 0  # a_b\n"
+    assert deserialize(text) == GroundEmbedding(
+        TorusDims(1, 1), (Arc(0, 0, -1, 1), Arc(0, 0, 1, 0)))
 
 
 def test_deserialize_reports_line_numbers():

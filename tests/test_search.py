@@ -85,6 +85,15 @@ def test_budget_flags_incomplete():
     assert capped.nodes_visited == capped2.nodes_visited
 
 
+def test_a_negative_budget_is_refused():
+    """A budget below zero would never be met, so the run would walk the
+    whole tree and call itself complete; a budget of zero visits nothing."""
+    with pytest.raises(ValueError, match="node_budget must be >= 0, got -1"):
+        enumerate_grounds(SearchConfig(TorusDims(2, 2), node_budget=-1))
+    empty = enumerate_grounds(SearchConfig(TorusDims(2, 2), node_budget=0))
+    assert (empty.nodes_visited, empty.complete, empty.count) == (0, False, 0)
+
+
 def test_strict_connectivity_subset():
     base = enumerate_grounds(SearchConfig(TorusDims(2, 2), strict_connectivity=False))
     strict = enumerate_grounds(SearchConfig(TorusDims(2, 2), strict_connectivity=True))

@@ -4,15 +4,17 @@ circuit partition, over solutions, their one-arc-removed
 negatives and random arc subsets (crossings, shared slots and wrong degrees
 included), and of the drawing at tilings that are not square."""
 
+import dataclasses
 import functools
 import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laceground.canonical import canonical_representative, label_grid
-from laceground.embedding import GroundEmbedding, arc_tables, serialize, slot_table
+from laceground.embedding import GroundEmbedding, arc_tables, serialize
 from laceground.geometry import Arc, TorusDims
 from laceground.render import render_svg
 from laceground.search import SearchConfig, enumerate_grounds
@@ -27,6 +29,7 @@ from laceground.validator import (
     report_to_json,
     report_to_text,
 )
+from oracle import slot_table_reference
 
 # sha256 of each part of the digest over every ground of ``_grounds`` in
 # order (first 16 hex digits)
@@ -145,11 +148,12 @@ def test_slot_table_of_a_one_by_one_ground():
     dims = TorusDims(1, 1)
     t = arc_tables(dims)
     e = GroundEmbedding(dims, (Arc(0, 0, 1, 0), Arc(0, 0, 2, 0)))
-    labels, shared = slot_table(e)
+    ids, labels, shared = e.slot_table
     two = t.arc_id[Arc(0, 0, 2, 0)]
-    assert labels == [0, 0, -2, 0, 0, 0, 2, 0]
-    assert shared == [(2, two), (6, two)]
-    assert slot_table(GroundEmbedding(dims, (Arc(0, 0, 1, 0),)))[1] == []
+    assert ids == (t.arc_id[Arc(0, 0, 1, 0)], two)
+    assert labels == (0, 0, -2, 0, 0, 0, 2, 0)
+    assert shared == ((2, two), (6, two))
+    assert GroundEmbedding(dims, (Arc(0, 0, 1, 0),)).slot_table.shared == ()
 
 
 def test_a_repeated_arc_takes_its_slots_twice():
@@ -157,6 +161,33 @@ def test_a_repeated_arc_takes_its_slots_twice():
     and the canonical forms refuse it as they refuse any shared slot."""
     arc = Arc(0, 0, 1, 0)
     e = GroundEmbedding(TorusDims(1, 1), (arc, arc))
-    assert [entry for entry, _ in slot_table(e)[1]] == [2, 6]
+    assert [entry for entry, _ in e.slot_table.shared] == [2, 6]
     with pytest.raises(ValueError, match="share slot 2 of vertex"):
         canonical_representative(e)
+
+
+@st.composite
+def _arc_lists(draw):
+    """Dims from 1x1 to 8x8 and a list of their arcs, some listed twice."""
+    dims = TorusDims(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    arcs = draw(st.lists(st.sampled_from(arc_tables(dims).arcs), max_size=24))
+    if arcs:
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=4))
+    return dims, draw(st.permutations(arcs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arc_lists())
+def test_slot_table_matches_the_reference(dims_arcs):
+    """The table equals the reference read arc end by arc end, and building
+    it changes neither equality, hash nor repr: it is no field of the
+    ground."""
+    dims, arcs = dims_arcs
+    e = GroundEmbedding(dims, tuple(arcs))
+    unbuilt = GroundEmbedding(dims, tuple(reversed(arcs)))
+    shown, hashed = repr(e), hash(e)
+    assert shown == f"GroundEmbedding(dims={dims!r}, arcs={e.arcs!r}, zeta=())"
+    assert e.slot_table == slot_table_reference(e)
+    assert repr(e) == repr(unbuilt) == shown
+    assert e == unbuilt and hash(e) == hash(unbuilt) == hashed
+    assert [f.name for f in dataclasses.fields(e)] == ["dims", "arcs", "zeta"]
