@@ -16,7 +16,14 @@ read only the arcs and label entries, so they never build the crossing
 tables.
 
 ``GroundEmbedding.slot_table`` reads a ground against those entries once:
-its arc ids, vertex labels and the slots a second arc takes.
+its arc ids, vertex labels and the slots a second arc takes. A ground
+refuses, with ValueError, an arc that is not one of its grid's and a zeta
+vertex off the grid.
+
+``deserialize`` reads the lines in the writer's own spelling through a
+per-grid table cached per process (``arc_lines``), each straight to the
+grid's own arc; it runs the per-field rules on every other line, so any
+spelling gives the same ground and the same errors.
 
 The rules by which an arc cannot join a sequence of arcs (a repeat, a
 conflict with its own periodic copies, a taken slot, a crossing, a third
@@ -120,6 +127,14 @@ def arc_tables(dims: TorusDims) -> MaskTables:
     """The arc universe and label entries of a grid, without the crossing
     tables."""
     return MaskTables(dims)
+
+
+@lru_cache(maxsize=None)
+def arc_lines(dims: TorusDims) -> dict[str, Arc]:
+    """Each arc of ``arc_tables(dims)`` keyed by the line ``serialize``
+    writes for it, which ``deserialize``'s rules read as exactly that arc.
+    Shared by every caller, so read only."""
+    return {f"arc {a.row} {a.col} {a.dx} {a.dy}": a for a in arc_tables(dims).arcs}
 
 
 @lru_cache(maxsize=None)
@@ -261,8 +276,18 @@ class GroundEmbedding:
     zeta: tuple[tuple[tuple[int, int], str], ...] = ()
 
     def __post_init__(self):
+        """Refuse, with ValueError, an arc that is not one of the grid's
+        (an origin off the grid or a step outside the step set) and a zeta
+        vertex off the grid."""
         # most callers hand over ``arc_tables`` arcs, which need no new Arc
         arcs = [a if type(a) is Arc else Arc(*a) for a in self.arcs]
+        rows, cols = self.dims
+        for r, c, dx, dy in arcs:
+            if not (0 <= r < rows and 0 <= c < cols and (dx, dy) in LACE_STEP_SET):
+                raise ValueError(f"arc {(r, c, dx, dy)} is not an arc of the {rows}x{cols} grid")
+        for (r, c), _ in self.zeta:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"zeta vertex ({r},{c}) is off the {rows}x{cols} grid")
         object.__setattr__(self, "arcs", tuple(sorted(arcs)))
         object.__setattr__(self, "zeta", tuple(sorted(self.zeta)))
 
@@ -374,38 +399,69 @@ def deserialize(text: str) -> GroundEmbedding:
     with the offending line. Property violations - wrong degrees, slot
     conflicts, crossings, disconnection - are representable and admitted so
     the verifier can report on them.
+
+    An arc line as ``serialize`` writes it, after dims, is looked up in
+    ``arc_lines(dims)``: those lines are what the rules read as exactly
+    their arc, so only the duplicate check is left to run.
     """
     dims: Optional[TorusDims] = None
     arcs: list[Arc] = []
     seen_arcs: set[Arc] = set()
     zeta: dict[tuple[int, int], str] = {}
     seen_header = False
+    # the lines the writer emits for the arcs of dims, once dims is read
+    known: dict[str, Arc] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not seen_header:
-            if line != "ground v1":
-                raise GroundFileError(line_no, f"expected 'ground v1' header, got {line!r}")
-            seen_header = True
-            continue
-        fields = line.split()
-        if fields[0] == "dims":
-            if dims is not None:
-                raise GroundFileError(line_no, "duplicate dims line")
-            if len(fields) != 3:
-                raise GroundFileError(line_no, "dims takes exactly two integers")
-            try:
-                rows, cols = _ascii_int(fields[1]), _ascii_int(fields[2])
-            except ValueError:
-                raise GroundFileError(line_no, "dims values must be integers") from None
-            if rows < 1 or cols < 1:
-                raise GroundFileError(line_no, f"dims must be >= 1x1, got {rows}x{cols}")
-            if rows > MAX_PERIOD or cols > MAX_PERIOD:
-                raise GroundFileError(
-                    line_no, f"dims must be <= {MAX_PERIOD}x{MAX_PERIOD}, got {rows}x{cols}")
-            dims = TorusDims(rows, cols)
-        elif fields[0] == "arc":
+        arc = known.get(raw)
+        if arc is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if not seen_header:
+                if line != "ground v1":
+                    raise GroundFileError(line_no, f"expected 'ground v1' header, got {line!r}")
+                seen_header = True
+                continue
+            fields = line.split()
+            if fields[0] == "dims":
+                if dims is not None:
+                    raise GroundFileError(line_no, "duplicate dims line")
+                if len(fields) != 3:
+                    raise GroundFileError(line_no, "dims takes exactly two integers")
+                try:
+                    rows, cols = _ascii_int(fields[1]), _ascii_int(fields[2])
+                except ValueError:
+                    raise GroundFileError(line_no, "dims values must be integers") from None
+                if rows < 1 or cols < 1:
+                    raise GroundFileError(line_no, f"dims must be >= 1x1, got {rows}x{cols}")
+                if rows > MAX_PERIOD or cols > MAX_PERIOD:
+                    raise GroundFileError(
+                        line_no, f"dims must be <= {MAX_PERIOD}x{MAX_PERIOD}, got {rows}x{cols}")
+                dims = TorusDims(rows, cols)
+                known = arc_lines(dims)
+                continue
+            if fields[0] == "zeta":
+                if dims is None:
+                    raise GroundFileError(line_no, "zeta before dims")
+                if len(fields) != 4:
+                    raise GroundFileError(line_no, "zeta takes row, col and an action string")
+                try:
+                    r, c = _ascii_int(fields[1]), _ascii_int(fields[2])
+                except ValueError:
+                    raise GroundFileError(line_no, "zeta coordinates must be integers") from None
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise GroundFileError(line_no, f"vertex ({r},{c}) out of range")
+                actions = fields[3]
+                bad = set(actions) - ZETA_ALPHABET
+                if not actions or bad:
+                    raise GroundFileError(
+                        line_no, f"zeta actions must be non-empty over C,T,L,R,p; got {actions!r}")
+                if (r, c) in zeta:
+                    raise GroundFileError(line_no, f"duplicate zeta for vertex ({r},{c})")
+                zeta[(r, c)] = actions
+                continue
+            if fields[0] != "arc":
+                raise GroundFileError(line_no, f"unknown directive {fields[0]!r}")
             if dims is None:
                 raise GroundFileError(line_no, "arc before dims")
             if len(fields) != 5:
@@ -419,31 +475,10 @@ def deserialize(text: str) -> GroundEmbedding:
             if (dx, dy) not in LACE_STEP_SET:
                 raise GroundFileError(line_no, f"step ({dx},{dy}) not in the lace step set")
             arc = Arc(r, c, dx, dy)
-            if arc in seen_arcs:
-                raise GroundFileError(line_no, f"duplicate arc {tuple(arc)}")
-            seen_arcs.add(arc)
-            arcs.append(arc)
-        elif fields[0] == "zeta":
-            if dims is None:
-                raise GroundFileError(line_no, "zeta before dims")
-            if len(fields) != 4:
-                raise GroundFileError(line_no, "zeta takes row, col and an action string")
-            try:
-                r, c = _ascii_int(fields[1]), _ascii_int(fields[2])
-            except ValueError:
-                raise GroundFileError(line_no, "zeta coordinates must be integers") from None
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise GroundFileError(line_no, f"vertex ({r},{c}) out of range")
-            actions = fields[3]
-            bad = set(actions) - ZETA_ALPHABET
-            if not actions or bad:
-                raise GroundFileError(
-                    line_no, f"zeta actions must be non-empty over C,T,L,R,p; got {actions!r}")
-            if (r, c) in zeta:
-                raise GroundFileError(line_no, f"duplicate zeta for vertex ({r},{c})")
-            zeta[(r, c)] = actions
-        else:
-            raise GroundFileError(line_no, f"unknown directive {fields[0]!r}")
+        if arc in seen_arcs:
+            raise GroundFileError(line_no, f"duplicate arc {tuple(arc)}")
+        seen_arcs.add(arc)
+        arcs.append(arc)
     if not seen_header:
         raise GroundFileError(1, "empty file; expected 'ground v1' header")
     if dims is None:

@@ -22,8 +22,9 @@ out arc by arc (``image``), the canonical form computed image by image
 (``crossing_tables_reference``), the search's keep masks read candidate
 by candidate (``keep_masks_reference``), the circuits traced slot by slot
 (``circuits_reference``), a ground's slot table read arc end by arc end
-(``slot_table_reference``) and the drawing made one f-string per arc and
-per dot (``render_reference``).
+(``slot_table_reference``), the drawing made one f-string per arc and
+per dot (``render_reference``) and a ground file parsed field by field on
+every line (``deserialize_reference``).
 """
 
 from collections import Counter
@@ -35,7 +36,14 @@ from laceground.canonical import (
     identifier_text,
     label_grid,
 )
-from laceground.embedding import GroundEmbedding, arc_tables, tables_for
+from laceground.embedding import (
+    MAX_PERIOD,
+    ZETA_ALPHABET,
+    GroundEmbedding,
+    GroundFileError,
+    arc_tables,
+    tables_for,
+)
 from laceground.geometry import LACE_STEP_SET, Arc, TorusDims, arc_ends, arcs_cross
 from laceground.render import CELL, DOT_R, MARGIN, MAX_REPEATS
 from laceground.validator import _fundamental_windings, check_two_regular, full_report
@@ -409,3 +417,90 @@ def brute_force_solutions(dims: TorusDims, level: str = "reference",
 
     rec(0, 0, 0, [0] * n_vertices, [])
     return found
+
+
+def _ascii_int(field: str) -> int:
+    """The parser's integer rule, copied so that the reference keeps it."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"not an ASCII decimal integer: {field!r}")
+    return int(field)
+
+
+def deserialize_reference(text: str) -> GroundEmbedding:
+    """A ground file parsed by the per-field rules on every line, with no
+    table of the lines the writer emits: the same grounds and the same
+    GroundFileError texts and line numbers as ``embedding.deserialize``."""
+    dims = None
+    arcs = []
+    seen_arcs = set()
+    zeta = {}
+    seen_header = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not seen_header:
+            if line != "ground v1":
+                raise GroundFileError(line_no, f"expected 'ground v1' header, got {line!r}")
+            seen_header = True
+            continue
+        fields = line.split()
+        if fields[0] == "dims":
+            if dims is not None:
+                raise GroundFileError(line_no, "duplicate dims line")
+            if len(fields) != 3:
+                raise GroundFileError(line_no, "dims takes exactly two integers")
+            try:
+                rows, cols = _ascii_int(fields[1]), _ascii_int(fields[2])
+            except ValueError:
+                raise GroundFileError(line_no, "dims values must be integers") from None
+            if rows < 1 or cols < 1:
+                raise GroundFileError(line_no, f"dims must be >= 1x1, got {rows}x{cols}")
+            if rows > MAX_PERIOD or cols > MAX_PERIOD:
+                raise GroundFileError(
+                    line_no, f"dims must be <= {MAX_PERIOD}x{MAX_PERIOD}, got {rows}x{cols}")
+            dims = TorusDims(rows, cols)
+        elif fields[0] == "arc":
+            if dims is None:
+                raise GroundFileError(line_no, "arc before dims")
+            if len(fields) != 5:
+                raise GroundFileError(line_no, "arc takes exactly four integers")
+            try:
+                r, c, dx, dy = map(_ascii_int, fields[1:])
+            except ValueError:
+                raise GroundFileError(line_no, "arc values must be integers") from None
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise GroundFileError(line_no, f"origin ({r},{c}) out of range for {rows}x{cols}")
+            if (dx, dy) not in LACE_STEP_SET:
+                raise GroundFileError(line_no, f"step ({dx},{dy}) not in the lace step set")
+            arc = Arc(r, c, dx, dy)
+            if arc in seen_arcs:
+                raise GroundFileError(line_no, f"duplicate arc {tuple(arc)}")
+            seen_arcs.add(arc)
+            arcs.append(arc)
+        elif fields[0] == "zeta":
+            if dims is None:
+                raise GroundFileError(line_no, "zeta before dims")
+            if len(fields) != 4:
+                raise GroundFileError(line_no, "zeta takes row, col and an action string")
+            try:
+                r, c = _ascii_int(fields[1]), _ascii_int(fields[2])
+            except ValueError:
+                raise GroundFileError(line_no, "zeta coordinates must be integers") from None
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise GroundFileError(line_no, f"vertex ({r},{c}) out of range")
+            actions = fields[3]
+            bad = set(actions) - ZETA_ALPHABET
+            if not actions or bad:
+                raise GroundFileError(
+                    line_no, f"zeta actions must be non-empty over C,T,L,R,p; got {actions!r}")
+            if (r, c) in zeta:
+                raise GroundFileError(line_no, f"duplicate zeta for vertex ({r},{c})")
+            zeta[(r, c)] = actions
+        else:
+            raise GroundFileError(line_no, f"unknown directive {fields[0]!r}")
+    if not seen_header:
+        raise GroundFileError(1, "empty file; expected 'ground v1' header")
+    if dims is None:
+        raise GroundFileError(1, "missing dims line")
+    return GroundEmbedding(dims, tuple(arcs), tuple(zeta.items()))

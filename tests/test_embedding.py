@@ -14,9 +14,11 @@ from laceground.embedding import (
     serialize,
     tables_for,
 )
+from laceground.canonical import canonical_representative
 from laceground.geometry import LACE_STEPS, Arc, TorusDims
 from laceground.paths import LacePath
-from laceground.validator import check_connected, check_embedded, check_two_regular
+from laceground.render import render_svg
+from laceground.validator import check_connected, check_embedded, check_two_regular, full_report
 from oracle import crossing_tables_reference
 
 NE_W_PATH = LacePath(((-1, 1), (1, 0)), False)
@@ -219,6 +221,44 @@ def test_constructor_makes_arcs_only_of_what_is_not_one():
     assert mixed.arcs[2] is arcs[0] and mixed.arcs[0] is arcs[2]
     assert plain == kept == mixed
     assert hash(plain) == hash(kept) == hash(mixed)
+
+
+OFF_GRID = [
+    (TorusDims(1, 1), Arc(0, 0, 3, 0), r"arc \(0, 0, 3, 0\) is not an arc of the 1x1 grid"),
+    (TorusDims(1, 2), Arc(0, 5, 1, 0), r"arc \(0, 5, 1, 0\) is not an arc of the 1x2 grid"),
+    (TorusDims(2, 3), (2, 0, 0, 1), r"arc \(2, 0, 0, 1\) is not an arc of the 2x3 grid"),
+    (TorusDims(2, 3), Arc(0, 0, 0, -1), r"arc \(0, 0, 0, -1\) is not an arc of the 2x3 grid"),
+]
+
+
+@pytest.mark.parametrize("caller", [full_report, canonical_representative, render_svg],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("dims,arc,message", OFF_GRID, ids=["step", "col", "row", "upward"])
+def test_a_ground_refuses_an_arc_off_its_grid(caller, dims, arc, message):
+    """An arc off the grid or outside the step set is refused where the
+    ground is made, before the report, the canonical form or the drawing
+    reads it (a bare KeyError, a wrong drawing or an IndexError before)."""
+    ok = Arc(0, 0, 1, 0)
+    with pytest.raises(ValueError, match=message):
+        caller(GroundEmbedding(dims, (ok, arc)))
+
+
+def test_making_a_ground_builds_no_grid_tables():
+    """The constructor's check reads the arcs alone, so a ground on any
+    grid is made (and written) without the grid's arc universe."""
+    before = arc_tables.cache_info().currsize
+    e = GroundEmbedding(TorusDims(1000, 1000), (Arc(999, 999, -1, 1),))
+    assert serialize(e).endswith("arc 999 999 -1 1\n")
+    assert arc_tables.cache_info().currsize == before
+
+
+def test_a_ground_refuses_a_zeta_vertex_off_its_grid():
+    with pytest.raises(ValueError, match=r"zeta vertex \(2,0\) is off the 2x3 grid"):
+        GroundEmbedding(TorusDims(2, 3), zeta=(((2, 0), "CT"),))
+    with pytest.raises(ValueError, match=r"zeta vertex \(0,-1\) is off the 2x3 grid"):
+        GroundEmbedding(TorusDims(2, 3), (Arc(0, 0, 1, 0),), (((0, -1), "CT"),))
+    e = GroundEmbedding(TorusDims(2, 3), zeta=(((1, 2), "CT"),))
+    assert e.zeta == (((1, 2), "CT"),)
 
 
 @pytest.mark.parametrize("text,message", [
