@@ -141,7 +141,9 @@ def _load(path: Path):
         print(f"error: {path}: file larger than {MAX_FILE_BYTES} bytes", file=sys.stderr)
         return None
     try:
-        return deserialize(data.decode("utf-8"))
+        # one leading byte-order mark, as some editors save it, is skipped:
+        # what decoding with utf-8-sig does, without its Python-level codec
+        return deserialize(data.decode("utf-8").removeprefix("\ufeff"))
     except (UnicodeDecodeError, GroundFileError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
     return None

@@ -67,8 +67,11 @@ by canonical identifier, so duplicate classes collapse and results are
 independent of scheduling.
 
 The search tree is partitioned into independent work items by the first
-candidate placed, its lowest. Items share nothing and their leaf sets
-merge commutatively, which makes multi-process runs byte-identical to the
+candidate placed, its lowest. The calling process walks the items in
+order; a run with more than one worker stops once the walk has cost what
+starting a pool would (``_POOL_RENT`` nodes) and sends only the items left
+to the pool. Items share nothing and their leaf sets and node counts merge
+commutatively, which makes multi-process runs byte-identical to the
 single-process reference run. The one symmetry rule of the walk breaks the
 column shift and the column reflection at the root: items start only at
 k * cols for the column-0 starts k (``_Engine.starts``), the first
@@ -95,7 +98,6 @@ orbit, so the classes are those of the whole tree.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -117,10 +119,12 @@ class SearchConfig:
     ``strict_connectivity=False`` selects the loose model, which asks only
     for one component on the torus with a cycle that wraps it; its lift may
     fall apart into separate strands. ``jobs`` is an upper bound on worker
-    processes (see ``_pool_size``). ``node_budget`` caps the nodes the whole
-    run visits; a budgeted run walks its items in one process, in order,
-    whatever ``jobs`` is, and is complete exactly when its tree has at most
-    that many nodes."""
+    processes (see ``_pool_size``): the calling process walks the work items
+    in order until it has visited ``_POOL_RENT`` nodes, and only the items
+    left go to a pool, so a small run starts no process. ``node_budget``
+    caps the nodes the whole run visits; a budgeted run walks its items in
+    one process, in order, whatever ``jobs`` is, and is complete exactly
+    when its tree has at most that many nodes."""
 
     dims: TorusDims
     jobs: int = 1
@@ -430,9 +434,9 @@ def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbe
 
 
 def _run_item(args) -> tuple[set[int], int]:
-    """One work item of an unbudgeted pool run: the leaves and nodes of the
-    subtree whose first candidate is ``first``. The all-empty embedding is not
-    a solution, so the items started at every candidate would cover the tree."""
+    """One work item of a pool: the leaves and nodes of the subtree whose
+    first candidate is ``first``. The all-empty embedding is not a solution,
+    so the items started at every candidate would cover the tree."""
     dims, first = args
     runner = _ItemRunner(_engine(dims), None)
     runner.run(first)
@@ -440,14 +444,26 @@ def _run_item(args) -> tuple[set[int], int]:
 
 
 def _pool_size(jobs: int, n_items: int) -> int:
-    """Worker processes for a run. The pool starts all its workers at once,
-    so more than the CPUs this process may run on, or the work items, would
-    only cost processes."""
+    """Worker processes for the ``n_items`` work items left once the
+    calling process has walked its share. The pool starts all its workers
+    at once, so more than the CPUs this process may run on, or those items,
+    would only cost processes."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return max(1, min(jobs, cpus, n_items))
+
+
+# The nodes the walk visits in the time a two-worker pool takes to start and
+# stop: 7.3 to 11.4 ms with no work, and 13 to 17 ms more than the walk it
+# takes over when sent every item of 3x2 or 2x4, against 1.1 to 1.5 us a
+# node for the walk at 3x3 and 2x5 (Python 3.11, 2 CPUs). A run walks its
+# items in the calling process until it has visited this many nodes and
+# sends only the items left to a pool, so a small run starts none and a
+# large one pays at most about twice the cheaper of the two (the rent-or-buy
+# rule of ski rental).
+_POOL_RENT = 10_000
 
 
 def enumerate_grounds(config: SearchConfig) -> SearchResult:
@@ -459,19 +475,24 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
     eng = _engine(config.dims)
     # items start only at the column-0 starts (see the module docstring):
     # every orbit of regular sets has a member whose lowest candidate is one
-    workers = (1 if config.node_budget is not None
-               else _pool_size(config.jobs, len(eng.starts)))
-    if workers == 1:
-        # one counter caps the whole run: the walk stops at its first _Budget
-        runner = _ItemRunner(eng, config.node_budget)
-        for first in eng.starts:
-            runner.run(first)
-            if not runner.complete:
+    starts = eng.starts
+    # one counter caps a budgeted run: it walks every item here, in order,
+    # and stops at its first _Budget
+    rent = _POOL_RENT if config.node_budget is None and config.jobs > 1 else _BIG
+    runner = _ItemRunner(eng, config.node_budget)
+    done = workers = 0
+    while done < len(starts) and runner.complete:
+        if runner.nodes >= rent:
+            workers = _pool_size(config.jobs, len(starts) - done)
+            if workers > 1:
                 break
-        leaves, nodes, complete = runner.leaves, runner.nodes, runner.complete
-    else:
-        leaves, nodes, complete = set(), 0, True
-        items = [(config.dims, first) for first in eng.starts]
+        runner.run(starts[done])
+        done += 1
+    leaves, nodes, complete = runner.leaves, runner.nodes, runner.complete
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        items = [(config.dims, first) for first in starts[done:]]
         chunk = max(1, len(items) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for item_leaves, n in pool.map(_run_item, items, chunksize=chunk):

@@ -120,16 +120,23 @@ def test_criterion_5_canonical_form_properties():
     assert ok
 
 
-def test_criterion_6_determinism_across_jobs(tmp_path):
+def test_criterion_6_determinism_across_jobs(tmp_path, pool_rents):
+    """Jobs 1, 2 and 8 write the same files, with every work item of the
+    parallel runs sent to a pool and with the items split between the
+    calling process and a pool."""
     ok = True
     for rows, cols in [(2, 2), (3, 2)]:
-        dirs = []
-        for jobs in (1, 2, 8):
-            out = tmp_path / f"{rows}x{cols}-j{jobs}"
+
+        def enumerate_into(name, jobs):
+            out = tmp_path / f"{rows}x{cols}-{name}"
             code = main(["enumerate", "--rows", str(rows), "--cols", str(cols),
                          "--jobs", str(jobs), "--out", str(out)])
             assert code == 0
-            dirs.append(out)
+            return out
+
+        dirs = [enumerate_into("j1", 1)]
+        for rent in pool_rents(TorusDims(rows, cols)):
+            dirs += [enumerate_into(f"j{jobs}-rent{rent}", jobs) for jobs in (2, 8)]
         names = sorted(p.name for p in dirs[0].glob("*.gnd"))
         for other in dirs[1:]:
             if sorted(p.name for p in other.glob("*.gnd")) != names:

@@ -11,6 +11,7 @@ from laceground.braid import to_braid_word
 from laceground.canonical import TRANSFORMS, canonical_id, identifier, transform, translate
 from laceground.cli import build_parser, main
 from laceground.embedding import MAX_FILE_BYTES, deserialize, serialize
+from laceground.geometry import TorusDims
 from laceground.render import render_svg
 from laceground.validator import full_report, report_to_json
 from test_slot_table import _grounds
@@ -189,19 +190,25 @@ def test_enumerate_output_roundtrip_sweep(tmp_path, capsys):
         assert out.splitlines()[1] == "canonical: true"
 
 
-def test_enumerate_jobs_byte_identical(tmp_path, capsys):
-    dirs = []
-    for jobs in ("1", "2"):
-        d = tmp_path / f"j{jobs}"
+def test_enumerate_jobs_byte_identical(tmp_path, capsys, pool_rents):
+    """The same files and output whether the work items are walked in the
+    calling process, all sent to a pool, or split between the two."""
+
+    def enumerate_into(name, jobs):
+        d = tmp_path / name
         code, out, _ = run(capsys, "enumerate", "--rows", "2", "--cols", "2",
                            "--jobs", jobs, "--out", str(d))
         assert code == 0
-        dirs.append(d)
-    a, b = dirs
+        return d, out
+
+    a, serial_out = enumerate_into("j1", "1")
     names = sorted(p.name for p in a.glob("*.gnd"))
-    assert names == sorted(p.name for p in b.glob("*.gnd"))
-    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
-    assert mismatch == [] and errors == []
+    for rent in pool_rents(TorusDims(2, 2)):
+        b, out = enumerate_into(f"j2-rent{rent}", "2")
+        assert out == serial_out
+        assert names == sorted(p.name for p in b.glob("*.gnd"))
+        match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+        assert mismatch == [] and errors == []
 
 
 def test_readme_synopsis_matches_the_parser():
@@ -369,6 +376,27 @@ def test_non_utf8_file_is_a_parse_error(command, tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {f}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "canon", "render"])
+def test_a_leading_byte_order_mark_is_read_past(command, tmp_path, capsys):
+    """A file that starts with a UTF-8 byte-order mark, as some editors save
+    it, reads as the same ground: the same output and exit code; one that
+    is not UTF-8 after the mark is still a parse error."""
+    f, svg = tmp_path / "g.gnd", tmp_path / "out.svg"
+    extra = ["--out", str(svg)] if command == "render" else []
+    text = sorted(CORPUS.rglob("*.gnd"))[0].read_bytes()
+    runs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        f.write_bytes(prefix + text)
+        runs.append((run(capsys, command, str(f), *extra),
+                     svg.read_bytes() if command == "render" else None))
+    assert runs[0][0][0] == 0
+    assert runs[1] == runs[0]
+    f.write_bytes(b"\xef\xbb\xbfground v1\ndims 1 1\n\xff\xfe\n")
+    code, out, err = run(capsys, command, str(f), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {f}: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "canon", "render"])

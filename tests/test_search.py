@@ -66,11 +66,32 @@ def test_results_sorted_and_deterministic():
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_parallel_matches_serial(jobs):
+def test_parallel_matches_serial(jobs, pool_rents):
     serial = enumerate_grounds(SearchConfig(TorusDims(2, 2), jobs=1))
-    parallel = enumerate_grounds(SearchConfig(TorusDims(2, 2), jobs=jobs))
-    assert serial.canonical_solutions == parallel.canonical_solutions
-    assert serial.nodes_visited == parallel.nodes_visited
+    for _ in pool_rents(TorusDims(2, 2)):
+        parallel = enumerate_grounds(SearchConfig(TorusDims(2, 2), jobs=jobs))
+        assert serial.canonical_solutions == parallel.canonical_solutions
+        assert serial.nodes_visited == parallel.nodes_visited
+
+
+def test_a_run_below_the_rent_starts_no_pool(monkeypatch):
+    """5x1 walks 5,512 nodes, fewer than a pool's rent, so a run with two
+    jobs walks them all in the calling process. So does a run that reaches
+    the rent with one work item left: a pool of one worker saves nothing."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    result = enumerate_grounds(SearchConfig(TorusDims(5, 1), jobs=2))
+    assert (result.count, result.nodes_visited, result.complete) == (82, 5_512, True)
+    assert result.nodes_visited < search._POOL_RENT
+    dims = TorusDims(2, 3)
+    last_item = _run_item((dims, _engine(dims).starts[-1]))[1]
+    monkeypatch.setattr(search, "_POOL_RENT", GOLDEN[2, 3][2] - last_item)
+    assert _golden_key(enumerate_grounds(SearchConfig(dims, jobs=2))) == GOLDEN[2, 3]
 
 
 def test_budget_flags_incomplete():
@@ -130,11 +151,13 @@ GOLDEN_RUNS = [(dims, 1) for dims in sorted(GOLDEN)] + [((2, 3), 2)]
     "dims,jobs", GOLDEN_RUNS,
     ids=[f"{r}x{c}" + ("" if jobs == 1 else f"-jobs{jobs}")
          for (r, c), jobs in GOLDEN_RUNS])
-def test_golden_solutions(dims, jobs):
+def test_golden_solutions(dims, jobs, pool_rents):
     """Names, files, counts and node counts of the default model, byte for
-    byte."""
-    result = enumerate_grounds(SearchConfig(TorusDims(*dims), jobs=jobs))
-    assert _golden_key(result) == GOLDEN[dims]
+    byte; with more than one job, on a pool sent every work item and on one
+    sent the items left after the calling process walked half the tree."""
+    for _ in pool_rents(TorusDims(*dims)) if jobs > 1 else [None]:
+        result = enumerate_grounds(SearchConfig(TorusDims(*dims), jobs=jobs))
+        assert _golden_key(result) == GOLDEN[dims]
 
 
 def _golden_key(result):
@@ -189,10 +212,11 @@ def _arcs_of(dims, mask):
     return tuple(tables_for(dims).arcs[aid] for aid in _bits(mask))
 
 
-def test_each_orbit_judged_once_in_the_caller(monkeypatch):
+def test_each_orbit_judged_once_in_the_caller(monkeypatch, pool_rents):
     """Work items return arc sets and the run judges one member of each
     symmetry orbit among them, in the calling process, the same members
-    whatever the number of jobs."""
+    whatever the number of jobs and however the items are split between
+    the calling process and a pool."""
     dims = TorusDims(2, 3)
     orbits = {canonical_id(GroundEmbedding(dims, _arcs_of(dims, mask)))
               for mask in _leaves(dims)}
@@ -204,17 +228,20 @@ def test_each_orbit_judged_once_in_the_caller(monkeypatch):
         return original(e)
 
     monkeypatch.setattr(search, "windings_span_plane", record)
-    # a real pool at jobs 2
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     runs = []
-    for jobs in (1, 2):
+
+    def judged_run(jobs):
         judged.clear()
         enumerate_grounds(SearchConfig(dims, jobs=jobs))
         judged_orbits = [canonical_id(GroundEmbedding(dims, arcs)) for arcs in judged]
         assert len(set(judged_orbits)) == len(judged_orbits)
         assert set(judged_orbits) == orbits
         runs.append(set(judged))
-    assert runs[0] == runs[1]
+
+    judged_run(1)
+    for _ in pool_rents(dims):  # a real pool at jobs 2
+        judged_run(2)
+    assert runs[0] == runs[1] == runs[2]
     assert len(orbits) < len(_leaves(dims))  # some leaves were skipped
 
 
