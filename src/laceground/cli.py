@@ -85,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="count or list lace paths of a given height")
     p.add_argument("--height", type=_at_most(MAX_PATH_HEIGHT), required=True)
     p.add_argument("--list", action="store_true", dest="list_paths")
+    p.set_defaults(run=cmd_paths)
 
     p = sub.add_parser("enumerate", help="enumerate ground embeddings for one grid")
     p.add_argument("--rows", type=_at_most(MAX_PATH_HEIGHT), required=True)
@@ -94,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loose", action="store_true", help=_LOOSE_HELP)
     p.add_argument("--budget", type=_positive, default=None,
                    help="stop the run at this many nodes; a budgeted run walks in one process")
+    p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check the fundamental properties of a ground file")
     p.add_argument("file", type=Path)
@@ -101,9 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--braid", action="store_true",
                    help="echo each annotated vertex's braid word")
     p.add_argument("--report", choices=("text", "json"), default="text")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("canon", help="print the canonical identifier of a ground file")
     p.add_argument("file", type=Path)
+    p.set_defaults(run=cmd_canon)
 
     p = sub.add_parser("render", help="render a ground file as a tiled SVG diagram")
     p.add_argument("file", type=Path)
@@ -111,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"tiling as ROWSxCOLS, e.g. 4x4, at most {MAX_REPEATS}x{MAX_REPEATS}")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--labels", action="store_true")
+    p.set_defaults(run=cmd_render)
 
     p = sub.add_parser("counts", help="table of solution counts up to a grid bound")
     p.add_argument("--max-rows", type=_at_most(MAX_PATH_HEIGHT), required=True)
@@ -120,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive, default=None,
                    help="stop each cell's run at this many nodes, walking in one process")
     p.add_argument("--format", choices=("pretty", "tsv"), default="pretty")
+    p.set_defaults(run=cmd_counts)
 
     return parser
 
@@ -264,15 +270,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handler = {
-        "paths": cmd_paths,
-        "enumerate": cmd_enumerate,
-        "verify": cmd_verify,
-        "canon": cmd_canon,
-        "render": cmd_render,
-        "counts": cmd_counts,
-    }[args.command]
-    return handler(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

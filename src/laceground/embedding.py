@@ -411,7 +411,11 @@ def deserialize(text: str) -> GroundEmbedding:
     seen_header = False
     # the lines the writer emits for the arcs of dims, once dims is read
     known: dict[str, Arc] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines end only at "\n", "\r\n" and "\r"; the other breaks of
+    # str.splitlines (form feed, U+2028 and the like) are field whitespace
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         arc = known.get(raw)
         if arc is None:
             line = raw.split("#", 1)[0].strip()

@@ -164,8 +164,8 @@ class _Engine:
     cannot take:
 
     - ``arc_keep[a]``, a state holding arc ``a``: the dead candidates
-      contain or cross it, share one of its slots, or add two arcs into its
-      head;
+      hold it, cross it or add two arcs into its head (one that shares a
+      slot with it crosses it, see ``_keep_masks``);
     - ``full_keep[v]``, vertex ``v`` with two arcs in: the dead candidates
       add an arc into ``v``.
 
@@ -273,8 +273,16 @@ class _Engine:
         """``arc_keep`` and ``into``, read off the transposed candidates:
         per arc, the candidates that hold it, and per vertex, those that add
         one arc or two arcs into it. A candidate is dead to arc ``a`` when
-        it holds ``a``, an arc ``a`` crosses or an arc that shares a slot
-        with ``a``, or adds two arcs into the head of ``a``."""
+        it holds ``a``, holds an arc that crosses ``a`` (its bits in
+        ``conflict_mask[a]``, which leaves ``a`` out) or adds two arcs into
+        the head of ``a``.
+
+        A shared slot needs no term of its own: two distinct arcs in one
+        slot of a vertex both leave it along the slot's direction, so both
+        pass the half-lattice point half a step out, which is not a lattice
+        point and so an endpoint of neither, and ``geometry.arcs_cross``
+        counts them as crossing. ``_join`` still tests slots first, so a
+        shared slot is reported as one."""
         t = self.t
         # the transposed bit matrices, filled bytewise
         size = (len(self.candidates) + 7) // 8
@@ -291,16 +299,11 @@ class _Engine:
                 two_rows[v][byte] |= bit
         holders = [int.from_bytes(r, "little") for r in holder_rows]
         two_into = [int.from_bytes(r, "little") for r in two_rows]
-        # the arcs in each label entry
-        in_entry = [0] * (8 * t.n_vertices)
-        for aid, ends in enumerate(t.ends):
-            for entry, _ in ends:
-                in_entry[entry] |= 1 << aid
         everything = self.all_alive
         arc_keep = []
-        for aid, ((o, _), (h, _)) in enumerate(t.ends):
-            dead = two_into[t.head_vid[aid]]
-            for b in _bits(t.conflict_mask[aid] | in_entry[o] | in_entry[h]):
+        for aid, head in enumerate(t.head_vid):
+            dead = two_into[head] | holders[aid]
+            for b in _bits(t.conflict_mask[aid]):
                 dead |= holders[b]
             arc_keep.append(everything ^ dead)
         return arc_keep, [int.from_bytes(r, "little") for r in into_rows]

@@ -59,16 +59,14 @@ class PropertyReport:
     conserved: CheckResult
     partition: Optional[CircuitPartition] = None
 
-    GATING = ("two_regular", "embedded", "connected", "rotationally_consecutive",
-              "no_contractible_directed_cycle", "conserved")
     # every check, in report order
     CHECKS = ("two_regular", "embedded", "connected", "strict_connected",
               "rotationally_consecutive", "no_contractible_directed_cycle",
               "conserved")
 
     def all_pass(self, strict: bool = False) -> bool:
-        names = self.GATING + (("strict_connected",) if strict else ())
-        return all(getattr(self, n).ok for n in names)
+        return all(getattr(self, n).ok for n in self.CHECKS
+                   if strict or n != "strict_connected")
 
 
 def check_two_regular(e: GroundEmbedding) -> CheckResult:
@@ -178,7 +176,7 @@ def _connected(roots: list[tuple[int, int]], windings: list[WindingVector],
     if _winding_lattice_full(windings):
         return CheckResult(PASS)
     return CheckResult(
-        FAIL, [tuple(w) for w in windings],
+        FAIL, windings,
         "cycle windings do not generate Z x Z; planar lift is disconnected")
 
 
@@ -383,24 +381,17 @@ def full_report(e: GroundEmbedding) -> PropertyReport:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def _result_json(r: CheckResult) -> dict:
-    witness = r.witness
-    if isinstance(witness, list) and witness and isinstance(witness[0], Arc):
-        witness = [list(a) for a in witness]
-    elif isinstance(witness, tuple):
-        witness = list(witness)
-    return {"status": r.status, "witness": witness, "detail": r.detail}
-
-
 def report_to_json(report: PropertyReport) -> dict:
+    """The report as a JSON document; ``json`` writes its tuples (witnesses,
+    ``Arc``, ``WindingVector``) as arrays."""
     doc = {"version": 1}
     for name in report.CHECKS:
-        doc[name] = _result_json(getattr(report, name))
+        r = getattr(report, name)
+        doc[name] = {"status": r.status, "witness": r.witness, "detail": r.detail}
     circuits = []
     if report.partition is not None:
         for circuit, w in zip(report.partition.circuits, report.partition.windings):
-            circuits.append({"arcs": [list(a) for a in circuit],
-                             "winding": [w.longitudinal, w.meridional]})
+            circuits.append({"arcs": circuit, "winding": w})
     doc["circuits"] = circuits
     return doc
 

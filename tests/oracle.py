@@ -435,7 +435,7 @@ def deserialize_reference(text: str) -> GroundEmbedding:
     seen_arcs = set()
     zeta = {}
     seen_header = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -251,6 +251,16 @@ def test_readme_budget_example_is_current(capsys):
                            f"nodes={nodes.replace(',', '')} complete=false")
 
 
+def test_readme_library_example_runs():
+    """README's Library block runs as written: 12 classes at 2x2, each one
+    passing every check."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["result"].count == 12
+
+
 def test_enumerate_requires_budget_on_big_grids(capsys):
     code, _, err = run(capsys, "enumerate", "--rows", "4", "--cols", "4")
     assert code == 2

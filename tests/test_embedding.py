@@ -309,6 +309,37 @@ def test_deserialize_reports_line_numbers():
     assert err.value.line_no == 4
 
 
+# the characters str.splitlines breaks a line at besides "\n" and "\r"
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
+def test_a_comment_may_hold_any_line_separator(char):
+    """Lines end only at LF, CRLF and CR: a comment holding another of the
+    breaks of str.splitlines stays one comment, errors carry the line
+    number an editor shows, and inside a line the character separates
+    fields."""
+    plain = "ground v1\ndims 1 1\n# see page two\narc 0 0 -1 1\narc 0 0 1 0\n"
+    expected = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, -1, 1), Arc(0, 0, 1, 0)))
+    assert deserialize(plain) == expected
+    assert deserialize(plain.replace("page", f"page{char}")) == expected
+    assert deserialize(plain.replace("0 1 0", f"0{char}1 0")) == expected
+    with pytest.raises(GroundFileError) as err:
+        deserialize(f"ground v1\ndims 1 1\n# see page{char}two\narc 0 0 3 0\n")
+    assert str(err.value) == "line 4: step (3,0) not in the lace step set"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_lines_end_at_each_universal_newline(newline):
+    lines = ["ground v1", "dims 1 1", "# a comment", "", "arc 0 0 -1 1", "arc 0 0 1 0"]
+    text = newline.join(lines) + newline
+    assert deserialize(text) == GroundEmbedding(
+        TorusDims(1, 1), (Arc(0, 0, -1, 1), Arc(0, 0, 1, 0)))
+    with pytest.raises(GroundFileError) as err:
+        deserialize(text + "arc 0 0 1 0" + newline)
+    assert str(err.value) == "line 7: duplicate arc (0, 0, 1, 0)"
+
+
 def test_deserialize_reads_every_arc_of_the_largest_grid():
     """A file may list all 512 arcs of an 8x8 grid; an arc listed again
     after them, written another way, is refused at its own line."""

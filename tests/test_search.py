@@ -14,6 +14,7 @@ from laceground.canonical import (
     solution_name,
 )
 from laceground.embedding import (
+    MAX_PERIOD,
     GroundEmbedding,
     _first_fault,
     path_arcs,
@@ -554,6 +555,23 @@ def test_keep_masks_match_candidate_by_candidate(dims):
     gathered candidate by candidate."""
     eng = _engine(TorusDims(*dims))
     assert (eng.arc_keep, eng.full_keep) == keep_masks_reference(eng)
+
+
+def test_arcs_that_share_a_slot_cross():
+    """The keep masks leave shared slots to the crossing masks: on every
+    grid from 1x1 to 8x8, two distinct arcs in one label entry (``ends``)
+    are in each other's ``conflict_mask``."""
+    for rows in range(1, MAX_PERIOD + 1):
+        for cols in range(1, MAX_PERIOD + 1):
+            t = tables_for(TorusDims(rows, cols))
+            in_entry = {}
+            for aid, ends in enumerate(t.ends):
+                for entry, _ in ends:
+                    in_entry[entry] = in_entry.get(entry, 0) | 1 << aid
+            for aid, ends in enumerate(t.ends):
+                for entry, _ in ends:
+                    sharers = in_entry[entry] & ~(1 << aid)
+                    assert sharers & ~t.conflict_mask[aid] == 0, (rows, cols, aid, entry)
 
 
 def test_traced_layers_are_looked_up_by_name():
