@@ -20,10 +20,11 @@ its arc ids, vertex labels and the slots a second arc takes. A ground
 refuses, with ValueError, an arc that is not one of its grid's and a zeta
 vertex off the grid.
 
-``deserialize`` reads the lines in the writer's own spelling through a
-per-grid table cached per process (``arc_lines``), each straight to the
-grid's own arc; it runs the per-field rules on every other line, so any
-spelling gives the same ground and the same errors.
+``deserialize`` reads the lines in the writer's own spelling (``_arc_line``,
+which ``serialize`` writes) through the grid's table of them
+(``arc_tables(dims).lines``), each straight to the grid's own arc; it runs
+the per-field rules on every other line, so any spelling gives the same
+ground and the same errors.
 
 The rules by which an arc cannot join a sequence of arcs (a repeat, a
 conflict with its own periodic copies, a taken slot, a crossing, a third
@@ -86,9 +87,14 @@ class SlotTable(NamedTuple):
     shared: tuple[tuple[int, int], ...]   # (entry, arc id) where an arc finds the entry taken
 
 
+def _arc_line(a: Arc) -> str:
+    """The line of a ground file that writes arc ``a``."""
+    return f"arc {a.row} {a.col} {a.dx} {a.dy}"
+
+
 class MaskTables:
-    """Per-dims arc universe and label entries; ``tables_for`` adds the
-    conflict bitmasks."""
+    """Per-dims arc universe, its file lines and label entries;
+    ``tables_for`` adds the conflict bitmasks."""
 
     def __init__(self, dims: TorusDims):
         dims.validate()
@@ -102,6 +108,9 @@ class MaskTables:
             for (dx, dy) in LACE_STEPS
         ]
         self.arc_id = {a: i for i, a in enumerate(self.arcs)}
+        # each arc keyed by the line ``serialize`` writes for it, which
+        # ``deserialize``'s rules read as exactly that arc
+        self.lines = {_arc_line(a): a for a in self.arcs}
         # per vertex: the id of the arc that leaves it by each step
         self.out_arc = [{} for _ in range(self.n_vertices)]
         for i, a in enumerate(self.arcs):
@@ -127,14 +136,6 @@ def arc_tables(dims: TorusDims) -> MaskTables:
     """The arc universe and label entries of a grid, without the crossing
     tables."""
     return MaskTables(dims)
-
-
-@lru_cache(maxsize=None)
-def arc_lines(dims: TorusDims) -> dict[str, Arc]:
-    """Each arc of ``arc_tables(dims)`` keyed by the line ``serialize``
-    writes for it, which ``deserialize``'s rules read as exactly that arc.
-    Shared by every caller, so read only."""
-    return {f"arc {a.row} {a.col} {a.dx} {a.dy}": a for a in arc_tables(dims).arcs}
 
 
 @lru_cache(maxsize=None)
@@ -383,8 +384,7 @@ def serialize(e: GroundEmbedding) -> str:
     """Canonical text form: header, dims, arcs in row-major origin order,
     then zeta annotations."""
     lines = ["ground v1", f"dims {e.dims.rows} {e.dims.cols}"]
-    for a in e.arcs:
-        lines.append(f"arc {a.row} {a.col} {a.dx} {a.dy}")
+    lines += map(_arc_line, e.arcs)
     for (r, c), actions in e.zeta:
         lines.append(f"zeta {r} {c} {actions}")
     return "\n".join(lines) + "\n"
@@ -401,12 +401,11 @@ def deserialize(text: str) -> GroundEmbedding:
     the verifier can report on them.
 
     An arc line as ``serialize`` writes it, after dims, is looked up in
-    ``arc_lines(dims)``: those lines are what the rules read as exactly
-    their arc, so only the duplicate check is left to run.
+    ``arc_tables(dims).lines``: those lines are what the rules read as
+    exactly their arc, so only the duplicate check is left to run.
     """
     dims: Optional[TorusDims] = None
-    arcs: list[Arc] = []
-    seen_arcs: set[Arc] = set()
+    arcs: dict[Arc, None] = {}  # in file order
     zeta: dict[tuple[int, int], str] = {}
     seen_header = False
     # the lines the writer emits for the arcs of dims, once dims is read
@@ -442,7 +441,7 @@ def deserialize(text: str) -> GroundEmbedding:
                     raise GroundFileError(
                         line_no, f"dims must be <= {MAX_PERIOD}x{MAX_PERIOD}, got {rows}x{cols}")
                 dims = TorusDims(rows, cols)
-                known = arc_lines(dims)
+                known = arc_tables(dims).lines
                 continue
             if fields[0] == "zeta":
                 if dims is None:
@@ -479,10 +478,9 @@ def deserialize(text: str) -> GroundEmbedding:
             if (dx, dy) not in LACE_STEP_SET:
                 raise GroundFileError(line_no, f"step ({dx},{dy}) not in the lace step set")
             arc = Arc(r, c, dx, dy)
-        if arc in seen_arcs:
+        if arc in arcs:
             raise GroundFileError(line_no, f"duplicate arc {tuple(arc)}")
-        seen_arcs.add(arc)
-        arcs.append(arc)
+        arcs[arc] = None
     if not seen_header:
         raise GroundFileError(1, "empty file; expected 'ground v1' header")
     if dims is None:

@@ -83,40 +83,38 @@ def wrap(row: int, col: int, dims: TorusDims) -> tuple[int, int]:
     return (row % dims.rows, col % dims.cols)
 
 
+def _slot_of(dx: int, dy: int) -> int:
+    """The slot whose unit direction has the signs of (dx, dy)."""
+    return SLOT_VECTORS.index(((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
+
+
+# (origin slot, head slot, length) of every lace step: it leaves by the slot
+# of its signs and arrives by the slot of their negation; its length, the
+# floor of the Euclidean distance between its endpoints, is its longer side
+# (1 for a diagonal unit step, whose length is sqrt(2)).
+_STEP_ENDS = {(dx, dy): (_slot_of(dx, dy), _slot_of(-dx, -dy), max(abs(dx), dy))
+              for dx, dy in LACE_STEPS}
+
+
+def _step_ends(step: tuple[int, int]) -> tuple[int, int, int]:
+    dx, dy = step
+    if (dx, dy) not in _STEP_ENDS:
+        raise ValueError(f"step {step} not in the lace step set")
+    return _STEP_ENDS[dx, dy]
+
+
 def direction_slot(step: tuple[int, int], at_head: bool = False) -> int:
     """Rotational slot an arc occupies at one of its endpoints.
 
     At the origin this is the departure direction of (dx, dy); at the head it
     is the arrival direction, i.e. the slot of (-dx, -dy).
     """
-    dx, dy = step
-    if (dx, dy) not in LACE_STEP_SET:
-        raise ValueError(f"step {step} not in the lace step set")
-    if at_head:
-        dx, dy = -dx, -dy
-    sx = (dx > 0) - (dx < 0)
-    sy = (dy > 0) - (dy < 0)
-    return SLOT_VECTORS.index((sx, sy))
-
-
-# Length of each step shape, keyed by (|dx|, dy): the floor of the
-# Euclidean distance between its endpoints.
-_LENGTHS = {(1, 0): 1, (2, 0): 2, (0, 1): 1, (1, 1): 1, (0, 2): 2}
+    return _step_ends(step)[1 if at_head else 0]
 
 
 def step_length(step: tuple[int, int]) -> int:
     """Length of a step: floor of the Euclidean distance between endpoints."""
-    dx, dy = step
-    if (dx, dy) not in LACE_STEP_SET:
-        raise ValueError(f"step {step} not in the lace step set")
-    return _LENGTHS[abs(dx), dy]
-
-
-# (origin slot, head slot, length) of every lace step
-_STEP_ENDS = {
-    s: (direction_slot(s), direction_slot(s, at_head=True), step_length(s))
-    for s in LACE_STEPS
-}
+    return _step_ends(step)[2]
 
 
 def arc_ends(arc: Arc, dims: TorusDims):

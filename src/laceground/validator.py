@@ -299,18 +299,18 @@ def check_no_contractible_directed_cycles(e: GroundEmbedding) -> CheckResult:
     if e.dims.cols > MAX_PERIOD:
         raise ValueError(f"the contractible cycle check takes grounds of at most "
                          f"{MAX_PERIOD} columns, got {e.dims.cols}")
-    by_tail: dict[tuple[int, int], list[Arc]] = {}
-    for a in set(e.arcs):
-        if a.dy == 0:
-            by_tail.setdefault((a.row, a.col), []).append(a)
-    for recs in by_tail.values():
-        recs.sort()
-
-    vertices = sorted(by_tail)
+    t = arc_tables(e.dims)
+    heads, arcs = t.head_vid, t.arcs
+    # per vertex id, in vertex order: the ids of its horizontal arcs out, in
+    # arc order (the order of arc ids)
+    by_tail: dict[int, list[int]] = {}
+    for aid in dict.fromkeys(e.slot_table.ids):
+        if not arcs[aid].dy:
+            by_tail.setdefault(t.origin_vid[aid], []).append(aid)
 
     def dfs(start, v, disp, path, on_path):
-        for a in by_tail.get(v, ()):
-            h = a.head(e.dims)
+        for aid in by_tail.get(v, ()):
+            a, h = arcs[aid], heads[aid]
             if h == start:
                 if disp + a.dx == 0:
                     return path + [a]
@@ -324,7 +324,7 @@ def check_no_contractible_directed_cycles(e: GroundEmbedding) -> CheckResult:
                 return found
         return None
 
-    for start in vertices:
+    for start in by_tail:
         witness = dfs(start, start, 0, [], {start})
         if witness is not None:
             return CheckResult(FAIL, witness,

@@ -1,7 +1,7 @@
 """A ground file's arc lines in the writer's own spelling are read through
-the per-grid table ``arc_lines``; every other spelling, and every fault, by
-the per-field rules. Both give the grounds, error texts and line numbers
-of the parser that runs the rules on every line
+the per-grid table ``arc_tables(dims).lines``; every other spelling, and
+every fault, by the per-field rules. Both give the grounds, error texts
+and line numbers of the parser that runs the rules on every line
 (``oracle.deserialize_reference``)."""
 
 import os
@@ -16,7 +16,6 @@ import laceground
 from laceground.embedding import (
     GroundEmbedding,
     GroundFileError,
-    arc_lines,
     arc_tables,
     deserialize,
     serialize,
@@ -33,7 +32,8 @@ def test_the_table_holds_each_arc_as_the_writer_spells_it(dims):
     the per-field rules read it as an equal arc, and it maps to the very
     element of ``arc_tables(dims).arcs``: one line for every arc."""
     dims = TorusDims(*dims)
-    table, arcs = arc_lines(dims), arc_tables(dims).arcs
+    t = arc_tables(dims)
+    table, arcs = t.lines, t.arcs
     assert len(table) == len(arcs)
     for (line, arc), element in zip(table.items(), arcs):
         assert arc is element
@@ -54,13 +54,13 @@ def test_no_table_is_built_at_import():
     """Importing the program, the command line included, builds no grid's
     tables: a run that parses nothing pays nothing for them."""
     code = ("import laceground.cli\n"
-            "from laceground.embedding import arc_lines, arc_tables\n"
-            "print(arc_lines.cache_info().currsize, arc_tables.cache_info().currsize)\n")
+            "from laceground.embedding import arc_tables\n"
+            "print(arc_tables.cache_info().currsize)\n")
     src = str(Path(laceground.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import argparse
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import laceground
 from laceground.braid import to_braid_word
 from laceground.canonical import TRANSFORMS, canonical_id, identifier, transform, translate
 from laceground.cli import build_parser, main
@@ -70,6 +74,16 @@ def test_paths_count(capsys):
     code, out, _ = run(capsys, "paths", "--height", "1")
     assert code == 0
     assert out.strip() == "3"
+
+
+def test_the_module_runs_as_a_program():
+    """``python -m laceground.cli`` runs ``main`` on its arguments and exits
+    with its code."""
+    src = str(Path(laceground.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "laceground.cli", "paths", "--height", "1"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
 
 
 def test_paths_list(capsys):
@@ -265,6 +279,22 @@ def test_enumerate_requires_budget_on_big_grids(capsys):
     code, _, err = run(capsys, "enumerate", "--rows", "4", "--cols", "4")
     assert code == 2
     assert "--budget" in err
+
+
+def test_counts_requires_budget_on_big_bounds(capsys):
+    code, out, err = run(capsys, "counts", "--max-rows", "4", "--max-cols", "4")
+    assert (code, out, err) == (2, "", "error: bounds of 4x4 and larger require --budget\n")
+
+
+def test_enumerate_refuses_an_out_dir_it_cannot_make(tmp_path, capsys):
+    """An ``--out`` below a regular file cannot be made: the run stops with
+    the usage code before the search."""
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "sols"
+    code, out, err = run(capsys, "enumerate", "--rows", "1", "--cols", "1",
+                         "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write to {out_dir}: ")
 
 
 def test_verify_good_and_bad(tmp_path, capsys):
@@ -482,6 +512,16 @@ def test_render_bad_repeats(tmp_path, capsys):
     code, _, err = run(capsys, "render", str(src), "--repeats", "0x4",
                        "--out", str(tmp_path / "x.svg"))
     assert code == 2
+
+
+def test_render_refuses_an_out_file_it_cannot_write(tmp_path, capsys):
+    src = tmp_path / "g.gnd"
+    src.write_text(GOOD_1x1)
+    out = tmp_path / "missing" / "g.svg"
+    code, stdout, err = run(capsys, "render", str(src), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("repeats", ["1_0x2", "+3x2", "4x4x4", "x4", " 4x4", "4x-4"])

@@ -19,7 +19,7 @@ from laceground.geometry import LACE_STEPS, Arc, TorusDims
 from laceground.paths import LacePath
 from laceground.render import render_svg
 from laceground.validator import check_connected, check_embedded, check_two_regular, full_report
-from oracle import crossing_tables_reference
+from oracle import crossing_tables_reference, deserialize_reference
 
 NE_W_PATH = LacePath(((-1, 1), (1, 0)), False)
 
@@ -273,6 +273,26 @@ def test_deserialize_error_text(text, message):
     with pytest.raises(GroundFileError) as err:
         deserialize(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    ("ground v1\ndims 1 1\ndims 1 1\n", 3, "duplicate dims line"),
+    ("ground v1\ndims 1 1 1\n", 2, "dims takes exactly two integers"),
+    ("ground v1\nzeta 0 0 CT\ndims 1 1\n", 2, "zeta before dims"),
+    ("ground v1\ndims 1 1\nzeta 0 0\n", 3, "zeta takes row, col and an action string"),
+    ("ground v1\ndims 1 2\nzeta 0 1 CT\n\nzeta 0 1 p\n", 5, "duplicate zeta for vertex (0,1)"),
+    ("ground v1\ndims 1 1\narc 0 0 1\n", 3, "arc takes exactly four integers"),
+    ("# no header\n\n", 1, "empty file; expected 'ground v1' header"),
+    ("ground v1\n\n# no dims\n", 1, "missing dims line"),
+], ids=["duplicate-dims", "dims-arity", "zeta-before-dims", "zeta-arity", "duplicate-zeta",
+        "arc-arity", "empty", "missing-dims"])
+def test_deserialize_refuses_each_misplaced_or_missing_line(text, line_no, message):
+    """Each fault names its line, as the parser that runs the rules on
+    every line names it."""
+    for parse in (deserialize, deserialize_reference):
+        with pytest.raises(GroundFileError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line_no) == (f"line {line_no}: {message}", line_no)
 
 
 @pytest.mark.parametrize("text,message", [

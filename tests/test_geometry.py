@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -12,6 +13,7 @@ from laceground.geometry import (
     step_length,
     wrap,
 )
+from laceground.search import SearchConfig, enumerate_grounds
 
 
 def test_wrap_examples():
@@ -56,6 +58,30 @@ def test_step_length():
     assert step_length((0, 2)) == 2
     assert step_length((-1, 0)) == 1
     assert step_length((-2, 0)) == 2
+
+
+def test_step_ends_are_the_steps_own():
+    """Each step arrives by the slot opposite the one it leaves by, and its
+    length is the floor of the Euclidean distance between its endpoints."""
+    for dx, dy in LACE_STEPS:
+        assert direction_slot((dx, dy), at_head=True) == (direction_slot((dx, dy)) + 4) % 8
+        assert step_length((dx, dy)) == isqrt(dx * dx + dy * dy)
+
+
+@pytest.mark.parametrize("step", [(0, 3), (3, 0), (1, -1), (0, 0)])
+def test_step_length_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="not in the lace step set"):
+        step_length(step)
+
+
+@pytest.mark.parametrize("dims", [TorusDims(0, 1), TorusDims(0, 2), TorusDims(1, 0),
+                                  TorusDims(-1, 2)])
+def test_dims_below_one_by_one_are_refused(dims):
+    message = rf"dims must be >= 1x1, got {dims.rows}x{dims.cols}"
+    with pytest.raises(ValueError, match=message):
+        dims.validate()
+    with pytest.raises(ValueError, match=message):
+        enumerate_grounds(SearchConfig(dims))
 
 
 def test_cross_examples():
