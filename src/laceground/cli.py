@@ -76,7 +76,9 @@ def _tiling(value: str) -> tuple[int, int]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process."""
+    """The command line parser, built once per process. Its ``commands``
+    maps each command's name to that command's own parser, the one the
+    top-level parser hands the command's arguments to."""
     parser = argparse.ArgumentParser(
         prog="laceground",
         description="Enumerate and verify toroidal 2-in/2-out lace ground embeddings.")
@@ -127,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("pretty", "tsv"), default="pretty")
     p.set_defaults(run=cmd_counts)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -266,8 +269,18 @@ def cmd_counts(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's arguments go straight to its own parser, as the top-level
+    # parser would hand them on, and are parsed once; any other argv is left
+    # to the top-level parser, which prints help or a usage error for it
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     return args.run(args)

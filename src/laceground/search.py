@@ -100,6 +100,7 @@ orbit, so the classes are those of the whole tree.
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .canonical import arc_permutations, canonical_representative, identifier_text
@@ -419,15 +420,22 @@ def _judge(eng: _Engine, leaves: set[int], strict: bool) -> dict[str, GroundEmbe
     symmetry orbit: canonical representatives keyed by identifier text.
     Connectivity and the canonical form are the same on every member of an
     orbit, so the other members met among the leaves are skipped."""
-    perms = tuple(arc_permutations(eng.dims).values())
-    seen: set[int] = set()
+    # per symmetry, the bit of each arc's image; the symmetries share the
+    # bit objects of one tuple
+    bits = tuple(1 << aid for aid in range(len(eng.t.arcs)))
+    image_bits = [tuple(map(bits.__getitem__, perm))
+                  for perm in arc_permutations(eng.dims).values()]
+    # the leaves no judged set's orbit holds: an orbit's images are struck
+    # off here, not kept, since most of them are no leaf
+    unjudged = set(leaves)
     found: dict[str, GroundEmbedding] = {}
     for mask in sorted(leaves):
-        if mask in seen:
+        if mask not in unjudged:
             continue
         ids = list(_bits(mask))
-        for perm in perms:
-            seen.add(sum(1 << perm[aid] for aid in ids))
+        # a regular leaf has at least two arcs (a lone arc leaves its head
+        # with one arc in), so itemgetter gives a tuple of bits, not one bit
+        unjudged.difference_update(map(sum, map(itemgetter(*ids), image_bits)))
         e = GroundEmbedding(eng.dims, tuple(eng.t.arcs[aid] for aid in ids))
         if not (windings_span_plane(e) if strict else check_connected(e).ok):
             continue

@@ -23,8 +23,10 @@ out arc by arc (``image``), the canonical form computed image by image
 by candidate (``keep_masks_reference``), the circuits traced slot by slot
 (``circuits_reference``), a ground's slot table read arc end by arc end
 (``slot_table_reference``), the drawing made one f-string per arc and
-per dot (``render_reference``) and a ground file parsed field by field on
-every line (``deserialize_reference``).
+per dot (``render_reference``), a ground file parsed field by field on
+every line (``deserialize_reference``) and the command line parsed whole by
+the top-level parser, which hands a command's arguments on to that
+command's parser (``main_reference``).
 """
 
 from collections import Counter
@@ -36,6 +38,7 @@ from laceground.canonical import (
     identifier_text,
     label_grid,
 )
+from laceground.cli import EXIT_OK, EXIT_USAGE, build_parser
 from laceground.embedding import (
     MAX_PERIOD,
     ZETA_ALPHABET,
@@ -504,3 +507,15 @@ def deserialize_reference(text: str) -> GroundEmbedding:
     if dims is None:
         raise GroundFileError(1, "missing dims line")
     return GroundEmbedding(dims, tuple(arcs), tuple(zeta.items()))
+
+
+def main_reference(argv=None) -> int:
+    """``cli.main`` as it was when every argv went through the top-level
+    parser, which parses the command's arguments a second time with the
+    command's own parser."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    return args.run(args)

@@ -3,6 +3,7 @@ import filecmp
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -18,6 +19,7 @@ from laceground.embedding import MAX_FILE_BYTES, deserialize, serialize
 from laceground.geometry import TorusDims
 from laceground.render import render_svg
 from laceground.validator import full_report, report_to_json
+from oracle import main_reference
 from test_slot_table import _grounds
 
 GOOD_1x1 = "ground v1\ndims 1 1\narc 0 0 -1 1\narc 0 0 1 0\n"
@@ -241,6 +243,103 @@ def test_readme_synopsis_matches_the_parser():
                      if opt.startswith("--") and opt != "--help"}
               for name, sub in subparsers.choices.items()}
     assert documented == parsed
+
+
+# argv shapes on which ``main`` must act as ``oracle.main_reference`` does;
+# F stands for a ground file and O for an output path
+DISPATCH = [
+    (), ("-h",), ("--help",), ("--he",), ("bogus",),
+    ("verify",), ("verify", "-h"), ("verify", "F", "-h"), ("-h", "verify"),
+    ("verify", "F", "extra", "more"), ("verify", "F", "--report=json", "--stri"),
+    ("verify", "--", "-h"), ("--", "paths", "--height", "1"),
+    ("canon", "--", "F"), ("canon", "F", "--", "x"),
+    ("render", "F", "--repeats", "4x4"), ("render", "F", "--out", "O", "--repeats", "0x1"),
+    ("enumerate", "--rows", "1", "--cols", "1", "-x"), ("paths", "--height", "-1"),
+    # README's synopsis, each line with every option, and its budget example
+    ("paths", "--height", "3", "--list"),
+    ("enumerate", "--rows", "2", "--cols", "3", "--jobs", "1", "--out", "O",
+     "--loose", "--budget", "1000"),
+    ("verify", "F", "--strict", "--braid", "--report", "json"),
+    ("canon", "F"),
+    ("render", "F", "--repeats", "2x3", "--out", "O", "--labels"),
+    ("counts", "--max-rows", "2", "--max-cols", "3", "--jobs", "1", "--loose",
+     "--budget", "1000", "--format", "tsv"),
+    ("enumerate", "--rows", "3", "--cols", "3", "--budget", "20000", "--loose"),
+]
+
+
+def _run_with(capsys, entry, argv=None):
+    """``run`` with ``entry`` in place of ``main``."""
+    code = entry(argv)
+    done = capsys.readouterr()
+    return code, done.out, done.err
+
+
+def _written(path):
+    """The bytes at ``path``: a file's, a directory's files' by name, or
+    None when nothing is there."""
+    if path.is_dir():
+        return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("shape", DISPATCH, ids=[" ".join(a) or "(none)" for a in DISPATCH])
+def test_dispatch_acts_as_the_two_parse_reference(shape, tmp_path, capsys):
+    """Exit code, stdout, stderr and any file written are the reference's,
+    which parses the whole argv with the top-level parser."""
+    f, out = tmp_path / "g.gnd", tmp_path / "out"
+    f.write_text(DRIFT_1x1)
+    argv = [str(f) if a == "F" else str(out) if a == "O" else a for a in shape]
+    runs = []
+    for entry in (main, main_reference):
+        runs.append((_run_with(capsys, entry, argv), _written(out)))
+        if out.is_dir():
+            shutil.rmtree(out)
+        else:
+            out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("shape, code", [((), 2), (("paths", "--height", "2"), 0),
+                                         (("canon", "--", "F"), 0), (("verify", "F", "extra"), 2)],
+                         ids=str)
+def test_dispatch_reads_sys_argv_without_argv(shape, code, tmp_path, capsys, monkeypatch):
+    """``main()`` parses ``sys.argv[1:]``, as the reference does."""
+    f = tmp_path / "g.gnd"
+    f.write_text(GOOD_1x1)
+    monkeypatch.setattr(sys, "argv", ["laceground", *(str(f) if a == "F" else a for a in shape)])
+    runs = [_run_with(capsys, entry) for entry in (main, main_reference)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+
+
+def test_a_command_is_parsed_once_by_its_own_parser(tmp_path, capsys, monkeypatch):
+    """A command's call is parsed by that command's parser alone, once; the
+    top-level parser never parses it, leftovers included."""
+    f = tmp_path / "g.gnd"
+    f.write_text(GOOD_1x1)
+    top = build_parser()
+    parsed = []
+    for name in ("parse_args", "parse_known_args"):
+        def spy(self, *args, _original=getattr(argparse.ArgumentParser, name), **kwargs):
+            assert self is not top, "the top-level parser parsed a command's arguments"
+            parsed.append(self.prog)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, name, spy)
+    calls = [
+        (0, "paths", "--height", "1"),
+        (0, "enumerate", "--rows", "1", "--cols", "1"),
+        (0, "verify", str(f)),
+        (0, "canon", str(f)),
+        (0, "render", str(f), "--out", str(tmp_path / "g.svg")),
+        (0, "counts", "--max-rows", "1", "--max-cols", "1"),
+        (2, "verify", str(f), "extra"),
+        (2, "render", str(f)),
+    ]
+    for code, *argv in calls:
+        parsed.clear()
+        assert run(capsys, *argv)[0] == code
+        assert parsed == [f"laceground {argv[0]}"]
 
 
 def test_enumerate_budget_exit_code(capsys):

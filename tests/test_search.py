@@ -21,7 +21,7 @@ from laceground.embedding import (
     serialize,
     tables_for,
 )
-from laceground.geometry import TorusDims
+from laceground.geometry import TRANSFORMS, TorusDims
 from laceground.paths import generate_lace_paths
 from laceground.search import (
     SearchConfig,
@@ -35,7 +35,7 @@ from laceground.search import (
     enumerate_grounds,
 )
 from laceground.validator import check_connected, full_report, windings_span_plane
-from oracle import keep_masks_reference, search_state
+from oracle import image, keep_masks_reference, search_state
 
 # the loose model (connected on the torus only)
 SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
@@ -244,6 +244,37 @@ def test_each_orbit_judged_once_in_the_caller(monkeypatch, pool_rents):
         judged_run(2)
     assert runs[0] == runs[1] == runs[2]
     assert len(orbits) < len(_leaves(dims))  # some leaves were skipped
+
+
+@pytest.mark.parametrize("dims, judged_sets, classes", [((3, 3), 289, 274), ((2, 5), 811, 542)],
+                         ids=["3x3", "2x5"])
+def test_judged_sets_are_the_least_of_their_orbits(dims, judged_sets, classes, monkeypatch):
+    """Every arc set the run judges is the least mask of its symmetry orbit
+    among the leaves, with the orbits worked out arc by arc by
+    ``oracle.image`` rather than through the arc-id permutations."""
+    dims = TorusDims(*dims)
+    t = tables_for(dims)
+    leaves = _leaves(dims)
+    least, covered = set(), set()
+    for mask in leaves:
+        if mask in covered:
+            continue
+        e = GroundEmbedding(dims, _arcs_of(dims, mask))
+        orbit = {sum(1 << t.arc_id[a] for a in image(e, name, dr, dc).arcs)
+                 for name in TRANSFORMS for dr in range(dims.rows) for dc in range(dims.cols)}
+        covered |= orbit
+        least.add(min(orbit & leaves))
+    judged = []
+    original = search.windings_span_plane
+
+    def record(e):
+        judged.append(sum(1 << t.arc_id[a] for a in e.arcs))
+        return original(e)
+
+    monkeypatch.setattr(search, "windings_span_plane", record)
+    assert enumerate_grounds(SearchConfig(dims)).count == classes
+    assert len(judged) == len(set(judged)) == judged_sets
+    assert set(judged) == least
 
 
 def _judge_each_leaf(eng, leaves, strict):
