@@ -193,8 +193,12 @@ def cmd_enumerate(args) -> int:
     if out_dir is not None:
         # each solution is keyed by the identifier text of its representative
         for eid_text, emb in result.canonical_solutions:
-            (out_dir / f"{solution_name(eid_text)}.gnd").write_text(
-                serialize(emb), encoding="utf-8")
+            path = out_dir / f"{solution_name(eid_text)}.gnd"
+            try:
+                path.write_text(serialize(emb), encoding="utf-8")
+            except OSError as exc:
+                print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     print(f"solutions={result.count} nodes={result.nodes_visited} "
           f"complete={str(result.complete).lower()}")
     return EXIT_OK if result.complete else EXIT_INCOMPLETE

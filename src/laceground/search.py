@@ -136,9 +136,13 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     canonical_solutions: list[tuple[str, GroundEmbedding]]  # sorted by id text
-    count: int
     nodes_visited: int
     complete: bool
+
+    @property
+    def count(self) -> int:
+        """The number of classes found."""
+        return len(self.canonical_solutions)
 
 
 class _Candidate:
@@ -511,10 +515,8 @@ def enumerate_grounds(config: SearchConfig) -> SearchResult:
                 nodes += n
 
     found = _judge(eng, leaves, config.strict_connectivity)
-    solutions = sorted(found.items())
     return SearchResult(
-        canonical_solutions=solutions,
-        count=len(solutions),
+        canonical_solutions=sorted(found.items()),
         nodes_visited=nodes,
         complete=complete,
     )

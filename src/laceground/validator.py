@@ -7,19 +7,18 @@ rotationally consecutive at every vertex, and thread conserving: its arcs
 partition into non-transverse directed circuits none of which drifts
 sideways (longitudinal winding zero). Each check returns a concrete witness
 on failure so problems in a user file can be located.
+
+Rotational consecutiveness and freedom from contractible directed cycles
+follow from the steps' directions once no slot holds two arcs, so neither
+searches: each passes on such a ground and reads BLOCKED, at the lowest
+vertex with a shared slot, on any other.
 """
 
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .embedding import (
-    MAX_PERIOD,
-    GroundEmbedding,
-    _first_fault,
-    arc_tables,
-    tables_for,
-)
+from .embedding import GroundEmbedding, _first_fault, arc_tables, tables_for
 from .geometry import Arc
 
 PASS, FAIL, BLOCKED = "pass", "fail", "blocked"
@@ -216,6 +215,13 @@ def _rotationally_consecutive(e: GroundEmbedding, two_regular: CheckResult) -> C
         return CheckResult(BLOCKED, two_regular.witness, "requires 2-regularity")
     # two arcs in one slot have no order around the vertex: a label shows
     # the later in arc order, which a translation changes
+    return _slot_verdict(e)
+
+
+def _slot_verdict(e: GroundEmbedding) -> CheckResult:
+    """The verdict of a property that holds once no slot holds two arcs:
+    PASS on such a ground, else BLOCKED at the lowest vertex with a shared
+    slot."""
     shared = e.slot_table.shared
     if shared:
         v = divmod(min(shared)[0] // 8, e.dims.cols)
@@ -284,53 +290,16 @@ def partition_circuits(e: GroundEmbedding) -> CircuitPartition:
 def check_no_contractible_directed_cycles(e: GroundEmbedding) -> CheckResult:
     """No directed cycle may have total displacement (0, 0).
 
-    Steps never point upward, so a zero-displacement cycle consists purely of
-    horizontal arcs; it suffices to enumerate simple directed cycles within
-    each row's horizontal subgraph and compare exact column displacements.
-
-    The enumeration is kept small: a ground wider than
-    ``embedding.MAX_PERIOD`` (8) columns, the widest a file can declare, is
-    refused with ValueError, and a repeated arc is walked once, so a vertex
-    has at most the 4 horizontal arcs out. With all of them present, a
-    row's simple directed cycles number 4, 8, 28, 46, 84, 138, 228 and 374
-    at 1 to 8 columns, so a row closes at most 374 of them. The count grows
-    about sevenfold per 4 more columns.
+    Once no slot holds two arcs this always holds. No step points up, so a
+    cycle with zero displacement has dy = 0 throughout and runs along one
+    row. Its arcs go both east and west, else its dx would not sum to zero,
+    so somewhere an east arc is followed by a west arc: the first arrives
+    by the W slot of their shared vertex and the second leaves by it, so
+    both hold that slot. The reverse turn shares the E slot. A ground with a
+    shared slot already fails ``check_embedded``; there this check reads
+    BLOCKED, as the rotational one does, rather than search for a cycle.
     """
-    if e.dims.cols > MAX_PERIOD:
-        raise ValueError(f"the contractible cycle check takes grounds of at most "
-                         f"{MAX_PERIOD} columns, got {e.dims.cols}")
-    t = arc_tables(e.dims)
-    heads, arcs = t.head_vid, t.arcs
-    # per vertex id, in vertex order: the ids of its horizontal arcs out, in
-    # arc order (the order of arc ids)
-    by_tail: dict[int, list[int]] = {}
-    for aid in dict.fromkeys(e.slot_table.ids):
-        if not arcs[aid].dy:
-            by_tail.setdefault(t.origin_vid[aid], []).append(aid)
-
-    def dfs(start, v, disp, path, on_path):
-        for aid in by_tail.get(v, ()):
-            a, h = arcs[aid], heads[aid]
-            if h == start:
-                if disp + a.dx == 0:
-                    return path + [a]
-                continue
-            if h in on_path or h < start:
-                continue
-            on_path.add(h)
-            found = dfs(start, h, disp + a.dx, path + [a], on_path)
-            on_path.discard(h)
-            if found is not None:
-                return found
-        return None
-
-    for start in by_tail:
-        witness = dfs(start, start, 0, [], {start})
-        if witness is not None:
-            return CheckResult(FAIL, witness,
-                               "directed cycle with zero displacement: "
-                               + ", ".join(str(tuple(a)) for a in witness))
-    return CheckResult(PASS)
+    return _slot_verdict(e)
 
 
 def check_thread_conservation(e: GroundEmbedding) -> CheckResult:

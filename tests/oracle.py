@@ -21,7 +21,9 @@ out arc by arc (``image``), the canonical form computed image by image
 (``canonical_reference``), the crossing tables tested pair by pair
 (``crossing_tables_reference``), the search's keep masks read candidate
 by candidate (``keep_masks_reference``), the circuits traced slot by slot
-(``circuits_reference``), a ground's slot table read arc end by arc end
+(``circuits_reference``), a directed cycle of zero displacement found by
+searching each row's simple cycles (``contractible_cycle_reference``), a
+ground's slot table read arc end by arc end
 (``slot_table_reference``), the drawing made one f-string per arc and
 per dot (``render_reference``), a ground file parsed field by field on
 every line (``deserialize_reference``) and the command line parsed whole by
@@ -209,6 +211,47 @@ def slot_table_reference(e: GroundEmbedding):
             written.add(entry)
             labels[entry] = length
     return tuple(ids), tuple(labels), tuple(shared)
+
+
+def contractible_cycle_reference(e: GroundEmbedding):
+    """The arcs of a directed cycle of ``e`` with total displacement (0, 0),
+    or None, found by search. Steps never point upward, so such a cycle
+    consists purely of horizontal arcs; the search enumerates the simple
+    directed cycles within each row's horizontal subgraph and compares
+    exact column displacements. A repeated arc is walked once, so a vertex
+    has at most the 4 horizontal arcs out; with all of them present, a
+    row's simple directed cycles number 4, 8, 28, 46, 84, 138, 228 and 374
+    at 1 to 8 columns."""
+    t = arc_tables(e.dims)
+    heads, arcs = t.head_vid, t.arcs
+    # per vertex id, in vertex order: the ids of its horizontal arcs out, in
+    # arc order (the order of arc ids)
+    by_tail: dict[int, list[int]] = {}
+    for aid in dict.fromkeys(e.slot_table.ids):
+        if not arcs[aid].dy:
+            by_tail.setdefault(t.origin_vid[aid], []).append(aid)
+
+    def dfs(start, v, disp, path, on_path):
+        for aid in by_tail.get(v, ()):
+            a, h = arcs[aid], heads[aid]
+            if h == start:
+                if disp + a.dx == 0:
+                    return path + [a]
+                continue
+            if h in on_path or h < start:
+                continue
+            on_path.add(h)
+            found = dfs(start, h, disp + a.dx, path + [a], on_path)
+            on_path.discard(h)
+            if found is not None:
+                return found
+        return None
+
+    for start in by_tail:
+        witness = dfs(start, start, 0, [], {start})
+        if witness is not None:
+            return witness
+    return None
 
 
 def circuits_reference(e: GroundEmbedding):

@@ -13,11 +13,19 @@ import pytest
 
 import laceground
 from laceground.braid import to_braid_word
-from laceground.canonical import TRANSFORMS, canonical_id, identifier, transform, translate
+from laceground.canonical import (
+    TRANSFORMS,
+    canonical_id,
+    identifier,
+    solution_name,
+    transform,
+    translate,
+)
 from laceground.cli import build_parser, main
 from laceground.embedding import MAX_FILE_BYTES, deserialize, serialize
 from laceground.geometry import TorusDims
 from laceground.render import render_svg
+from laceground.search import SearchConfig, enumerate_grounds
 from laceground.validator import full_report, report_to_json
 from oracle import main_reference
 from test_slot_table import _grounds
@@ -229,7 +237,7 @@ def test_enumerate_jobs_byte_identical(tmp_path, capsys, pool_rents):
 
 def test_readme_synopsis_matches_the_parser():
     """Per subcommand, the options README's command-line block shows are
-    those the parser takes, leaving out --help."""
+    those the parser's help lists, leaving out --help."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
     documented: dict[str, set[str]] = {}
@@ -237,11 +245,13 @@ def test_readme_synopsis_matches_the_parser():
         if line.startswith("laceground "):
             command = documented.setdefault(line.split()[1], set())
         command.update(re.findall(r"--[a-z][a-z-]*", line))
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    parsed = {name: {opt for action in sub._actions for opt in action.option_strings
-                     if opt.startswith("--") and opt != "--help"}
-              for name, sub in subparsers.choices.items()}
+    # a command's help gives each option's spellings on a line of their
+    # own, two spaces in, with its help text at least two spaces after them
+    parsed = {name: {opt for line in sub.format_help().splitlines()
+                     if line.startswith("  -")
+                     for opt in re.findall(r"--[a-z][a-z-]*", line.split("  ")[1])}
+              - {"--help"}
+              for name, sub in build_parser().commands.items()}
     assert documented == parsed
 
 
@@ -396,6 +406,18 @@ def test_enumerate_refuses_an_out_dir_it_cannot_make(tmp_path, capsys):
     assert err.startswith(f"error: cannot write to {out_dir}: ")
 
 
+def test_enumerate_reports_a_solution_it_cannot_write(tmp_path, capsys):
+    """A directory in the place of a solution's file: the run stops with
+    the usage code and names the file, as when ``--out`` cannot be made."""
+    (eid_text, _), = enumerate_grounds(SearchConfig(TorusDims(1, 1))).canonical_solutions
+    blocked = tmp_path / f"{solution_name(eid_text)}.gnd"
+    blocked.mkdir()
+    code, out, err = run(capsys, "enumerate", "--rows", "1", "--cols", "1",
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {blocked}: ")
+
+
 def test_verify_good_and_bad(tmp_path, capsys):
     good = tmp_path / "good.gnd"
     good.write_text(GOOD_1x1)
@@ -407,7 +429,8 @@ def test_verify_good_and_bad(tmp_path, capsys):
     drift.write_text(FLAT_CYCLE)
     code, out, _ = run(capsys, "verify", str(drift))
     assert code == 1
-    assert "no_contractible_directed_cycle: fail" in out
+    assert "embedded: fail (slot-conflict" in out
+    assert "no_contractible_directed_cycle: blocked" in out
 
 
 def test_verify_json_report(tmp_path, capsys):

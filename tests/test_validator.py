@@ -7,6 +7,7 @@ from laceground.embedding import GroundEmbedding, deserialize
 from laceground.geometry import LACE_STEPS, Arc, TorusDims, direction_slot
 from laceground.search import SearchConfig, enumerate_grounds
 from laceground.validator import (
+    BLOCKED,
     check_connected,
     check_no_contractible_directed_cycles,
     check_thread_conservation,
@@ -16,7 +17,7 @@ from laceground.validator import (
     report_to_json,
     report_to_text,
 )
-from oracle import circuit_cut_crossings
+from oracle import circuit_cut_crossings, contractible_cycle_reference
 
 TORCHON_1x1 = GroundEmbedding(TorusDims(1, 1), (Arc(0, 0, -1, 1), Arc(0, 0, 1, 0)))
 EMPTY_2x2 = GroundEmbedding(TorusDims(2, 2))
@@ -101,9 +102,12 @@ def test_partition_rejects_shared_slots():
 def test_no_contractible_examples():
     assert check_no_contractible_directed_cycles(TORCHON_1x1).ok
     flat = deserialize("ground v1\ndims 1 2\narc 0 0 1 0\narc 0 1 -1 0\n")
-    r = check_no_contractible_directed_cycles(flat)
-    assert not r.ok
-    assert len(r.witness) == 2
+    # east then west along the row: each turn shares a slot, so the check
+    # is blocked at the lowest such vertex rather than searched
+    assert flat.slot_table.shared
+    assert check_no_contractible_directed_cycles(flat) == (
+        BLOCKED, (0, 0), "requires an embedding without slot conflicts")
+    assert contractible_cycle_reference(flat) == list(flat.arcs)
 
 
 def test_conservation():
