@@ -30,7 +30,7 @@ SKIP_STEP = (0, 2)
 
 # Largest height the command line walks paths for: the count grows about
 # 14-fold per row (1,289,040 paths at height 6), and enumerating the 6x1
-# grid takes 2.8 to 3.0 s at 52 MB peak RSS with --jobs 1 (Python 3.11,
+# grid takes 2.0 to 2.5 s at 43 MB peak RSS with --jobs 1 (Python 3.11,
 # 2-CPU machine).
 MAX_PATH_HEIGHT = 6
 
@@ -51,7 +51,8 @@ class LacePath(NamedTuple):
 
 
 def _lace_paths(n: int, extend=lambda state, step: state,
-                start=lambda row: row) -> Iterator[tuple[LacePath, object]]:
+                start=lambda row: row,
+                steps: tuple[Step, ...] = LACE_STEPS) -> Iterator[tuple[LacePath, object]]:
     """Every lace path of height n with a state grown along its steps,
     lexicographic by steps, rooted first, in one depth-first walk.
 
@@ -68,16 +69,30 @@ def _lace_paths(n: int, extend=lambda state, step: state,
     ``start(row)`` gives the state at the row a form is anchored at: row 0
     for the rooted form, row n-1 for the skipping form, which is begun only
     by a first step (0, 2). ``extend(state, step)``, called for every step
-    the rules admit, returns the state of the longer prefix, or None to cut
-    that form there; a branch is cut once both forms are cut. By default a
-    path's state is its anchor row.
+    of ``steps`` the rules admit, returns the state of the longer prefix, or
+    None to cut that form there; a branch is cut once both forms are cut. By
+    default a path's state is its anchor row.
+
+    ``steps``, an ordered subsequence of ``LACE_STEPS``, are the steps the
+    walk takes: it yields exactly the paths of the full walk whose steps all
+    lie in ``steps``, in the same order and forms. A prefix at (dx, dy) is
+    cut when |dx| > (d + h) * (n - dy) + h, with d the largest |dx| of a
+    step of ``steps`` with dy 1 and h that of a horizontal one (3 * (n - dy)
+    + 2 with every step): no path from it can return to dx 0. The n - dy
+    rows left take at most n - dy descents, each moving at most d columns
+    (a double step moves none), and since horizontal steps are never
+    adjacent, descents and horizontal steps alternate: at most n - dy + 1
+    horizontal steps, each moving at most h columns.
     """
     if n < 1:
         raise ValueError(f"height must be >= 1, got {n}")
+    # the widest move of a descent and of a horizontal step (0 without one)
+    d = max((abs(dx) for dx, dy in steps if dy == 1), default=0)
+    h = max((abs(dx) for dx, dy in steps if dy == 0), default=0)
     stack: list[Step] = []
     # one frame per depth: the prefix's net (dx, dy), the rooted and the
     # skipping form's state (None once cut) and the steps not yet tried
-    frames = [(0, 0, start(0), None, iter(LACE_STEPS))]
+    frames = [(0, 0, start(0), None, iter(steps))]
     while frames:
         sdx, sdy, rooted, skipping, untried = frames[-1]
         for step in untried:
@@ -89,10 +104,8 @@ def _lace_paths(n: int, extend=lambda state, step: state,
             if dy == 0 and (not stack or stack[-1][1] == 0):
                 continue
             ndx = sdx + dx
-            # Each remaining row of descent can correct at most 1 column via a
-            # diagonal plus 2 via one interleaved horizontal; one trailing
-            # horizontal may follow the last descent.
-            if abs(ndx) > 3 * (n - ndy) + 2:
+            # no path from here returns to dx 0 (see the docstring)
+            if abs(ndx) > (d + h) * (n - ndy) + h:
                 continue
             next_rooted = None if rooted is None else extend(rooted, step)
             if skipping is not None:
@@ -105,14 +118,14 @@ def _lace_paths(n: int, extend=lambda state, step: state,
                 continue
             stack.append(step)
             if ndy == n and ndx == 0:
-                steps = tuple(stack)
+                walked = tuple(stack)
                 if next_rooted is not None:
-                    yield LacePath(steps, False), next_rooted
+                    yield LacePath(walked, False), next_rooted
                 if next_skipping is not None:
-                    yield LacePath(steps, True), next_skipping
+                    yield LacePath(walked, True), next_skipping
                 stack.pop()
                 continue
-            frames.append((ndx, ndy, next_rooted, next_skipping, iter(LACE_STEPS)))
+            frames.append((ndx, ndy, next_rooted, next_skipping, iter(steps)))
             break
         else:
             frames.pop()

@@ -41,10 +41,14 @@ per path, built in one streaming depth-first walk over arc ids from vertex
 (0, 0) (rooted paths) and, down a first double step, from vertex (n-1, 0)
 as well (skipping paths). It takes the lace-step rules from ``paths`` and
 cuts a branch at the first arc that ``embedding._join`` rejects, so no path
-list is built and no path with a fault is completed. Each comes directly before
-its mirror image under the column reflection through column 0,
-``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which maps
-column 0's candidates onto themselves. The walk enters only the paths that
+list is built and no path with a fault is completed. It takes only the
+steps whose arcs do not conflict with their own periodic copies, and bounds
+dx by those steps: on a one-column grid it drops the horizontal double steps
+and on a one-row grid the double step, whose arcs ``_join`` rejects wherever
+they stand (point (iii) of ``_Engine._column_candidates``). Each candidate
+comes directly before its mirror image under the column reflection through
+column 0, ``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which
+maps column 0's candidates onto themselves. The walk enters only the paths that
 step only vertically or whose first sideways step goes left; a path whose
 first sideways step goes right is the mirror image of one of those, so its
 candidate is built from the walked one's arc ids mapped through that
@@ -105,7 +109,7 @@ from typing import Optional
 
 from .canonical import arc_permutations, canonical_representative, identifier_text
 from .embedding import _NO_ARCS, GroundEmbedding, _Arcs, _join, tables_for
-from .geometry import TorusDims
+from .geometry import LACE_STEPS, TorusDims
 from .paths import _lace_paths
 from .validator import check_connected, windings_span_plane
 
@@ -190,6 +194,7 @@ class _Engine:
         for c in range(1, cols):
             shift = arc_permutations(dims)["identity", 0, c]
             self.candidates[c::cols] = [self._moved(cand, shift) for cand in column0]
+        del column0  # freed before the keep masks are built: a lower peak RSS
         self.all_alive = (1 << len(self.candidates)) - 1
         # per vertex: the candidates that add an arc into it
         self.arc_keep, self.into = self._keep_masks()
@@ -236,6 +241,16 @@ class _Engine:
         sideways, the walk's ``turned`` flag. The reflection negates dx; a
         turned path's image is a different fault-free lace path, so by (i)
         it lays a different arc set, one the walk never enters.
+
+        (iii) The walk takes only the steps whose arc out of vertex (0, 0)
+        does not conflict with its own periodic copies: (+-2, 0) when cols
+        = 1 and (0, 2) when rows = 1 meet their copies, and on every other
+        grid no step is dropped. Self-conflict is invariant under
+        translation (``tables_for`` sets it per step), so every arc of a
+        dropped step is one ``_join`` rejects and no candidate holds one.
+        ``_lace_paths`` then bounds dx by the steps left, so it also cuts
+        the prefixes that only a dropped step could bring back to dx 0;
+        the paths it yields are the others, in the same order.
         """
         t = self.t
         cols = self.dims.cols
@@ -256,9 +271,12 @@ class _Engine:
                 return None
             return t.head_vid[aid], turned or dx != 0, ids + (aid,), masks
 
+        # (iii): the steps whose arcs do not conflict with their own copies
+        admitted = tuple(s for s in LACE_STEPS if t.self_ok[t.out_arc[0][s]])
         mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
         out, starts = [], []
-        for _, (_, turned, ids, masks) in _lace_paths(self.dims.rows, extend, start):
+        for _, (_, turned, ids, masks) in _lace_paths(self.dims.rows, extend, start,
+                                                      admitted):
             starts.append(len(out) * cols)
             out.append(_Candidate(ids, masks))
             if turned:

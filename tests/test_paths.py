@@ -6,6 +6,7 @@ from laceground.geometry import LACE_STEPS
 from laceground.paths import (
     SKIP_STEP,
     LacePath,
+    _lace_paths,
     count_lace_paths,
     format_path,
     generate_lace_paths,
@@ -123,3 +124,31 @@ def test_skipping_paths_follow_their_rooted_twins(n):
 def test_format_path():
     assert format_path(LacePath(((0, 1),), False)) == "(0,1)"
     assert format_path(LacePath(((0, 2), (1, 0)), True)) == "(0,2),(1,0) skip"
+
+
+def _within(steps, paths):
+    return [p for p in paths if set(p.steps) <= set(steps)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_step_subset_walks_the_paths_within_it(n):
+    """For every subset of the steps, the walk along it yields exactly the
+    full walk's paths whose steps all lie in it, in the same order and
+    forms: its bound on dx, derived from the steps it takes, cuts no path
+    that could return to dx 0."""
+    paths = generate_lace_paths(n)
+    for size in range(len(LACE_STEPS) + 1):
+        for steps in itertools.combinations(LACE_STEPS, size):
+            walked = [p for p, _ in _lace_paths(n, steps=steps)]
+            assert walked == _within(steps, paths), steps
+
+
+@pytest.mark.parametrize("dropped,count", [(((-2, 0), (2, 0)), 11013), ((SKIP_STEP,), 81223)],
+                         ids=["one-column", "one-row"])
+def test_the_steps_a_grid_admits_at_height_five(dropped, count):
+    """The step sets the column walk takes on a one-column grid (no
+    horizontal double step) and a one-row grid (no double step)."""
+    steps = tuple(s for s in LACE_STEPS if s not in dropped)
+    walked = [p for p, _ in _lace_paths(5, steps=steps)]
+    assert len(walked) == count
+    assert walked == _within(steps, generate_lace_paths(5))

@@ -45,7 +45,8 @@ SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 1
 # not publish 2x5
 GOLDEN = {(2, 2): ("4ddb0d817512ba8e", 12, 90), (2, 3): ("f5837c02a18e0854", 31, 666),
           (3, 2): ("376e130448769230", 31, 2144), (1, 5): ("96d48af6994e947f", 4, 201),
-          (2, 5): ("150c2f6bcce83a27", 542, 41962)}
+          (2, 5): ("150c2f6bcce83a27", 542, 41962), (4, 1): ("b296256d01508d61", 27, 671),
+          (5, 1): ("9482d02f0d298fc2", 82, 5512)}
 
 
 @pytest.mark.parametrize("dims,expected", sorted(SMALL_COUNTS.items()))
@@ -557,8 +558,9 @@ def test_column_0_walk_takes_only_left_turning_paths(monkeypatch):
     """Column 0's walk never adds a step with dx > 0 to a prefix without a
     sideways step, so every prefix it enters steps only vertically or turns
     left first; the right-turning half comes from one ``_join`` per mirror
-    image. At 5x1 the walk takes 31,398 ``_join`` steps, against 62,770 when
-    it walked every path."""
+    image. At 5x1 the walk takes 12,786 ``_join`` steps along the six steps
+    the one-column grid admits, against 31,398 along all eight and 62,770
+    when it walked every path."""
     dims = TorusDims(5, 1)
     t = tables_for(dims)
     sideways = sum(1 << aid for aid, arc in enumerate(t.arcs) if arc.dx)
@@ -576,7 +578,7 @@ def test_column_0_walk_takes_only_left_turning_paths(monkeypatch):
 
     monkeypatch.setattr(search, "_join", counting_join)
     eng = search._Engine(dims)  # not the cached engine: the build must run
-    assert (steps, images) == (31398, 5501)
+    assert (steps, images) == (12786, 5501)
     assert len(eng.candidates) == 11013  # 5,501 pairs and 11 self-images
 
 
