@@ -51,12 +51,15 @@ column 0, ``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which
 maps column 0's candidates onto themselves. The walk enters only the paths that
 step only vertically or whose first sideways step goes left; a path whose
 first sideways step goes right is the mirror image of one of those, so its
-candidate is built from the walked one's arc ids mapped through that
-permutation. Steps sort by dx first, so of a path and its image the
-left-turning one comes first, and the pairs come in the order of the whole
-walk. ``_Engine._column_candidates`` proves that distinct paths lay
-distinct arc sets, so no two candidates coincide. Column 0's candidate k
-moved by ``("identity", 0, c)``, c columns right, is candidate k * cols + c.
+candidate is the walked one's arc ids mapped through that permutation, with
+masks the walk grows beside the walked path's: from the first sideways step
+on, each step joins the image of its arc to the image of the prefix, so the
+images share the walk's prefixes as the walked paths do. Steps sort by dx
+first, so of a path and its image the left-turning one comes first, and the
+pairs come in the order of the whole walk. ``_Engine._column_candidates``
+proves that distinct paths lay distinct arc sets, so no two candidates
+coincide. Column 0's candidate k moved by ``("identity", 0, c)``, c columns
+right, is candidate k * cols + c.
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -221,8 +224,13 @@ class _Engine:
         sideways step: the paths walked step only vertically or turn left
         first, and the others' candidates are the walked ones' mirror
         images, their arc ids mapped through
-        ``arc_permutations(dims)["h_reflect", 0, 0]`` and checked once more
-        by ``_join`` (``_moved``). Two facts leave nothing to look up:
+        ``arc_permutations(dims)["h_reflect", 0, 0]``. A state also carries
+        the masks of its mirror image. Before the first sideways step they
+        are the walked masks; from that step on, every step joins the
+        image of its arc to them with ``_join``, which must find no fault,
+        so every image arc is checked once more, against the image of the
+        prefix the walk has already joined. Two facts leave nothing to look
+        up:
 
         (i) Distinct fault-free paths lay distinct arc sets. An arc records
         its step, so it is enough that the arc set fixes the walk order.
@@ -238,9 +246,12 @@ class _Engine:
         step, and the loop must come before the walk descends.
 
         (ii) A candidate is its own image exactly when it never steps
-        sideways, the walk's ``turned`` flag. The reflection negates dx; a
-        turned path's image is a different fault-free lace path, so by (i)
-        it lays a different arc set, one the walk never enters.
+        sideways, when the walk carries no image masks for it. The
+        reflection negates dx and fixes column 0, so it maps each arc of a
+        path that has not yet stepped sideways to itself. A turned path's
+        image is a different fault-free lace path, so by (i) it lays a
+        different arc set, one the walk never enters; the reflection keeps
+        lace steps and faults, so each of its prefixes joins without one.
 
         (iii) The walk takes only the steps whose arc out of vertex (0, 0)
         does not conflict with its own periodic copies: (+-2, 0) when cols
@@ -254,39 +265,46 @@ class _Engine:
         """
         t = self.t
         cols = self.dims.cols
+        mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
 
-        # a walk's state: the vertex it stands at, whether it has stepped
-        # sideways yet, its arc ids and their masks
+        # a walk's state: the vertex it stands at, its arc ids, their masks
+        # and the masks of its mirror image, None until its first sideways
+        # step (before it the path is its own image)
         def start(row):
-            return row * cols, False, (), _NO_ARCS
+            return row * cols, (), _NO_ARCS, None
 
         def extend(state, step):
-            vid, turned, ids, masks = state
+            vid, ids, masks, image = state
             dx = step[0]
-            if dx > 0 and not turned:
+            if dx > 0 and image is None:
                 return None  # a right-turning path: the image of a walked one
             aid = t.out_arc[vid][step]
-            masks, fault = _join(masks, (aid,), t)
+            joined, fault = _join(masks, (aid,), t)
             if fault is not None:
                 return None
-            return t.head_vid[aid], turned or dx != 0, ids + (aid,), masks
+            if dx or image is not None:
+                # (ii): a symmetry keeps lace steps and faults, so the image
+                # of an arc that joins the prefix joins the prefix's image
+                image, fault = _join(masks if image is None else image,
+                                     (mirror[aid],), t)
+                assert fault is None
+            return t.head_vid[aid], ids + (aid,), joined, image
 
         # (iii): the steps whose arcs do not conflict with their own copies
         admitted = tuple(s for s in LACE_STEPS if t.self_ok[t.out_arc[0][s]])
-        mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
         out, starts = [], []
-        for _, (_, turned, ids, masks) in _lace_paths(self.dims.rows, extend, start,
-                                                      admitted):
+        for _, (_, ids, masks, image) in _lace_paths(self.dims.rows, extend, start,
+                                                     admitted):
             starts.append(len(out) * cols)
             out.append(_Candidate(ids, masks))
-            if turned:
-                out.append(self._moved(out[-1], mirror))
+            if image is not None:
+                out.append(_Candidate(tuple(map(mirror.__getitem__, ids)), image))
         return out, starts
 
     def _moved(self, cand: _Candidate, perm: tuple[int, ...]) -> _Candidate:
-        """``cand`` with its arc ids mapped through ``perm``, an entry of
-        ``arc_permutations``: a symmetry keeps lace steps and faults, so the
-        image joins without one."""
+        """``cand`` with its arc ids mapped through ``perm``, the entry of
+        ``arc_permutations`` that moves it to another column: a symmetry
+        keeps lace steps and faults, so the image joins without one."""
         ids = tuple(perm[aid] for aid in cand.arc_ids)
         masks, fault = _join(_NO_ARCS, ids, self.t)
         assert fault is None
@@ -294,11 +312,13 @@ class _Engine:
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
         """``arc_keep`` and ``into``, read off the transposed candidates:
-        per arc, the candidates that hold it, and per vertex, those that add
-        one arc or two arcs into it. A candidate is dead to arc ``a`` when
-        it holds ``a``, holds an arc that crosses ``a`` (its bits in
-        ``conflict_mask[a]``, which leaves ``a`` out) or adds two arcs into
-        the head of ``a``.
+        per arc, the candidates that hold it (its holder row), and per
+        vertex, those that add one arc or two arcs into it. A vertex's rows
+        are read off the holder rows of the arcs into it: their OR, and the
+        candidates in two of them, exactly those whose ``in_two`` holds the
+        vertex. A candidate is dead to arc ``a`` when it holds ``a``, holds
+        an arc that crosses ``a`` (its bits in ``conflict_mask[a]``, which
+        leaves ``a`` out) or adds two arcs into the head of ``a``.
 
         A shared slot needs no term of its own: two distinct arcs in one
         slot of a vertex both leave it along the slot's direction, so both
@@ -307,21 +327,20 @@ class _Engine:
         counts them as crossing. ``_join`` still tests slots first, so a
         shared slot is reported as one."""
         t = self.t
-        # the transposed bit matrices, filled bytewise
+        # the transposed bit matrix, filled bytewise
         size = (len(self.candidates) + 7) // 8
         holder_rows = [bytearray(size) for _ in t.arcs]
-        into_rows = [bytearray(size) for _ in range(t.n_vertices)]
-        two_rows = [bytearray(size) for _ in range(t.n_vertices)]
         for k, cand in enumerate(self.candidates):
             byte, bit = k >> 3, 1 << (k & 7)
             for aid in cand.arc_ids:
                 holder_rows[aid][byte] |= bit
-            for v in _bits(cand.in_any):
-                into_rows[v][byte] |= bit
-            for v in _bits(cand.in_two):
-                two_rows[v][byte] |= bit
         holders = [int.from_bytes(r, "little") for r in holder_rows]
-        two_into = [int.from_bytes(r, "little") for r in two_rows]
+        # per vertex, the holders of one arc into it and of a second one
+        into = [0] * t.n_vertices
+        two_into = [0] * t.n_vertices
+        for aid, head in enumerate(t.head_vid):
+            two_into[head] |= into[head] & holders[aid]
+            into[head] |= holders[aid]
         everything = self.all_alive
         arc_keep = []
         for aid, head in enumerate(t.head_vid):
@@ -329,7 +348,7 @@ class _Engine:
             for b in _bits(t.conflict_mask[aid]):
                 dead |= holders[b]
             arc_keep.append(everything ^ dead)
-        return arc_keep, [int.from_bytes(r, "little") for r in into_rows]
+        return arc_keep, into
 
     def narrow(self, alive: int, cand: _Candidate, filled: int) -> int:
         """``alive`` narrowed to the candidates that still fit once ``cand``

@@ -19,8 +19,10 @@ invariants (``is_valid_lace_path``), a circuit's longitudinal winding read at
 a cut (``circuit_cut_crossings``), a ground's image under a symmetry worked
 out arc by arc (``image``), the canonical form computed image by image
 (``canonical_reference``), the crossing tables tested pair by pair
-(``crossing_tables_reference``), the search's keep masks read candidate
-by candidate (``keep_masks_reference``), the circuits traced slot by slot
+(``crossing_tables_reference``), the search's column-0 candidates with
+each mirror image joined from scratch (``column_candidates_reference``), the
+search's keep masks read candidate by candidate
+(``keep_masks_reference``), the circuits traced slot by slot
 (``circuits_reference``), a directed cycle of zero displacement found by
 searching each row's simple cycles (``contractible_cycle_reference``), a
 ground's slot table read arc end by arc end
@@ -35,6 +37,7 @@ from collections import Counter
 
 from laceground.canonical import (
     TRANSFORMS,
+    arc_permutations,
     canonical_representative,
     identifier,
     identifier_text,
@@ -42,14 +45,24 @@ from laceground.canonical import (
 )
 from laceground.cli import EXIT_OK, EXIT_USAGE, build_parser
 from laceground.embedding import (
+    _NO_ARCS,
     MAX_PERIOD,
     ZETA_ALPHABET,
     GroundEmbedding,
     GroundFileError,
+    _join,
     arc_tables,
     tables_for,
 )
-from laceground.geometry import LACE_STEP_SET, Arc, TorusDims, arc_ends, arcs_cross
+from laceground.geometry import (
+    LACE_STEP_SET,
+    LACE_STEPS,
+    Arc,
+    TorusDims,
+    arc_ends,
+    arcs_cross,
+)
+from laceground.paths import _lace_paths
 from laceground.render import CELL, DOT_R, MARGIN, MAX_REPEATS
 from laceground.validator import _fundamental_windings, check_two_regular, full_report
 
@@ -161,6 +174,43 @@ def crossing_tables_reference(dims: TorusDims):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return self_ok, masks
+
+
+def column_candidates_reference(dims: TorusDims):
+    """Column 0's candidates of the search engine, each as (arc ids, arcs
+    mask, in_any, in_two), and the work-item starts, built as the walk of
+    left-turning paths that joins each mirror image from scratch: one
+    whole-candidate ``_join`` per image, after its path is complete."""
+    t = tables_for(dims)
+    cols = dims.cols
+
+    # a walk's state: vertex, whether it stepped sideways, arc ids, masks
+    def start(row):
+        return row * cols, False, (), _NO_ARCS
+
+    def extend(state, step):
+        vid, turned, ids, masks = state
+        dx = step[0]
+        if dx > 0 and not turned:
+            return None
+        aid = t.out_arc[vid][step]
+        masks, fault = _join(masks, (aid,), t)
+        if fault is not None:
+            return None
+        return t.head_vid[aid], turned or dx != 0, ids + (aid,), masks
+
+    admitted = tuple(s for s in LACE_STEPS if t.self_ok[t.out_arc[0][s]])
+    mirror = arc_permutations(dims)["h_reflect", 0, 0]
+    built, starts = [], []
+    for _, (_, turned, ids, masks) in _lace_paths(dims.rows, extend, start, admitted):
+        starts.append(len(built) * cols)
+        built.append((ids, masks))
+        if turned:
+            image = tuple(mirror[aid] for aid in ids)
+            masks, fault = _join(_NO_ARCS, image, t)
+            assert fault is None
+            built.append((image, masks))
+    return [(ids, m.arcs, m.in_any, m.in_two) for ids, m in built], starts
 
 
 def keep_masks_reference(eng):

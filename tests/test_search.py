@@ -35,7 +35,7 @@ from laceground.search import (
     enumerate_grounds,
 )
 from laceground.validator import check_connected, full_report, windings_span_plane
-from oracle import image, keep_masks_reference, search_state
+from oracle import column_candidates_reference, image, keep_masks_reference, search_state
 
 # the loose model (connected on the torus only)
 SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
@@ -557,29 +557,97 @@ def test_column_0_candidates_are_distinct_and_self_images_never_turn(dims):
 def test_column_0_walk_takes_only_left_turning_paths(monkeypatch):
     """Column 0's walk never adds a step with dx > 0 to a prefix without a
     sideways step, so every prefix it enters steps only vertically or turns
-    left first; the right-turning half comes from one ``_join`` per mirror
-    image. At 5x1 the walk takes 12,786 ``_join`` steps along the six steps
-    the one-column grid admits, against 31,398 along all eight and 62,770
-    when it walked every path."""
+    left first. The right-turning half grows beside it: from the first
+    sideways step on, each step the walk takes is followed by one image
+    join, which adds the mirror image of the step's arc to the image of the
+    prefix and finds no fault. At 5x1 the walk takes 12,786 ``_join`` steps
+    along the six steps the one-column grid admits, against 31,398 along
+    all eight and 62,770 when it walked every path; the images take 12,760
+    one-arc joins, against 5,501 whole-candidate joins of 43,580 arcs when
+    each image was joined from scratch."""
     dims = TorusDims(5, 1)
     t = tables_for(dims)
+    mirror = arc_permutations(dims)["h_reflect", 0, 0]
     sideways = sum(1 << aid for aid, arc in enumerate(t.arcs) if arc.dx)
     steps, images = 0, 0
+    # the image join the last walk step calls for: (the image of its
+    # prefix, the image of its arc), or None
+    image_due = None
     join = search._join
 
     def counting_join(p, arc_ids, tables, *rest):
-        nonlocal steps, images
-        if len(arc_ids) == 1:  # a walk step; an image holds two arcs or more
+        nonlocal steps, images, image_due
+        masks, fault = join(p, arc_ids, tables, *rest)
+        if image_due is None:  # a walk step
             steps += 1
-            assert t.arcs[arc_ids[0]].dx <= 0 or p.arcs & sideways
+            (aid,) = arc_ids
+            assert t.arcs[aid].dx <= 0 or p.arcs & sideways
+            if fault is None and masks.arcs & sideways:
+                image_due = sum(1 << mirror[b] for b in _bits(p.arcs)), mirror[aid]
         else:
             images += 1
-        return join(p, arc_ids, tables, *rest)
+            assert (p.arcs, arc_ids) == (image_due[0], (image_due[1],))
+            assert fault is None
+            image_due = None
+        return masks, fault
 
     monkeypatch.setattr(search, "_join", counting_join)
     eng = search._Engine(dims)  # not the cached engine: the build must run
-    assert (steps, images) == (12786, 5501)
+    assert (steps, images) == (12786, 12760)
+    assert image_due is None
     assert len(eng.candidates) == 11013  # 5,501 pairs and 11 self-images
+
+
+@pytest.mark.parametrize("dims", COLUMN_GRIDS + [(6, 1)], ids="{0[0]}x{0[1]}".format)
+def test_column_0_images_match_those_joined_from_scratch(dims):
+    """Column 0's candidates, whose mirror images' masks the walk grows
+    beside the walked paths', equal in order, arc ids and masks those of
+    the build that joins each image from scratch once its path is
+    complete, and the work items start at the same candidates."""
+    dims = TorusDims(*dims)
+    eng = _engine(dims)
+    expected, starts = column_candidates_reference(dims)
+    assert [(cand.arc_ids, cand.arcs_mask, cand.in_any, cand.in_two)
+            for cand in eng.candidates[::dims.cols]] == expected
+    assert eng.starts == starts
+
+
+# sha256 over each engine's candidates (arc ids, arcs_mask, in_any,
+# in_two), starts, arc_keep, into and full_keep (first 16 hex digits), as
+# built when each mirror image was joined from scratch and each vertex row
+# read candidate by candidate
+ENGINE_DIGESTS = {(5, 1): "b949c3a38ce52c78", (6, 1): "a55869c4583b688a",
+                  (3, 3): "7a8eaa3ae86ccf96", (2, 4): "ec4411ee5b57e1d9",
+                  (4, 2): "5a1a1a8a74daad70", (1, 8): "893dd21261fac653",
+                  (2, 5): "e51113fda6b9f62b", (4, 3): "05dff48d8628631e"}
+
+
+def _engine_digest(eng) -> str:
+    """``ENGINE_DIGESTS``' hash of an engine. Each int goes in as its
+    little-endian bytes after their length, and each sequence after its
+    length: ``repr`` of a 4x3 mask exceeds the int-to-text digit limit."""
+    h = hashlib.sha256()
+
+    def ints(values):
+        values = list(values)
+        h.update(len(values).to_bytes(8, "little"))
+        for x in values:
+            b = x.to_bytes((x.bit_length() + 7) // 8, "little")
+            h.update(len(b).to_bytes(8, "little") + b)
+
+    for cand in eng.candidates:
+        ints(cand.arc_ids)
+        ints((cand.arcs_mask, cand.in_any, cand.in_two))
+    for table in (eng.starts, eng.arc_keep, eng.into, eng.full_keep):
+        ints(table)
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("dims", sorted(ENGINE_DIGESTS), ids="{0[0]}x{0[1]}".format)
+def test_engines_match_their_golden_digests(dims):
+    """Every engine is built byte for byte as before: its candidates,
+    starts and keep masks hash to the pinned digest."""
+    assert _engine_digest(_engine(TorusDims(*dims))) == ENGINE_DIGESTS[dims]
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (1, 5), (5, 1)], ids="{0[0]}x{0[1]}".format)
