@@ -30,7 +30,7 @@ SKIP_STEP = (0, 2)
 
 # Largest height the command line walks paths for: the count grows about
 # 14-fold per row (1,289,040 paths at height 6), and enumerating the 6x1
-# grid takes 1.2 to 1.6 s at 43 MB peak RSS with --jobs 1 (Python 3.11,
+# grid takes 1.3 to 2.1 s at 44 MB peak RSS with --jobs 1 (Python 3.11,
 # 2-CPU machine).
 MAX_PATH_HEIGHT = 6
 

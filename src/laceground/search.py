@@ -53,13 +53,20 @@ step only vertically or whose first sideways step goes left; a path whose
 first sideways step goes right is the mirror image of one of those, so its
 candidate is the walked one's arc ids mapped through that permutation, with
 masks the walk grows beside the walked path's: from the first sideways step
-on, each step joins the image of its arc to the image of the prefix, so the
-images share the walk's prefixes as the walked paths do. Steps sort by dx
+on, each step adds the bit of its arc's image and that image's head to the
+image's masks, so the images share the walk's prefixes as the walked paths
+do. No image arc is joined: the reflection carries every table ``_join``
+reads onto itself, which ``_check_symmetry`` asserts once per grid, so it
+maps a path that joins without a fault to one that does. Steps sort by dx
 first, so of a path and its image the left-turning one comes first, and the
 pairs come in the order of the whole walk. ``_Engine._column_candidates``
 proves that distinct paths lay distinct arc sets, so no two candidates
 coincide. Column 0's candidate k moved by ``("identity", 0, c)``, c columns
-right, is candidate k * cols + c.
+right, is candidate k * cols + c: its arc ids mapped through that
+permutation, and its masks rotated within each row's block of bits
+(``_column_shift``). Nothing is joined there either: the shifts are the
+powers of the unit shift, which ``_check_symmetry`` checks once, rotation
+included.
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -111,7 +118,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .canonical import arc_permutations, canonical_representative, identifier_text
-from .embedding import _NO_ARCS, GroundEmbedding, _Arcs, _join, tables_for
+from .embedding import _NO_ARCS, GroundEmbedding, MaskTables, _join, tables_for
 from .geometry import LACE_STEPS, TorusDims
 from .paths import _lace_paths
 from .validator import check_connected, windings_span_plane
@@ -153,18 +160,17 @@ class SearchResult:
 
 
 class _Candidate:
-    """A set of arcs added as one search move, made from the masks ``_join``
-    gave them: its arcs and the vertices it adds at least one and two arcs
-    into."""
+    """A set of arcs added as one search move: its arc ids, their bitset,
+    and the vertices it adds at least one and two arcs into, as ``_join``
+    gives them."""
 
     __slots__ = ("arc_ids", "arcs_mask", "in_any", "in_two")
 
-    def __init__(self, arc_ids: tuple[int, ...], masks: _Arcs):
-        # a closed walk: the keep masks and the search read the in side only
-        assert masks.in_any == masks.out_any and masks.in_two == masks.out_two
+    def __init__(self, arc_ids: tuple[int, ...], arcs_mask: int, in_any: int,
+                 in_two: int):
         self.arc_ids = arc_ids
-        self.arcs_mask = masks.arcs
-        self.in_any, self.in_two = masks.in_any, masks.in_two
+        self.arcs_mask = arcs_mask
+        self.in_any, self.in_two = in_any, in_two
 
 
 class _Engine:
@@ -194,9 +200,16 @@ class _Engine:
         # index-major: column 0's candidate k at k * cols, then its translates
         self.candidates = [None] * (len(column0) * cols)
         self.candidates[::cols] = column0
-        for c in range(1, cols):
-            shift = arc_permutations(dims)["identity", 0, c]
-            self.candidates[c::cols] = [self._moved(cand, shift) for cand in column0]
+        # per column c > 0: the permutation that moves column 0 there, and
+        # its movers
+        shifts = [(arc_permutations(dims)["identity", 0, c], *_column_shift(dims, c))
+                  for c in range(1, cols)]
+        if shifts:
+            # the unit shift's powers are the translates: checked once, it
+            # vouches for every mask moved below
+            _check_symmetry(self.t, *shifts[0])
+        for c, shift in enumerate(shifts, 1):
+            self.candidates[c::cols] = _moved(column0, *shift)
         del column0  # freed before the keep masks are built: a lower peak RSS
         self.all_alive = (1 << len(self.candidates)) - 1
         # per vertex: the candidates that add an arc into it
@@ -225,12 +238,11 @@ class _Engine:
         first, and the others' candidates are the walked ones' mirror
         images, their arc ids mapped through
         ``arc_permutations(dims)["h_reflect", 0, 0]``. A state also carries
-        the masks of its mirror image. Before the first sideways step they
-        are the walked masks; from that step on, every step joins the
-        image of its arc to them with ``_join``, which must find no fault,
-        so every image arc is checked once more, against the image of the
-        prefix the walk has already joined. Two facts leave nothing to look
-        up:
+        its mirror image's arcs, ``in_any`` and ``in_two``. Before the first
+        sideways step they are the walked masks; from that step on, every
+        step adds the bit of its arc's image and, as ``_join`` would, the
+        image's head (``two |= any & head; any |= head``). Nothing is
+        joined for an image, by (ii). Two facts leave nothing to look up:
 
         (i) Distinct fault-free paths lay distinct arc sets. An arc records
         its step, so it is enough that the arc set fixes the walk order.
@@ -249,9 +261,12 @@ class _Engine:
         sideways, when the walk carries no image masks for it. The
         reflection negates dx and fixes column 0, so it maps each arc of a
         path that has not yet stepped sideways to itself. A turned path's
-        image is a different fault-free lace path, so by (i) it lays a
-        different arc set, one the walk never enters; the reflection keeps
-        lace steps and faults, so each of its prefixes joins without one.
+        image is a different lace path, so by (i) it lays a different arc
+        set, one the walk never enters. It is fault-free: the reflection
+        carries every table ``_join`` reads onto itself, which
+        ``_check_symmetry`` asserts once per grid, so ``_join`` finds no
+        fault in an image prefix where it found none in the walked one, and
+        the image's masks are those ``_join`` would give it.
 
         (iii) The walk takes only the steps whose arc out of vertex (0, 0)
         does not conflict with its own periodic copies: (+-2, 0) when cols
@@ -266,10 +281,15 @@ class _Engine:
         t = self.t
         cols = self.dims.cols
         mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
+        # (ii): the reflection maps every walked path to a fault-free one
+        _check_symmetry(t, mirror)
+        # per arc: the bits of its image and of the image's head
+        image_bit = [1 << aid for aid in mirror]
+        image_head = [1 << t.head_vid[aid] for aid in mirror]
 
         # a walk's state: the vertex it stands at, its arc ids, their masks
-        # and the masks of its mirror image, None until its first sideways
-        # step (before it the path is its own image)
+        # and its mirror image's arcs, in_any and in_two, None until its
+        # first sideways step (before it the path is its own image)
         def start(row):
             return row * cols, (), _NO_ARCS, None
 
@@ -283,11 +303,11 @@ class _Engine:
             if fault is not None:
                 return None
             if dx or image is not None:
-                # (ii): a symmetry keeps lace steps and faults, so the image
-                # of an arc that joins the prefix joins the prefix's image
-                image, fault = _join(masks if image is None else image,
-                                     (mirror[aid],), t)
-                assert fault is None
+                if image is None:  # the first sideways step
+                    image = masks.arcs, masks.in_any, masks.in_two
+                arcs, in_any, in_two = image
+                head = image_head[aid]
+                image = arcs | image_bit[aid], in_any | head, in_two | in_any & head
             return t.head_vid[aid], ids + (aid,), joined, image
 
         # (iii): the steps whose arcs do not conflict with their own copies
@@ -295,20 +315,13 @@ class _Engine:
         out, starts = [], []
         for _, (_, ids, masks, image) in _lace_paths(self.dims.rows, extend, start,
                                                      admitted):
+            # a closed walk: the keep masks and the search read the in side only
+            assert masks.in_any == masks.out_any and masks.in_two == masks.out_two
             starts.append(len(out) * cols)
-            out.append(_Candidate(ids, masks))
+            out.append(_Candidate(ids, masks.arcs, masks.in_any, masks.in_two))
             if image is not None:
-                out.append(_Candidate(tuple(map(mirror.__getitem__, ids)), image))
+                out.append(_Candidate(tuple(map(mirror.__getitem__, ids)), *image))
         return out, starts
-
-    def _moved(self, cand: _Candidate, perm: tuple[int, ...]) -> _Candidate:
-        """``cand`` with its arc ids mapped through ``perm``, the entry of
-        ``arc_permutations`` that moves it to another column: a symmetry
-        keeps lace steps and faults, so the image joins without one."""
-        ids = tuple(perm[aid] for aid in cand.arc_ids)
-        masks, fault = _join(_NO_ARCS, ids, self.t)
-        assert fault is None
-        return _Candidate(ids, masks)
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
         """``arc_keep`` and ``into``, read off the transposed candidates:
@@ -379,6 +392,73 @@ class _Engine:
                 best, fewest = options, count
             waiting ^= low
         return best
+
+
+def _check_symmetry(t: MaskTables, perm: tuple[int, ...], move_arcs=None,
+                    move_vertices=None) -> None:
+    """Assert that the arc permutation ``perm``, a symmetry of the grid of
+    ``t`` that keeps each arc's direction, carries onto themselves the
+    tables ``_join`` reads: ``self_ok``, ``conflict_mask``, the label
+    entries and the end vertices, the last two each moved by one bijection
+    (the entries are the bits of ``slot_mask``). Every test of ``_join``
+    then gives the same answer on an arc after a sequence as on their
+    images, so ``perm`` maps every sequence that joins without a fault to
+    one that does, with each of its masks moved bit by bit.
+
+    ``move_arcs`` and ``move_vertices``, if given, are the bitset movers
+    that build the images' masks (``_column_shift``): they must move every
+    single arc bit and vertex bit as ``perm`` does, and since they move a
+    bitset bit by bit, they then move every mask as ``perm`` does."""
+    assert sorted(perm) == list(range(len(t.arcs)))
+    arc_bit = [1 << aid for aid in perm]
+    entries, vertices = {}, {}
+    for a, b in enumerate(perm):
+        for (entry, length), (image, image_length) in zip(t.ends[a], t.ends[b]):
+            assert entries.setdefault(entry, image) == image and length == image_length
+        (origin, _), (head, _) = t.ends[a]
+        assert t.slot_mask[a] == 1 << origin | 1 << head
+        for v, w in ((t.origin_vid[a], t.origin_vid[b]), (t.head_vid[a], t.head_vid[b])):
+            assert vertices.setdefault(v, w) == w
+        assert t.self_ok[a] == t.self_ok[b]
+        assert sum(map(arc_bit.__getitem__, _bits(t.conflict_mask[a]))) == t.conflict_mask[b]
+        if move_arcs is not None:
+            assert move_arcs(1 << a) == arc_bit[a]
+    for moved in entries, vertices:
+        assert len(set(moved.values())) == len(moved)
+    if move_vertices is not None:
+        assert all(move_vertices(1 << v) == 1 << w for v, w in vertices.items())
+
+
+def _column_shift(dims: TorusDims, c: int):
+    """The bitset movers of ``("identity", 0, c)`` in
+    ``arc_permutations(dims)``, c columns right: arc ids and vertex ids run
+    row by row, so each row's arcs and vertices are a block of bits, which
+    the shift rotates, arc bits by ``len(LACE_STEPS) * c`` in blocks of
+    ``len(LACE_STEPS) * cols`` and vertex bits by c in blocks of cols."""
+    steps = len(LACE_STEPS)
+    return (_rotation(steps * dims.cols, dims.rows, steps * c),
+            _rotation(dims.cols, dims.rows, c))
+
+
+def _rotation(width: int, blocks: int, k: int):
+    """A mover that rotates each of ``blocks`` blocks of ``width`` bits k
+    places up: a bit that would leave its block re-enters at its bottom."""
+    low = sum(((1 << k) - 1) << (b * width) for b in range(blocks))
+    high = ((1 << width * blocks) - 1) ^ low
+    back = width - k
+    return lambda mask: (mask << k) & high | (mask >> back) & low
+
+
+def _moved(column0: list[_Candidate], perm: tuple[int, ...], move_arcs,
+           move_vertices) -> list[_Candidate]:
+    """Column 0's candidates moved to another column: their arc ids mapped
+    through ``perm``, the entry of ``arc_permutations`` that moves them
+    there, and their masks by its movers (``_column_shift``), which
+    ``_check_symmetry`` vouches for."""
+    arc_id = perm.__getitem__
+    return [_Candidate(tuple(map(arc_id, cand.arc_ids)), move_arcs(cand.arcs_mask),
+                       move_vertices(cand.in_any), move_vertices(cand.in_two))
+            for cand in column0]
 
 
 def _bits(mask: int):

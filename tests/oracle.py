@@ -21,6 +21,8 @@ out arc by arc (``image``), the canonical form computed image by image
 (``canonical_reference``), the crossing tables tested pair by pair
 (``crossing_tables_reference``), the search's column-0 candidates with
 each mirror image joined from scratch (``column_candidates_reference``), the
+search's candidates with each column translate joined from scratch
+(``translates_reference``), the
 search's keep masks read candidate by candidate
 (``keep_masks_reference``), the circuits traced slot by slot
 (``circuits_reference``), a directed cycle of zero displacement found by
@@ -211,6 +213,25 @@ def column_candidates_reference(dims: TorusDims):
             assert fault is None
             built.append((image, masks))
     return [(ids, m.arcs, m.in_any, m.in_two) for ids, m in built], starts
+
+
+def translates_reference(dims: TorusDims):
+    """Every candidate of the search engine, index-major, as (arc ids, arcs
+    mask, in_any, in_two): each of column 0's candidates
+    (``column_candidates_reference``) followed by its translates to columns
+    1 to cols - 1, each joined from scratch, one whole-candidate ``_join``
+    of its arc ids moved through ``("identity", 0, c)``."""
+    t = tables_for(dims)
+    column0, _ = column_candidates_reference(dims)
+    shifts = [arc_permutations(dims)["identity", 0, c] for c in range(dims.cols)]
+    built = []
+    for ids, *_ in column0:
+        for shift in shifts:
+            moved = tuple(shift[aid] for aid in ids)
+            masks, fault = _join(_NO_ARCS, moved, t)
+            assert fault is None
+            built.append((moved, masks.arcs, masks.in_any, masks.in_two))
+    return built
 
 
 def keep_masks_reference(eng):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from functools import lru_cache
 from types import SimpleNamespace
@@ -26,6 +27,8 @@ from laceground.paths import generate_lace_paths
 from laceground.search import (
     SearchConfig,
     _bits,
+    _check_symmetry,
+    _column_shift,
     _engine,
     _ItemRunner,
     _judge,
@@ -35,7 +38,13 @@ from laceground.search import (
     enumerate_grounds,
 )
 from laceground.validator import check_connected, full_report, windings_span_plane
-from oracle import column_candidates_reference, image, keep_masks_reference, search_state
+from oracle import (
+    column_candidates_reference,
+    image,
+    keep_masks_reference,
+    search_state,
+    translates_reference,
+)
 
 # the loose model (connected on the torus only)
 SMALL_COUNTS = {(1, 1): 1, (1, 2): 3, (1, 3): 5, (2, 1): 4, (3, 1): 6, (2, 2): 14}
@@ -557,44 +566,30 @@ def test_column_0_candidates_are_distinct_and_self_images_never_turn(dims):
 def test_column_0_walk_takes_only_left_turning_paths(monkeypatch):
     """Column 0's walk never adds a step with dx > 0 to a prefix without a
     sideways step, so every prefix it enters steps only vertically or turns
-    left first. The right-turning half grows beside it: from the first
-    sideways step on, each step the walk takes is followed by one image
-    join, which adds the mirror image of the step's arc to the image of the
-    prefix and finds no fault. At 5x1 the walk takes 12,786 ``_join`` steps
-    along the six steps the one-column grid admits, against 31,398 along
-    all eight and 62,770 when it walked every path; the images take 12,760
-    one-arc joins, against 5,501 whole-candidate joins of 43,580 arcs when
-    each image was joined from scratch."""
+    left first. The right-turning half grows beside it without a join: at
+    5x1 every ``_join`` call of the build is one of the walk's 12,786 steps
+    along the six steps the one-column grid admits (against 31,398 along
+    all eight and 62,770 when it walked every path). The mirror images take
+    no join, since the reflection is checked once on the tables (12,760
+    one-arc joins when each image grew by joining, and 5,501
+    whole-candidate joins of 43,580 arcs when each was joined from
+    scratch)."""
     dims = TorusDims(5, 1)
     t = tables_for(dims)
-    mirror = arc_permutations(dims)["h_reflect", 0, 0]
     sideways = sum(1 << aid for aid, arc in enumerate(t.arcs) if arc.dx)
-    steps, images = 0, 0
-    # the image join the last walk step calls for: (the image of its
-    # prefix, the image of its arc), or None
-    image_due = None
+    steps = 0
     join = search._join
 
     def counting_join(p, arc_ids, tables, *rest):
-        nonlocal steps, images, image_due
-        masks, fault = join(p, arc_ids, tables, *rest)
-        if image_due is None:  # a walk step
-            steps += 1
-            (aid,) = arc_ids
-            assert t.arcs[aid].dx <= 0 or p.arcs & sideways
-            if fault is None and masks.arcs & sideways:
-                image_due = sum(1 << mirror[b] for b in _bits(p.arcs)), mirror[aid]
-        else:
-            images += 1
-            assert (p.arcs, arc_ids) == (image_due[0], (image_due[1],))
-            assert fault is None
-            image_due = None
-        return masks, fault
+        nonlocal steps
+        steps += 1
+        (aid,) = arc_ids
+        assert t.arcs[aid].dx <= 0 or p.arcs & sideways
+        return join(p, arc_ids, tables, *rest)
 
     monkeypatch.setattr(search, "_join", counting_join)
     eng = search._Engine(dims)  # not the cached engine: the build must run
-    assert (steps, images) == (12786, 12760)
-    assert image_due is None
+    assert steps == 12786
     assert len(eng.candidates) == 11013  # 5,501 pairs and 11 self-images
 
 
@@ -610,6 +605,101 @@ def test_column_0_images_match_those_joined_from_scratch(dims):
     assert [(cand.arc_ids, cand.arcs_mask, cand.in_any, cand.in_two)
             for cand in eng.candidates[::dims.cols]] == expected
     assert eng.starts == starts
+
+
+@pytest.mark.parametrize("dims", COLUMN_GRIDS + [(4, 3)], ids="{0[0]}x{0[1]}".format)
+def test_translates_match_those_joined_from_scratch(dims):
+    """The column translates, whose masks are column 0's rotated within
+    each row's block of bits, equal in order, arc ids and masks those
+    joined from scratch."""
+    dims = TorusDims(*dims)
+    assert [(cand.arc_ids, cand.arcs_mask, cand.in_any, cand.in_two)
+            for cand in _engine(dims).candidates] == translates_reference(dims)
+
+
+def _generators(dims):
+    """The column reflection through column 0, with no movers, and the unit
+    column shift (the identity on one column) with its bitset movers."""
+    perms = arc_permutations(dims)
+    return [(perms["h_reflect", 0, 0], ()),
+            (perms["identity", 0, 1 % dims.cols], _column_shift(dims, 1))]
+
+
+def test_symmetry_check_passes_on_every_grid():
+    """On every grid from 1x1 to 8x8 both generators carry the tables
+    ``_join`` reads onto themselves, and the shift's movers move each bit
+    as its permutation does."""
+    for rows in range(1, MAX_PERIOD + 1):
+        for cols in range(1, MAX_PERIOD + 1):
+            dims = TorusDims(rows, cols)
+            for perm, movers in _generators(dims):
+                _check_symmetry(tables_for(dims), perm, *movers)
+
+
+def _broken(part):
+    """A copy of the 3x3 tables and the generators' movers with one fault
+    in ``part``, on arcs both generators move: arc ``a`` leaves vertex
+    (1, 1) by (-1, 1) and ``b`` leaves it by (0, 1)."""
+    dims = TorusDims(3, 3)
+    t = copy.copy(tables_for(dims))
+    a, b = (t.out_arc[4][step] for step in ((-1, 1), (0, 1)))
+    generators = _generators(dims)
+    if part == "conflict_mask":
+        t.conflict_mask = list(t.conflict_mask)
+        low = t.conflict_mask[a] & -t.conflict_mask[a]
+        t.conflict_mask[a] ^= low
+    elif part == "self_ok":
+        t.self_ok = list(t.self_ok)
+        t.self_ok[a] = not t.self_ok[a]
+    elif part == "label entry":
+        # a and b trade their origin entries, each keeping its length
+        t.ends, t.slot_mask = list(t.ends), list(t.slot_mask)
+        ((ea, la), head_a), ((eb, lb), head_b) = t.ends[a], t.ends[b]
+        t.ends[a], t.ends[b] = ((eb, la), head_a), ((ea, lb), head_b)
+        for aid in a, b:
+            t.slot_mask[aid] = sum(1 << entry for entry, _ in t.ends[aid])
+    else:
+        perm, (move_arcs, move_vertices) = generators[1]
+        if part == "arc mover":
+            movers = (lambda mask: move_arcs(mask) ^ (mask >> a & 1) << 7), move_vertices
+        else:
+            movers = move_arcs, _column_shift(dims, 2)[1]
+        return t, [(perm, movers)]
+    return t, generators
+
+
+@pytest.mark.parametrize("part", ["conflict_mask", "self_ok", "label entry",
+                                  "arc mover", "vertex mover"])
+def test_symmetry_check_rejects_broken_tables(part):
+    """The check raises on tables with one ``conflict_mask`` bit dropped,
+    one ``self_ok`` flipped or two arcs' label entries swapped, under either
+    generator, and on a shift mover off on one bit or by one place."""
+    t, generators = _broken(part)
+    for perm, movers in generators:
+        with pytest.raises(AssertionError):
+            _check_symmetry(t, perm, *movers)
+
+
+def test_engine_checks_the_reflection_and_the_unit_shift(monkeypatch):
+    """An engine's build checks the two generators its images are moved by,
+    the shift with the movers that move its translates' masks, and refuses
+    tables one of them does not keep."""
+    dims = TorusDims(3, 3)
+    checked = []
+    check = search._check_symmetry
+
+    def recording(t, perm, *movers):
+        checked.append((perm, [m(1 << 5) for m in movers]))
+        check(t, perm, *movers)
+
+    monkeypatch.setattr(search, "_check_symmetry", recording)
+    search._Engine(dims)
+    (mirror, _), (shift, (move_arcs, move_vertices)) = _generators(dims)
+    assert checked == [(mirror, []), (shift, [move_arcs(1 << 5), move_vertices(1 << 5)])]
+    broken, _ = _broken("conflict_mask")
+    monkeypatch.setattr(search, "tables_for", lambda dims: broken)
+    with pytest.raises(AssertionError):
+        search._Engine(dims)
 
 
 # sha256 over each engine's candidates (arc ids, arcs_mask, in_any,
