@@ -1,12 +1,14 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 property failure, 2 usage or parse error,
-3 search stopped by node budget.
+3 search stopped by node budget, 141 standard output closed by its reader
+(128 + SIGPIPE, as a shell reports for ``git log | head``).
 """
 
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import tempfile
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
+EXIT_BROKEN_PIPE = 141
 
 _LOOSE_HELP = ("require connectivity on the torus only; the planar lift may "
                "fall apart into separate strands")
@@ -287,7 +290,11 @@ def main(argv=None) -> int:
                 parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.run(args)
+    try:
+        return args.run(args)
+    except BrokenPipeError:  # ``paths --list | head``: the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

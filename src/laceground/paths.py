@@ -13,11 +13,15 @@ forms:
   step.
 
 So a skipping path's steps are exactly a rooted path's steps that begin
-with (0, 2): every such sequence is counted twice, once per attachment
-form, and all other sequences appear only rooted. ``_lace_paths`` walks
-both forms in one depth-first walk on this fact. Heights 1..6 yield 3, 39,
-498, 6667, 91833 and 1289040 paths under this convention, of which 0, 1,
-13, 164, 2177 and 29881 are skipping."""
+with (0, 2), and on an n-row torus it is that rooted twin moved n-1 rows
+down: both forms drop n rows and return to dx 0, both are held to the same
+bound on dx, and the double step is not horizontal, so the step after it
+is free in both forms. Every such sequence is counted twice, once per
+attachment form, and all other sequences appear only rooted.
+``_lace_paths`` walks the rooted form only; ``generate_lace_paths`` and
+``count_lace_paths`` add each skipping twin directly after the rooted path
+it copies. Heights 1..6 yield 3, 39, 498, 6667, 91833 and 1289040 paths
+under this convention, of which 0, 1, 13, 164, 2177 and 29881 are skipping."""
 
 from typing import Iterator, NamedTuple
 
@@ -30,8 +34,8 @@ SKIP_STEP = (0, 2)
 
 # Largest height the command line walks paths for: the count grows about
 # 14-fold per row (1,289,040 paths at height 6), and enumerating the 6x1
-# grid takes 1.3 to 2.1 s at 44 MB peak RSS with --jobs 1 (Python 3.11,
-# 2-CPU machine).
+# grid takes 1.7 to 2.5 s at 44 MB peak RSS with --jobs 1 (Python 3.11,
+# 2-CPU machine, five runs).
 MAX_PATH_HEIGHT = 6
 
 
@@ -50,39 +54,26 @@ class LacePath(NamedTuple):
         return rows - 1 if self.skipping else 0
 
 
-def _lace_paths(n: int, extend=lambda state, step: state,
-                start=lambda row: row,
-                steps: tuple[Step, ...] = LACE_STEPS) -> Iterator[tuple[LacePath, object]]:
-    """Every lace path of height n with a state grown along its steps,
-    lexicographic by steps, rooted first, in one depth-first walk.
-
-    A skipping path's steps are exactly a rooted path's steps that begin
-    with (0, 2): both forms drop n rows and return to dx 0, both are held to
-    the same bound on dx below, and the double step is not horizontal, so
-    the step after it is free in both forms. The walk therefore carries the
-    two forms' states down one tree of step sequences and yields, at each
-    terminal prefix, the rooted path and then its skipping twin: the order
-    of the two forms merged. A prefix is terminal once dy == n and dx == 0,
-    since no continuation can return to a valid endpoint, so each sequence
-    is yielded once per form.
-
-    ``start(row)`` gives the state at the row a form is anchored at: row 0
-    for the rooted form, row n-1 for the skipping form, which is begun only
-    by a first step (0, 2). ``extend(state, step)``, called for every step
-    of ``steps`` the rules admit, returns the state of the longer prefix, or
-    None to cut that form there; a branch is cut once both forms are cut. By
-    default a path's state is its anchor row.
+def _lace_paths(n: int, extend=lambda state, step: state, state=0,
+                steps: tuple[Step, ...] = LACE_STEPS) -> Iterator[tuple[tuple[Step, ...], object]]:
+    """The steps of every rooted lace path of height n, lexicographic, each
+    with a state grown along them in one depth-first walk: ``state`` is the
+    empty prefix's (by default its anchor row, 0), and ``extend(state,
+    step)``, called for every step of ``steps`` the rules admit, returns
+    the longer prefix's, or None to cut the branch there. A prefix is
+    terminal once dy == n and dx == 0, since no continuation can return to
+    a valid endpoint, so each sequence is yielded once.
 
     ``steps``, an ordered subsequence of ``LACE_STEPS``, are the steps the
     walk takes: it yields exactly the paths of the full walk whose steps all
-    lie in ``steps``, in the same order and forms. A prefix at (dx, dy) is
-    cut when |dx| > (d + h) * (n - dy) + h, with d the largest |dx| of a
-    step of ``steps`` with dy 1 and h that of a horizontal one (3 * (n - dy)
-    + 2 with every step): no path from it can return to dx 0. The n - dy
-    rows left take at most n - dy descents, each moving at most d columns
-    (a double step moves none), and since horizontal steps are never
-    adjacent, descents and horizontal steps alternate: at most n - dy + 1
-    horizontal steps, each moving at most h columns.
+    lie in ``steps``, in the same order. A prefix at (dx, dy) is cut when
+    |dx| > (d + h) * (n - dy) + h, with d the largest |dx| of a step of
+    ``steps`` with dy 1 and h that of a horizontal one (3 * (n - dy) + 2
+    with every step): no path from it can return to dx 0. The n - dy rows
+    left take at most n - dy descents, each moving at most d columns (a
+    double step moves none), and since horizontal steps are never adjacent,
+    descents and horizontal steps alternate: at most n - dy + 1 horizontal
+    steps, each moving at most h columns.
     """
     if n < 1:
         raise ValueError(f"height must be >= 1, got {n}")
@@ -90,11 +81,11 @@ def _lace_paths(n: int, extend=lambda state, step: state,
     d = max((abs(dx) for dx, dy in steps if dy == 1), default=0)
     h = max((abs(dx) for dx, dy in steps if dy == 0), default=0)
     stack: list[Step] = []
-    # one frame per depth: the prefix's net (dx, dy), the rooted and the
-    # skipping form's state (None once cut) and the steps not yet tried
-    frames = [(0, 0, start(0), None, iter(steps))]
+    # one frame per depth: the prefix's net (dx, dy), its state and the
+    # steps not yet tried
+    frames = [(0, 0, state, iter(steps))]
     while frames:
-        sdx, sdy, rooted, skipping, untried = frames[-1]
+        sdx, sdy, state, untried = frames[-1]
         for step in untried:
             dx, dy = step
             ndy = sdy + dy
@@ -107,25 +98,15 @@ def _lace_paths(n: int, extend=lambda state, step: state,
             # no path from here returns to dx 0 (see the docstring)
             if abs(ndx) > (d + h) * (n - ndy) + h:
                 continue
-            next_rooted = None if rooted is None else extend(rooted, step)
-            if skipping is not None:
-                next_skipping = extend(skipping, step)
-            elif not stack and step == SKIP_STEP:
-                next_skipping = extend(start(n - 1), step)
-            else:
-                next_skipping = None
-            if next_rooted is None and next_skipping is None:
+            grown = extend(state, step)
+            if grown is None:
                 continue
             stack.append(step)
             if ndy == n and ndx == 0:
-                walked = tuple(stack)
-                if next_rooted is not None:
-                    yield LacePath(walked, False), next_rooted
-                if next_skipping is not None:
-                    yield LacePath(walked, True), next_skipping
+                yield tuple(stack), grown
                 stack.pop()
                 continue
-            frames.append((ndx, ndy, next_rooted, next_skipping, iter(steps)))
+            frames.append((ndx, ndy, grown, iter(steps)))
             break
         else:
             frames.pop()
@@ -134,14 +115,20 @@ def _lace_paths(n: int, extend=lambda state, step: state,
 
 
 def generate_lace_paths(n: int) -> list[LacePath]:
-    """Every lace path of height n, lexicographic by steps, rooted first."""
-    return [path for path, _ in _lace_paths(n)]
+    """Every lace path of height n, lexicographic by steps, rooted first:
+    each skipping path directly after its rooted twin."""
+    out = []
+    for steps, _ in _lace_paths(n):
+        out.append(LacePath(steps))
+        if steps[0] == SKIP_STEP:
+            out.append(LacePath(steps, True))
+    return out
 
 
 def count_lace_paths(n: int) -> int:
     """Number of lace paths of height n (both attachment forms), counted as
     they are walked, without building the list."""
-    return sum(1 for _ in _lace_paths(n))
+    return sum(1 + (steps[0] == SKIP_STEP) for steps, _ in _lace_paths(n))
 
 
 def format_path(path: LacePath) -> str:

@@ -37,36 +37,31 @@ child is dead when a waiting vertex has no alive candidate into it: at 3x3
 that is 39,157 of the 55,325 nodes.
 
 Column 0's candidates are the arc sets of its fault-free lace paths, one
-per path, built in one streaming depth-first walk over arc ids from vertex
-(0, 0) (rooted paths) and, down a first double step, from vertex (n-1, 0)
-as well (skipping paths). It takes the lace-step rules from ``paths`` and
-cuts a branch at the first arc that ``embedding._join`` rejects, so no path
-list is built and no path with a fault is completed. It takes only the
-steps whose arcs do not conflict with their own periodic copies, and bounds
-dx by those steps: on a one-column grid it drops the horizontal double steps
-and on a one-row grid the double step, whose arcs ``_join`` rejects wherever
-they stand (point (iii) of ``_Engine._column_candidates``). Each candidate
-comes directly before its mirror image under the column reflection through
-column 0, ``("h_reflect", 0, 0)`` in ``embedding.arc_permutations``, which
-maps column 0's candidates onto themselves. The walk enters only the paths that
-step only vertically or whose first sideways step goes left; a path whose
-first sideways step goes right is the mirror image of one of those, so its
-candidate is the walked one's arc ids mapped through that permutation, with
-masks the walk grows beside the walked path's: from the first sideways step
-on, each step adds the bit of its arc's image and that image's head to the
-image's masks, so the images share the walk's prefixes as the walked paths
-do. No image arc is joined: the reflection carries every table ``_join``
-reads onto itself, which ``_check_symmetry`` asserts once per grid, so it
-maps a path that joins without a fault to one that does. Steps sort by dx
-first, so of a path and its image the left-turning one comes first, and the
-pairs come in the order of the whole walk. ``_Engine._column_candidates``
-proves that distinct paths lay distinct arc sets, so no two candidates
-coincide. Column 0's candidate k moved by ``("identity", 0, c)``, c columns
-right, is candidate k * cols + c: its arc ids mapped through that
-permutation, and its masks rotated within each row's block of bits
-(``_column_shift``). Nothing is joined there either: the shifts are the
-powers of the unit shift, which ``_check_symmetry`` checks once, rotation
-included.
+per path (``_Engine._column_candidates``). One streaming depth-first walk
+over arc ids from vertex (0, 0) builds the rooted paths that step only
+vertically or turn left first. It takes the lace-step rules from ``paths``,
+only the steps whose arcs do not conflict with their own periodic copies,
+and cuts a branch at the first arc that ``embedding._join`` rejects, so no
+path list is built and no path with a fault is completed. Every other
+candidate is a walked one moved by a symmetry of the grid, an entry of
+``embedding.arc_permutations``: its arc ids mapped through the permutation
+and its masks moved bit by bit, with nothing joined, since
+``_check_symmetry`` asserts once per grid that the move carries every table
+``_join`` reads onto itself, and so maps a fault-free path to one:
+
+- each candidate comes directly before its mirror image under the column
+  reflection through column 0, ``("h_reflect", 0, 0)``, unless it is its
+  own; the walk grows an image's masks beside the walked path's, and
+  steps sort by dx first, so the left-turning path of a pair comes first;
+- a skipping path is its rooted twin, which begins with the double step,
+  moved n-1 rows down, so that pair is followed by itself moved by
+  ``("identity", n - 1, 0)``, its masks rotated as whole bitsets
+  (``_shift``);
+- column 0's candidate k moved c columns right, ``("identity", 0, c)``, is
+  candidate k * cols + c, its masks rotated within each row's block of
+  bits; the check takes the unit shift, whose powers these moves are.
+
+Distinct paths lay distinct arc sets, so no two candidates coincide.
 
 A work item is a pure walk of its part of the tree: it returns the arc sets
 of its regular leaves, those exactly 2-in/2-out on their used vertices.
@@ -120,7 +115,7 @@ from typing import Optional
 from .canonical import arc_permutations, canonical_representative, identifier_text
 from .embedding import _NO_ARCS, GroundEmbedding, MaskTables, _join, tables_for
 from .geometry import LACE_STEPS, TorusDims
-from .paths import _lace_paths
+from .paths import SKIP_STEP, _lace_paths
 from .validator import check_connected, windings_span_plane
 
 _BIG = 1 << 62
@@ -200,9 +195,8 @@ class _Engine:
         # index-major: column 0's candidate k at k * cols, then its translates
         self.candidates = [None] * (len(column0) * cols)
         self.candidates[::cols] = column0
-        # per column c > 0: the permutation that moves column 0 there, and
-        # its movers
-        shifts = [(arc_permutations(dims)["identity", 0, c], *_column_shift(dims, c))
+        # per column c > 0: the permutation moving column 0 there, and its movers
+        shifts = [(arc_permutations(dims)["identity", 0, c], *_shift(dims, 0, c))
                   for c in range(1, cols)]
         if shifts:
             # the unit shift's powers are the translates: checked once, it
@@ -227,35 +221,33 @@ class _Engine:
         itself) unless it is its own; the starts are the first of each pair
         and the candidates that are their own image.
 
-        The paths are walked arc by arc in one walk of step sequences
-        (``paths._lace_paths``), which carries two walk states down a
-        sequence that begins with the double step: the rooted path's from
-        (0, 0) and the skipping path's from (n-1, 0). A state is cut at the
-        first arc that cannot join those before it (``_join``): every fault
-        is decided by a prefix of the path, so no path with a fault is ever
-        completed. It is also cut at a step with dx > 0 taken before any
-        sideways step: the paths walked step only vertically or turn left
-        first, and the others' candidates are the walked ones' mirror
-        images, their arc ids mapped through
-        ``arc_permutations(dims)["h_reflect", 0, 0]``. A state also carries
-        its mirror image's arcs, ``in_any`` and ``in_two``. Before the first
-        sideways step they are the walked masks; from that step on, every
-        step adds the bit of its arc's image and, as ``_join`` would, the
-        image's head (``two |= any & head; any |= head``). Nothing is
-        joined for an image, by (ii). Two facts leave nothing to look up:
+        The rooted paths are walked arc by arc from (0, 0)
+        (``paths._lace_paths``), one state per prefix, cut at the first arc
+        that cannot join those before it (``_join``): every fault is decided
+        by a prefix of the path, so no path with a fault is ever completed.
+        A state is also cut at a step with dx > 0 taken before any sideways
+        step: the others' candidates are the walked ones' mirror images,
+        their arc ids mapped through
+        ``arc_permutations(dims)["h_reflect", 0, 0]``. A state carries its
+        image's arcs, ``in_any`` and ``in_two``: the walked masks before
+        the first sideways step; from that step on, every step adds the bit
+        of its arc's image and, as ``_join`` would, the image's head
+        (``two |= any & head; any |= head``). Nothing is joined for an
+        image, by (ii), nor for a skipping path, by (iv):
 
-        (i) Distinct fault-free paths lay distinct arc sets. An arc records
-        its step, so it is enough that the arc set fixes the walk order.
-        The set fixes the form, and the form the anchor: a skipping path
-        holds the (0, 2) arc out of (n-1, 0), and a rooted path's unwrapped
-        row climbs monotonically from 0 to n, so it never leaves row n-1 by
-        a double step. The unwrapped rows lie in an interval of length n,
-        so only the anchor's row is met at two unwrapped rows; horizontal
-        steps are never adjacent, so each row takes at most one horizontal
-        arc. A vertex is therefore met twice only at the anchor or across
-        a horizontal self-loop (|dx| = cols), and in both cases the next
-        arc is forced: the first arc must be non-horizontal or the double
-        step, and the loop must come before the walk descends.
+        (i) Distinct fault-free paths, of either form, lay distinct arc
+        sets. An arc records its step, so it is enough that the arc set
+        fixes the order the path takes its arcs in. The set fixes the form,
+        and the form the anchor: a skipping path holds the (0, 2) arc out
+        of (n-1, 0), and a rooted path's unwrapped row climbs monotonically
+        from 0 to n, so it never leaves row n-1 by a double step. The
+        unwrapped rows lie in an interval of length n, so only the anchor's
+        row is met at two unwrapped rows; horizontal steps are never
+        adjacent, so each row takes at most one horizontal arc. A vertex is
+        therefore met twice only at the anchor or across a horizontal
+        self-loop (|dx| = cols), and in both cases the next arc is forced:
+        the first arc must be non-horizontal or the double step, and the
+        loop must come before the path descends.
 
         (ii) A candidate is its own image exactly when it never steps
         sideways, when the walk carries no image masks for it. The
@@ -277,10 +269,19 @@ class _Engine:
         ``_lace_paths`` then bounds dx by the steps left, so it also cuts
         the prefixes that only a dropped step could bring back to dx 0;
         the paths it yields are the others, in the same order.
+
+        (iv) A skipping path is its rooted twin, which begins with the
+        double step, moved n-1 rows down: ``("identity", n - 1, 0)``, which
+        ``_check_symmetry`` checks once per grid with its movers
+        (``_shift``). So the twin of a fault-free rooted path is fault-free,
+        with the rooted path's masks moved, and the twin of a cut one is cut
+        at the same arc. The move commutes with the reflection, so it takes
+        the rooted pair to the skipping pair, which follows it.
         """
         t = self.t
-        cols = self.dims.cols
-        mirror = arc_permutations(self.dims)["h_reflect", 0, 0]
+        rows, cols = self.dims
+        perms = arc_permutations(self.dims)
+        mirror = perms["h_reflect", 0, 0]
         # (ii): the reflection maps every walked path to a fault-free one
         _check_symmetry(t, mirror)
         # per arc: the bits of its image and of the image's head
@@ -290,9 +291,6 @@ class _Engine:
         # a walk's state: the vertex it stands at, its arc ids, their masks
         # and its mirror image's arcs, in_any and in_two, None until its
         # first sideways step (before it the path is its own image)
-        def start(row):
-            return row * cols, (), _NO_ARCS, None
-
         def extend(state, step):
             vid, ids, masks, image = state
             dx = step[0]
@@ -310,17 +308,22 @@ class _Engine:
                 image = arcs | image_bit[aid], in_any | head, in_two | in_any & head
             return t.head_vid[aid], ids + (aid,), joined, image
 
+        # (iv): the row move that takes a rooted pair to the skipping pair
+        skip = perms["identity", rows - 1, 0], *_shift(self.dims, rows - 1, 0)
+        _check_symmetry(t, *skip)
         # (iii): the steps whose arcs do not conflict with their own copies
         admitted = tuple(s for s in LACE_STEPS if t.self_ok[t.out_arc[0][s]])
         out, starts = [], []
-        for _, (_, ids, masks, image) in _lace_paths(self.dims.rows, extend, start,
-                                                     admitted):
+        walk = _lace_paths(rows, extend, (0, (), _NO_ARCS, None), admitted)
+        for steps, (_, ids, masks, image) in walk:
             # a closed walk: the keep masks and the search read the in side only
             assert masks.in_any == masks.out_any and masks.in_two == masks.out_two
-            starts.append(len(out) * cols)
-            out.append(_Candidate(ids, masks.arcs, masks.in_any, masks.in_two))
+            pair = [_Candidate(ids, masks.arcs, masks.in_any, masks.in_two)]
             if image is not None:
-                out.append(_Candidate(tuple(map(mirror.__getitem__, ids)), *image))
+                pair.append(_Candidate(tuple(map(mirror.__getitem__, ids)), *image))
+            for cands in [pair, _moved(pair, *skip)] if steps[0] == SKIP_STEP else [pair]:
+                starts.append(len(out) * cols)
+                out += cands
         return out, starts
 
     def _keep_masks(self) -> tuple[list[int], list[int]]:
@@ -406,7 +409,7 @@ def _check_symmetry(t: MaskTables, perm: tuple[int, ...], move_arcs=None,
     one that does, with each of its masks moved bit by bit.
 
     ``move_arcs`` and ``move_vertices``, if given, are the bitset movers
-    that build the images' masks (``_column_shift``): they must move every
+    that build the images' masks (``_shift``): they must move every
     single arc bit and vertex bit as ``perm`` does, and since they move a
     bitset bit by bit, they then move every mask as ``perm`` does."""
     assert sorted(perm) == list(range(len(t.arcs)))
@@ -429,15 +432,17 @@ def _check_symmetry(t: MaskTables, perm: tuple[int, ...], move_arcs=None,
         assert all(move_vertices(1 << v) == 1 << w for v, w in vertices.items())
 
 
-def _column_shift(dims: TorusDims, c: int):
-    """The bitset movers of ``("identity", 0, c)`` in
-    ``arc_permutations(dims)``, c columns right: arc ids and vertex ids run
-    row by row, so each row's arcs and vertices are a block of bits, which
-    the shift rotates, arc bits by ``len(LACE_STEPS) * c`` in blocks of
-    ``len(LACE_STEPS) * cols`` and vertex bits by c in blocks of cols."""
+def _shift(dims: TorusDims, dr: int, dc: int):
+    """The bitset movers of ``("identity", dr, dc)`` in
+    ``arc_permutations(dims)``, for dr or dc 0. Arc ids and vertex ids run
+    row by row, so a column shift rotates each row's block of bits (arc
+    bits by ``len(LACE_STEPS) * dc``, vertex bits by dc) and a row move
+    rotates the whole bitset by dr blocks."""
+    rows, cols = dims
+    blocks, k = (1, dr * cols) if dr else (rows, dc)
     steps = len(LACE_STEPS)
-    return (_rotation(steps * dims.cols, dims.rows, steps * c),
-            _rotation(dims.cols, dims.rows, c))
+    return (_rotation(steps * rows * cols // blocks, blocks, steps * k),
+            _rotation(rows * cols // blocks, blocks, k))
 
 
 def _rotation(width: int, blocks: int, k: int):
@@ -449,16 +454,16 @@ def _rotation(width: int, blocks: int, k: int):
     return lambda mask: (mask << k) & high | (mask >> back) & low
 
 
-def _moved(column0: list[_Candidate], perm: tuple[int, ...], move_arcs,
+def _moved(cands: list[_Candidate], perm: tuple[int, ...], move_arcs,
            move_vertices) -> list[_Candidate]:
-    """Column 0's candidates moved to another column: their arc ids mapped
-    through ``perm``, the entry of ``arc_permutations`` that moves them
-    there, and their masks by its movers (``_column_shift``), which
-    ``_check_symmetry`` vouches for."""
+    """Candidates moved by a translation: to another column, or a rooted
+    pair to its skipping twins. Their arc ids are mapped through ``perm``,
+    the translation's entry of ``arc_permutations``, and their masks by its
+    movers (``_shift``), which ``_check_symmetry`` vouches for."""
     arc_id = perm.__getitem__
     return [_Candidate(tuple(map(arc_id, cand.arc_ids)), move_arcs(cand.arcs_mask),
                        move_vertices(cand.in_any), move_vertices(cand.in_two))
-            for cand in column0]
+            for cand in cands]
 
 
 def _bits(mask: int):

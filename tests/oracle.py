@@ -36,6 +36,7 @@ command's parser (``main_reference``).
 """
 
 from collections import Counter
+from functools import reduce
 
 from laceground.canonical import (
     TRANSFORMS,
@@ -181,8 +182,11 @@ def crossing_tables_reference(dims: TorusDims):
 def column_candidates_reference(dims: TorusDims):
     """Column 0's candidates of the search engine, each as (arc ids, arcs
     mask, in_any, in_two), and the work-item starts, built as the walk of
-    left-turning paths that joins each mirror image from scratch: one
-    whole-candidate ``_join`` per image, after its path is complete."""
+    left-turning rooted paths that joins each mirror image from scratch:
+    one whole-candidate ``_join`` per image, after its path is complete.
+    Each rooted path that begins with the double step is followed by its
+    skipping twin and that twin's image, the twin walked arc by arc from
+    (n-1, 0) along the rooted path's steps."""
     t = tables_for(dims)
     cols = dims.cols
 
@@ -204,14 +208,21 @@ def column_candidates_reference(dims: TorusDims):
     admitted = tuple(s for s in LACE_STEPS if t.self_ok[t.out_arc[0][s]])
     mirror = arc_permutations(dims)["h_reflect", 0, 0]
     built, starts = [], []
-    for _, (_, turned, ids, masks) in _lace_paths(dims.rows, extend, start, admitted):
-        starts.append(len(built) * cols)
-        built.append((ids, masks))
-        if turned:
-            image = tuple(mirror[aid] for aid in ids)
-            masks, fault = _join(_NO_ARCS, image, t)
-            assert fault is None
-            built.append((image, masks))
+    for steps, rooted in _lace_paths(dims.rows, extend, start(0), admitted):
+        forms = [rooted]
+        if steps[0] == (0, 2):
+            # the twin's walk, kept if no step of it is cut
+            twin = reduce(lambda state, step: state and extend(state, step), steps,
+                          start(dims.rows - 1))
+            forms += [twin] if twin is not None else []
+        for _, turned, ids, masks in forms:
+            starts.append(len(built) * cols)
+            built.append((ids, masks))
+            if turned:
+                image = tuple(mirror[aid] for aid in ids)
+                masks, fault = _join(_NO_ARCS, image, t)
+                assert fault is None
+                built.append((image, masks))
     return [(ids, m.arcs, m.in_any, m.in_two) for ids, m in built], starts
 
 

@@ -96,6 +96,21 @@ def test_the_module_runs_as_a_program():
     assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
 
 
+def test_a_reader_that_stops_early_ends_the_listing_quietly():
+    """``paths --list | head -1``: once the reader closes the pipe the
+    listing stops with no traceback and exits 141, 128 + SIGPIPE, as a
+    shell reports for a program that pipe stopped."""
+    src = str(Path(laceground.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen([sys.executable, "-m", "laceground.cli", "paths", "--height", "5",
+                           "--list"], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"91833\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert (proc.returncode, stderr) == (141, b"")
+
+
 def test_paths_list(capsys):
     code, out, _ = run(capsys, "paths", "--height", "2", "--list")
     lines = out.strip().splitlines()

@@ -28,12 +28,12 @@ from laceground.search import (
     SearchConfig,
     _bits,
     _check_symmetry,
-    _column_shift,
     _engine,
     _ItemRunner,
     _judge,
     _pool_size,
     _run_item,
+    _shift,
     count_table,
     enumerate_grounds,
 )
@@ -567,10 +567,12 @@ def test_column_0_walk_takes_only_left_turning_paths(monkeypatch):
     """Column 0's walk never adds a step with dx > 0 to a prefix without a
     sideways step, so every prefix it enters steps only vertically or turns
     left first. The right-turning half grows beside it without a join: at
-    5x1 every ``_join`` call of the build is one of the walk's 12,786 steps
-    along the six steps the one-column grid admits (against 31,398 along
-    all eight and 62,770 when it walked every path). The mirror images take
-    no join, since the reflection is checked once on the tables (12,760
+    5x1 every ``_join`` call of the build is one of the walk's 12,295 steps
+    along the six steps the one-column grid admits, all from (0, 0)
+    (12,786 when the walk also carried each skipping path from (4, 0),
+    31,398 along all eight steps and 62,770 when it walked every path).
+    The mirror images and the skipping twins take no join, since the
+    reflection and the row move are checked once on the tables (12,760
     one-arc joins when each image grew by joining, and 5,501
     whole-candidate joins of 43,580 arcs when each was joined from
     scratch)."""
@@ -589,7 +591,7 @@ def test_column_0_walk_takes_only_left_turning_paths(monkeypatch):
 
     monkeypatch.setattr(search, "_join", counting_join)
     eng = search._Engine(dims)  # not the cached engine: the build must run
-    assert steps == 12786
+    assert steps == 12295
     assert len(eng.candidates) == 11013  # 5,501 pairs and 11 self-images
 
 
@@ -618,17 +620,21 @@ def test_translates_match_those_joined_from_scratch(dims):
 
 
 def _generators(dims):
-    """The column reflection through column 0, with no movers, and the unit
-    column shift (the identity on one column) with its bitset movers."""
+    """The column reflection through column 0, with no movers, the unit
+    column shift (the identity on one column) and the row move that takes
+    row 0 to the last row (the identity on one row), each with its bitset
+    movers."""
     perms = arc_permutations(dims)
+    last = dims.rows - 1
     return [(perms["h_reflect", 0, 0], ()),
-            (perms["identity", 0, 1 % dims.cols], _column_shift(dims, 1))]
+            (perms["identity", 0, 1 % dims.cols], _shift(dims, 0, 1)),
+            (perms["identity", last, 0], _shift(dims, last, 0))]
 
 
 def test_symmetry_check_passes_on_every_grid():
-    """On every grid from 1x1 to 8x8 both generators carry the tables
-    ``_join`` reads onto themselves, and the shift's movers move each bit
-    as its permutation does."""
+    """On every grid from 1x1 to 8x8 the generators carry the tables
+    ``_join`` reads onto themselves, and the shift's and the row move's
+    movers move each bit as their permutations do."""
     for rows in range(1, MAX_PERIOD + 1):
         for cols in range(1, MAX_PERIOD + 1):
             dims = TorusDims(rows, cols)
@@ -638,7 +644,7 @@ def test_symmetry_check_passes_on_every_grid():
 
 def _broken(part):
     """A copy of the 3x3 tables and the generators' movers with one fault
-    in ``part``, on arcs both generators move: arc ``a`` leaves vertex
+    in ``part``, on arcs every generator moves: arc ``a`` leaves vertex
     (1, 1) by (-1, 1) and ``b`` leaves it by (0, 1)."""
     dims = TorusDims(3, 3)
     t = copy.copy(tables_for(dims))
@@ -658,22 +664,27 @@ def _broken(part):
         t.ends[a], t.ends[b] = ((eb, la), head_a), ((ea, lb), head_b)
         for aid in a, b:
             t.slot_mask[aid] = sum(1 << entry for entry, _ in t.ends[aid])
+    elif part == "row mover":
+        # moves row 0 one row too far: to row 0 on three rows
+        perm, _ = generators[2]
+        return t, [(perm, _shift(dims, 3, 0))]
     else:
         perm, (move_arcs, move_vertices) = generators[1]
         if part == "arc mover":
             movers = (lambda mask: move_arcs(mask) ^ (mask >> a & 1) << 7), move_vertices
         else:
-            movers = move_arcs, _column_shift(dims, 2)[1]
+            movers = move_arcs, _shift(dims, 0, 2)[1]
         return t, [(perm, movers)]
     return t, generators
 
 
 @pytest.mark.parametrize("part", ["conflict_mask", "self_ok", "label entry",
-                                  "arc mover", "vertex mover"])
+                                  "arc mover", "vertex mover", "row mover"])
 def test_symmetry_check_rejects_broken_tables(part):
     """The check raises on tables with one ``conflict_mask`` bit dropped,
-    one ``self_ok`` flipped or two arcs' label entries swapped, under either
-    generator, and on a shift mover off on one bit or by one place."""
+    one ``self_ok`` flipped or two arcs' label entries swapped, under each
+    generator, on a shift mover off on one bit or by one place, and on a
+    row mover off by one row."""
     t, generators = _broken(part)
     for perm, movers in generators:
         with pytest.raises(AssertionError):
@@ -681,9 +692,9 @@ def test_symmetry_check_rejects_broken_tables(part):
 
 
 def test_engine_checks_the_reflection_and_the_unit_shift(monkeypatch):
-    """An engine's build checks the two generators its images are moved by,
-    the shift with the movers that move its translates' masks, and refuses
-    tables one of them does not keep."""
+    """An engine's build checks the three moves its images, skipping twins
+    and translates are made by, the row move and the shift with the movers
+    that move their masks, and refuses tables one of them does not keep."""
     dims = TorusDims(3, 3)
     checked = []
     check = search._check_symmetry
@@ -694,8 +705,9 @@ def test_engine_checks_the_reflection_and_the_unit_shift(monkeypatch):
 
     monkeypatch.setattr(search, "_check_symmetry", recording)
     search._Engine(dims)
-    (mirror, _), (shift, (move_arcs, move_vertices)) = _generators(dims)
-    assert checked == [(mirror, []), (shift, [move_arcs(1 << 5), move_vertices(1 << 5)])]
+    (mirror, _), shift, row_move = _generators(dims)
+    assert checked == [(perm, [m(1 << 5) for m in movers])
+                       for perm, movers in ((mirror, ()), row_move, shift)]
     broken, _ = _broken("conflict_mask")
     monkeypatch.setattr(search, "tables_for", lambda dims: broken)
     with pytest.raises(AssertionError):
